@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .graphs import Graph, Mask, bits, is_connected, mask_of
+from .graphs import Graph, Mask, is_connected, mask_of
 from .spectral import TOL, Spectrum, adjacency_matrix, adjacency_spectrum, multiset_close
 
 SIGN_EPS = 1e-9  # eigenvector entries closer to 0 than this are "defect"

@@ -12,8 +12,9 @@ Analysis commands emit exactly one JSON report per run::
 
 with keys sorted and every real number rounded to 12 significant digits, so
 identical invocations produce byte-identical output.  Exit codes: 0 success,
-2 malformed usage or input, 3 a size cap was exceeded.  ``verify`` runs the
-built-in invariant suite and exits 0 only if every check passes.
+2 malformed usage or input, 3 a size cap was exceeded.  ``verify`` sweeps
+the quick tier of the invariant registry (:mod:`specbound.invariants`) and
+exits 0 only if every check passes, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -22,27 +23,22 @@ import argparse
 import hashlib
 import json
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from . import __version__
-from .bipartite import (bfs_bipartition_oracle, is_symmetric_spectrum,
-                        rotation_two_coloring, spectral_bipartite_test)
-from .coloring import (brute_force_chromatic, brute_force_independence,
-                       function_graph_color, min_degree_peel_color, wilf_color)
+from . import __version__, invariants
+from .bipartite import bfs_bipartition_oracle, spectral_bipartite_test
+from .coloring import (brute_force_chromatic, function_graph_color,
+                       min_degree_peel_color, wilf_color)
 from .generators import (complete, complete_bipartite, cycle, cycle_family,
                          function_graph, paley_tournament, path, petersen,
                          random_regular, subdivide)
-from .graphs import (CapExceeded, DirectedGraph, Graph, Transport, bits,
-                     canonical_digest, dump_directed_edge_list, dump_edge_list,
-                     is_connected, load_directed_edge_list, load_edge_list,
-                     mask_of, verify_mass_transport)
-from .limits import accumulate_spectra, delta, gap_persistence, max_gap
-from .matching import (brouwer_haemers_test, independent_expansion,
-                       perfect_matching_oracle, tutte_scan, two_set_inequality)
-from .spectral import (TOL, adjacency_spectrum, antidiagonal_spectrum,
-                       block_extremes, bounds, laplacian_spectrum,
-                       mean_zero_extremes, multiset_close, snapped_floor,
-                       spectral_gap, spectral_report)
+from .graphs import (CapExceeded, Graph, bits, canonical_digest,
+                     dump_directed_edge_list, dump_edge_list,
+                     load_directed_edge_list, load_edge_list)
+from .limits import accumulate_spectra, gap_persistence, max_gap
+from .matching import tutte_scan
+from .spectral import (TOL, adjacency_spectrum, bounds, snapped_floor,
+                       spectral_report)
 
 
 class UsageError(Exception):
@@ -257,216 +253,11 @@ def _cmd_limit(args, stdin_text, out) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verify: the built-in invariant suite
-# ---------------------------------------------------------------------------
-
-def _verify_checks() -> List[Tuple[str, bool, str]]:
-    import math
-    import random
-
-    from .coloring import wilf_color as _wilf
-    from .enumeration import enumerate_graphs
-
-    checks: List[Tuple[str, bool, str]] = []
-
-    def check(name: str, fn) -> None:
-        try:
-            detail = fn()
-            checks.append((name, True, detail or ""))
-        except Exception as exc:  # noqa: BLE001 - verify reports, never crashes
-            checks.append((name, False, f"{type(exc).__name__}: {exc}"))
-
-    def c_round_trip():
-        for g in (petersen(), cycle(9), complete_bipartite(2, 5)):
-            text = dump_edge_list(g)
-            assert load_edge_list(text) == g and dump_edge_list(load_edge_list(text)) == text
-        return "3 fixtures"
-
-    check("edge-list-round-trip", c_round_trip)
-
-    def c_transport():
-        rng = random.Random(7)
-        worst = 0.0
-        for _ in range(200):
-            n = rng.randrange(2, 30)
-            es = {(u, v) for u in range(n) for v in range(u + 1, n)
-                  if rng.random() < 0.3}
-            g = Graph(n, sorted(es))
-            w = {}
-            for (u, v) in g.edges():
-                w[(u, v)] = rng.random()
-                w[(v, u)] = rng.random()
-            worst = max(worst, verify_mass_transport(Transport(g, w)))
-        assert worst <= 1e-12
-        return f"200 transports, worst residual {worst:.2e}"
-
-    check("mass-transport", c_transport)
-
-    def c_cycle_spectra():
-        for n in range(3, 33):
-            want = sorted(2.0 * math.cos(2.0 * math.pi * i / n) for i in range(n))
-            got = adjacency_spectrum(cycle(n)).values
-            assert multiset_close(want, got, 1e-9)
-        return "n=3..32"
-
-    check("cycle-spectra", c_cycle_spectra)
-
-    def c_biregular():
-        for a in range(1, 5):
-            for b in range(a, 5):
-                m_val = adjacency_spectrum(complete_bipartite(a, b)).max
-                assert abs(m_val - math.sqrt(a * b)) <= 1e-9
-        for g, d in ((cycle(4), 2), (complete(4), 3)):
-            assert abs(adjacency_spectrum(subdivide(g)).max - math.sqrt(2 * d)) <= 1e-9
-        return "K_ab a,b<=4 and two subdivisions"
-
-    check("biregular-and-subdivision-norms", c_biregular)
-
-    def c_antidiagonal():
-        rng = random.Random(11)
-        for _ in range(20):
-            n = rng.randrange(2, 12)
-            es = {(u, v) for u in range(n) for v in range(u + 1, n)
-                  if rng.random() < 0.4}
-            g = Graph(n, sorted(es))
-            spec = adjacency_spectrum(g).values
-            sym = sorted(list(spec) + [-v for v in spec])
-            assert multiset_close(antidiagonal_spectrum(g).values, sym, 1e-8)
-        return "20 seeded graphs"
-
-    check("antidiagonal-symmetrization", c_antidiagonal)
-
-    def c_block():
-        rng = random.Random(13)
-        for _ in range(30):
-            n = rng.randrange(2, 18)
-            es = {(u, v) for u in range(n) for v in range(u + 1, n)
-                  if rng.random() < 0.35}
-            g = Graph(n, sorted(es))
-            k = rng.randrange(2, 6)
-            parts = [0] * k
-            for v in range(n):
-                parts[rng.randrange(k)] |= 1 << v
-            ext = block_extremes(g, parts)
-            spec = adjacency_spectrum(g)
-            m_t, big_m = spec.min, spec.max
-            total = sum(e.M for e in ext)
-            assert (k - 1) * m_t + big_m <= total + 1e-8
-            for e in ext:
-                assert e.M <= big_m + 1e-8 and e.m >= m_t - 1e-8
-        return "30 seeded (graph, partition) pairs"
-
-    check("block-inequality", c_block)
-
-    def c_sandwich():
-        for n in range(1, 7):
-            for g in enumerate_graphs(n, connected=True):
-                b = bounds(g)
-                chi = brute_force_chromatic(g)
-                col = _wilf(g)
-                assert col.proper(g) and col.is_total
-                assert col.palette_size <= b.wilf
-                assert chi <= b.wilf
-                if b.hoffman is not None:
-                    assert b.hoffman <= chi
-        return "all connected graphs n<=6"
-
-    check("chromatic-sandwich", c_sandwich)
-
-    def c_bipartite_equiv():
-        for n in range(2, 7):
-            for g in enumerate_graphs(n, connected=True):
-                v = spectral_bipartite_test(g)
-                oracle = bfs_bipartition_oracle(g) is not None
-                assert v.symmetric_spectrum == oracle
-                if g.is_regular:
-                    assert v.minus_d_in_spectrum == oracle
-        return "all connected graphs n<=6"
-
-    check("bipartite-equivalence", c_bipartite_equiv)
-
-    def c_independence():
-        for n in range(2, 7):
-            for g in enumerate_graphs(n, connected=True):
-                alpha, _ = brute_force_independence(g)
-                b = bounds(g)
-                if b.independence_bound is not None:
-                    assert alpha / g.n <= b.independence_bound + 1e-9
-                if b.mindeg_independence_bound is not None:
-                    assert alpha / g.n <= b.mindeg_independence_bound + 1e-9
-        return "all connected graphs n<=6"
-
-    check("independence-bounds", c_independence)
-
-    def c_tutte():
-        for n in (2, 4, 6):
-            for g in enumerate_graphs(n, connected=True):
-                r = tutte_scan(g)
-                assert r.classical_holds == (r.matching is not None)
-        assert brouwer_haemers_test(complete(4)) and brouwer_haemers_test(cycle(4))
-        assert not brouwer_haemers_test(petersen())
-        return "all connected graphs n in {2,4,6} + fixtures"
-
-    check("tutte-equivalence", c_tutte)
-
-    def c_two_set():
-        r = two_set_inequality(petersen(), mask_of([0]), mask_of([3]))
-        assert abs(r.lhs - 1.0 / 81.0) <= 1e-12 and abs(r.rhs - 9.0 / 49.0) <= 1e-12
-        assert r.holds
-        return "Petersen 1/81 <= 9/49"
-
-    check("two-set-inequality", c_two_set)
-
-    def c_rotation():
-        alpha = (math.sqrt(5.0) - 1.0) / 2.0
-        rc = rotation_two_coloring(alpha, 0.05, 500)
-        assert rc.defect_count <= 0.05 * 500 + 1
-        for k in range(499):
-            if (k * alpha) % 1.0 >= 0.05:
-                assert rc.labels[k] != rc.labels[k + 1]
-        return f"defect_count={rc.defect_count}"
-
-    check("rotation-coloring", c_rotation)
-
-    def c_function_color():
-        d = paley_tournament()
-        col = function_graph_color(d)
-        assert col.proper(d.underlying()) and col.palette_size <= 7
-        rng = random.Random(17)
-        for _ in range(30):
-            n = rng.randrange(2, 31)
-            k = rng.randrange(1, 4)
-            maps = [[rng.randrange(n) for _ in range(n)] for _ in range(k)]
-            dd = function_graph(maps)
-            cc = function_graph_color(dd)
-            assert cc.proper(dd.underlying()) and cc.palette_size <= 2 * k + 1
-        return "paley + 30 seeded systems"
-
-    check("function-graph-coloring", c_function_color)
-
-    def c_limit():
-        acc64 = accumulate_spectra(cycle_family(), 64)
-        acc32 = accumulate_spectra(cycle_family(), 32)
-        g64 = max_gap(acc64, (-2.0, 2.0))
-        g32 = max_gap(acc32, (-2.0, 2.0))
-        assert g64 < 0.2 and g64 <= g32 + 1e-12
-        for spec in acc64.per_index.values():
-            delta(spec, 0.3)  # raises if the norm identity cross-check fails
-        return f"max_gap(64)={g64:.4f} <= max_gap(32)={g32:.4f}"
-
-    check("limit-accumulation", c_limit)
-
-    return checks
-
-
 def _cmd_verify(args, stdin_text, out) -> int:
-    checks = _verify_checks()
+    checks = invariants.verify("quick")
     ok = all(c[1] for c in checks)
-    payload = {"ok": ok,
-               "checks": [{"name": n, "ok": o, "detail": d} for n, o, d in checks]}
-    digest = hashlib.sha256(b"builtin-fixtures").hexdigest()
-    out.write(_report("verify", digest, payload))
+    payload = {"ok": ok, "checks": [{"name": n, "ok": o, "detail": d} for n, o, d in checks]}
+    out.write(_report("verify", hashlib.sha256(b"builtin-fixtures").hexdigest(), payload))
     return 0 if ok else 1
 
 
@@ -479,14 +270,11 @@ def _build_parser() -> _Parser:
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, tol=True, inp=True):
+    def add_common(sp, inp=True):
         if inp:
             sp.add_argument("--input", help="edge-list file (default: stdin)")
-        if tol:
-            sp.add_argument("--tol", type=float, default=TOL,
-                            help="numeric tolerance (default 1e-9)")
-        sp.add_argument("--json", action="store_true",
-                        help="JSON output (default and only mode)")
+        sp.add_argument("--tol", type=float, default=TOL,
+                        help="numeric tolerance (default 1e-9)")
 
     sp = sub.add_parser("gen", help="emit a generated graph as edge-list text")
     sp.add_argument("--cycle", type=int)
@@ -542,7 +330,6 @@ def _build_parser() -> _Parser:
     sp.set_defaults(fn=_cmd_limit)
 
     sp = sub.add_parser("verify", help="run the built-in invariant suite")
-    add_common(sp, inp=False, tol=False)
     sp.set_defaults(fn=_cmd_verify)
 
     return p

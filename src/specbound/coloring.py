@@ -17,8 +17,8 @@ independent of everything above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from .graphs import CapExceeded, DirectedGraph, Graph, Mask, bits, mask_of, popcount
 from .spectral import adjacency_spectrum, snapped_floor
@@ -63,16 +63,10 @@ class Coloring:
 
 @dataclass
 class Peeling:
-    """Layers produced by iterated low-degree peeling.
-
-    ``layer_degrees[k][v]`` is the degree of v in the residual graph at the
-    moment layer k was peeled; since later layers are exactly the rest of that
-    residual graph, this is also v's constraint degree for backwards coloring.
-    """
+    """Layers produced by iterated low-degree peeling; together they cover
+    every vertex, in peeling order."""
 
     layers: List[Mask]
-    residual: Mask
-    layer_degrees: List[Dict[int, int]] = field(default_factory=list)
 
     def uncovered_counts(self, n: int) -> List[int]:
         counts = [n]
@@ -115,7 +109,6 @@ def peel_by_threshold(g: Graph, threshold: int) -> Peeling:
     """
     rem = g.full_mask
     layers: List[Mask] = []
-    snapshots: List[Dict[int, int]] = []
     while rem:
         degs = {v: popcount(g.adj_masks[v] & rem) for v in bits(rem)}
         layer = mask_of(v for v, d in degs.items() if d <= threshold)
@@ -124,9 +117,8 @@ def peel_by_threshold(g: Graph, threshold: int) -> Peeling:
                 f"peeling stuck: residual {sorted(bits(rem))} has minimum "
                 f"degree {min(degs.values())} > threshold {threshold}", rem)
         layers.append(layer)
-        snapshots.append({v: degs[v] for v in bits(layer)})
         rem &= ~layer
-    return Peeling(layers, 0, snapshots)
+    return Peeling(layers)
 
 
 def backwards_list_color(g: Graph, peeling: Peeling, palette: int) -> Coloring:
@@ -190,7 +182,6 @@ def function_graph_color(d: DirectedGraph) -> Coloring:
     g = d.underlying()
     rem = g.full_mask
     layers: List[Mask] = []
-    snapshots: List[Dict[int, int]] = []
     while rem:
         indeg = {v: 0 for v in bits(rem)}
         for u in bits(rem):
@@ -203,10 +194,8 @@ def function_graph_color(d: DirectedGraph) -> Coloring:
                                "the out-degree bound; impossible, since total "
                                "in-degree equals total out-degree")
         layers.append(layer)
-        snapshots.append({v: popcount(g.adj_masks[v] & rem) for v in bits(layer)})
         rem &= ~layer
-    peeling = Peeling(layers, 0, snapshots)
-    return backwards_list_color(g, peeling, 2 * k + 1)
+    return backwards_list_color(g, Peeling(layers), 2 * k + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ residual, which must vanish to near machine precision.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Mask = int  # vertex subsets as bitmasks over 0..n-1
 
@@ -306,12 +306,6 @@ class Transport:
                 raise ValueError(f"transport supported on non-edge pair {(x, y)!r}")
             if w < 0:
                 raise ValueError(f"negative transport weight at {(x, y)!r}")
-
-    def sent(self, x: int) -> float:
-        return sum(w for (a, _), w in self.weights.items() if a == x)
-
-    def received(self, y: int) -> float:
-        return sum(w for (_, b), w in self.weights.items() if b == y)
 
 
 def verify_mass_transport(transport: Transport) -> float:

@@ -6,10 +6,8 @@ distance-to-spectrum functional
     delta(G, x) = min over eigenvalues lam of (x - lam)^2
 
 is continuous along convergent sequences, so eigenvalue accumulation points
-and spectral gaps are limit objects worth tracking.  ``delta`` is computed
-directly and cross-checked against the operator-norm identity
-``delta = ||S|| - || S - ||S||*I ||`` with ``S = (T - xI)(T - xI)^*``, whose
-two sides reduce to the max and (max - min) of the shifted squared spectrum.
+and spectral gaps are limit objects worth tracking.  ``delta`` is the direct
+minimum over the spectrum.
 
 ``accumulate_spectra`` unions the spectra of a family's members up to an
 index bound, merging duplicates at tolerance; ``max_gap`` measures how densely
@@ -21,7 +19,7 @@ aborting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .generators import GraphFamily
 from .spectral import TOL, Spectrum, adjacency_spectrum, spectral_gap
@@ -71,22 +69,8 @@ def max_gap(acc: SpectrumAccumulation, interval: Tuple[float, float]) -> float:
 
 
 def delta(spectrum: Spectrum, x: float) -> float:
-    """min (x - lam)^2 over the spectrum, with an internal cross-check.
-
-    The direct minimum must agree with the norm form
-    ``max(shifted) - (max(shifted) - min(shifted))`` computed from the same
-    shifted squared spectrum; disagreement would mean the arithmetic itself
-    is broken, so it raises rather than returning either value.
-    """
-    shifted = [(lam - x) ** 2 for lam in spectrum.values]
-    direct = min(shifted)
-    norm_s = max(shifted)
-    norm_shifted_back = max(abs(s - norm_s) for s in shifted)
-    via_norms = norm_s - norm_shifted_back
-    if abs(direct - via_norms) > 1e-9:
-        raise RuntimeError("distance-to-spectrum cross-check failed: "
-                           f"{direct} vs {via_norms}")
-    return direct
+    """min (x - lam)^2 over the spectrum."""
+    return min((lam - x) ** 2 for lam in spectrum.values)
 
 
 @dataclass(frozen=True)

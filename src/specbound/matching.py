@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .graphs import (CapExceeded, Graph, Mask, bits, components_within,
-                     is_connected, mask_of, popcount)
+                     is_connected, popcount)
 from .spectral import TOL, mean_zero_extremes
 
 

@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graphs import CapExceeded, Graph, Mask, bits, components, is_connected, popcount
+from .graphs import CapExceeded, Graph, Mask, bits, is_connected
 
 TOL = 1e-9
 MAX_DENSE_N = 4096

@@ -1,7 +1,5 @@
-import pytest
 from hypothesis import strategies as st
 
-from specbound.enumeration import enumerate_graphs
 from specbound.graphs import Graph
 
 
@@ -18,12 +16,6 @@ def graphs(draw, min_n=1, max_n=12):
 
 # acceptance tests append (label, "PASS"/"FAIL") here; printed at session end
 ACCEPTANCE = []
-
-
-@pytest.fixture(scope="session")
-def connected_by_n():
-    """Isomorphism-free lists of connected graphs, n = 1..8 (built once)."""
-    return {n: enumerate_graphs(n, connected=True) for n in range(1, 9)}
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,355 +1,39 @@
-"""End-to-end acceptance sweep.
-
-Each test here checks one advertised guarantee of the library at its stated
-tolerance, over either an exhaustive isomorphism-free family or a seeded random
-corpus, and records a PASS/FAIL line that pytest prints in its terminal
-summary.  Oracles (search-based chromatic number, independence number, BFS
-bipartition, exhaustive matching) are the ground truth throughout; the spectral
-side must agree with them, never the other way round.
-"""
-
-import functools
-import math
-import random
-import time
-
-import pytest
+"""End-to-end acceptance sweep: each entry of ``specbound.invariants`` at its
+``full`` tier (``specbound verify`` sweeps the ``quick`` tier), as one test that
+records a PASS/FAIL line for pytest's terminal summary."""
 
 from conftest import ACCEPTANCE
-from specbound.bipartite import (
-    bfs_bipartition_oracle,
-    rotation_two_coloring,
-    spectral_bipartite_test,
-)
-from specbound.coloring import (
-    brute_force_chromatic,
-    brute_force_independence,
-    function_graph_color,
-    wilf_color,
-)
-from specbound.generators import (
-    complete,
-    complete_bipartite,
-    cycle,
-    cycle_family,
-    function_graph,
-    paley_tournament,
-    petersen,
-    random_regular,
-    subdivide,
-)
-from specbound.graphs import (
-    Graph,
-    Transport,
-    is_connected,
-    mask_of,
-    verify_mass_transport,
-)
-from specbound.limits import accumulate_spectra, max_gap
-from specbound.matching import (
-    brouwer_haemers_test,
-    perfect_matching_oracle,
-    tutte_scan,
-    two_set_inequality,
-)
-from specbound.spectral import (
-    adjacency_spectrum,
-    block_extremes,
-    bounds,
-    extremes,
-    laplacian_spectrum,
-    multiset_close,
-)
+from specbound.invariants import INVARIANTS
 
-GOLDEN_CONJUGATE = (math.sqrt(5) - 1) / 2
+# Test names that predate the registry; later entries are named after their check.
+_TEST_NAMES = {
+    "mass-transport": "test_mass_transport_sweep",
+    "cycle-spectra": "test_cycle_spectra_closed_form",
+    "biregular-and-subdivision-norms": "test_biregular_and_subdivision_norms",
+    "block-inequality": "test_block_inequality_sweep",
+    "chromatic-sandwich": "test_chromatic_sandwich",
+    "bipartite-equivalence": "test_bipartite_equivalences",
+    "independence-bounds": "test_independence_bounds",
+    "tutte-equivalence": "test_matching_conditions",
+    "two-set-inequality": "test_two_set_sweep",
+    "rotation-coloring": "test_rotation_two_coloring_sweep",
+    "function-graph-coloring": "test_function_system_coloring_sweep",
+    "limit-accumulation": "test_limit_accumulation",
+}
 
 
-def criterion(label):
-    def deco(fn):
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            try:
-                fn(*args, **kwargs)
-            except BaseException:
-                ACCEPTANCE.append((label, "FAIL"))
-                raise
-            ACCEPTANCE.append((label, "PASS"))
-
-        return wrapper
-
-    return deco
-
-
-def _random_graph(rng, n):
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    if not pairs:
-        return Graph(n, [])
-    m = rng.randint(0, len(pairs))
-    return Graph(n, sorted(rng.sample(pairs, m)))
-
-
-def _random_connected_graph(rng, n):
-    while True:
-        g = _random_graph(rng, n)
-        if is_connected(g):
-            return g
-
-
-@criterion("01 cycle spectra match 2cos(2*pi*k/n) to 1e-9, n = 3..64")
-def test_cycle_spectra_closed_form():
-    for n in range(3, 65):
-        got = adjacency_spectrum(cycle(n)).values
-        want = sorted(2 * math.cos(2 * math.pi * k / n) for k in range(n))
-        assert multiset_close(got, want, 1e-9), n
-
-
-@criterion("02 Paley system colored with 7 = 2*3+1 colors, tight on K7, < 1 s")
-def test_paley_coloring_tight():
-    start = time.perf_counter()
-    d = paley_tournament()
-    col = function_graph_color(d)
-    under = d.underlying()
-    assert col.is_total and col.proper(under)
-    assert col.palette_size <= 2 * d.n_functions + 1 == 7
-    assert under == complete(7)
-    assert brute_force_chromatic(under) == 7  # the bound cannot be improved
-    assert time.perf_counter() - start < 1.0
-
-
-@criterion("03 hoffman <= chi <= wilf sandwich, exhaustive n<=7 + 500 random n<=10, < 5 min")
-def test_chromatic_sandwich(connected_by_n):
-    start = time.perf_counter()
-
-    def check(g):
-        b = bounds(g)
-        chi = brute_force_chromatic(g)
-        col = wilf_color(g)
-        assert chi <= b.wilf
-        assert col.is_total and col.proper(g)
-        assert col.palette_size <= b.wilf
-        if b.hoffman is not None:
-            assert b.hoffman <= chi
-
-    for n in range(1, 8):
-        for g in connected_by_n[n]:
-            check(g)
-    rng = random.Random(20260822)
-    for _ in range(500):
-        check(_random_graph(rng, rng.randint(1, 10)))
-    assert time.perf_counter() - start < 300
-
-
-@criterion("04 norms: M(K_{a,b}) = sqrt(ab); M(subdivision of d-regular) = sqrt(2d)")
-def test_biregular_and_subdivision_norms():
-    for a in range(1, 7):
-        for b in range(a, 7):
-            _, M = extremes(adjacency_spectrum(complete_bipartite(a, b)))
-            assert abs(M - math.sqrt(a * b)) <= 1e-9
-    for g, d in [
-        (cycle(4), 2),
-        (complete(4), 3),
-        (petersen(), 3),
-        (random_regular(12, 3, seed=9), 3),
-    ]:
-        _, M = extremes(adjacency_spectrum(subdivide(g)))
-        assert abs(M - math.sqrt(2 * d)) <= 1e-9
-
-
-@criterion("05 symmetric spectrum == bipartite on all connected n<=8; -d test for regular")
-def test_bipartite_equivalences(connected_by_n):
-    for n in range(1, 9):
-        for g in connected_by_n[n]:
-            v = spectral_bipartite_test(g)
-            truth = bfs_bipartition_oracle(g) is not None
-            assert v.symmetric_spectrum == truth
-            if g.is_regular:
-                assert v.minus_d_in_spectrum == truth
-                if truth and g.n >= 2:
-                    side0, side1 = v.bipartition
-                    oracle = bfs_bipartition_oracle(g)
-                    assert {side0, side1} == set(oracle)
-
-
-@criterion("06 block inequality (k-1)m + M <= sum M_ii on 100 seeded partitions")
-def test_block_inequality_sweep():
-    rng = random.Random(7)
-    for _ in range(100):
-        n = rng.randint(2, 30)
-        g = _random_graph(rng, n)
-        k = rng.randint(1, 5)
-        labels = [rng.randrange(k) for _ in range(n)]
-        parts = [mask_of([v for v in range(n) if labels[v] == i]) for i in range(k)]
-        m, M = extremes(adjacency_spectrum(g))
-        blocks = block_extremes(g, parts)
-        assert (k - 1) * m + M <= sum(b.M for b in blocks) + 1e-9
-
-
-@criterion("07 matching: 2*lam2 >= lam_max forces a matching; odd-component scan agrees")
-def test_matching_conditions(connected_by_n):
-    # sufficient spectral condition, exhaustively on regular graphs of even
-    # order through n = 8
-    for n in (2, 4, 6, 8):
-        for g in connected_by_n[n]:
-            if g.is_regular and brouwer_haemers_test(g):
-                assert perfect_matching_oracle(g) is not None
-    # named fixtures at n = 10 and seeded regular samples
-    assert brouwer_haemers_test(complete_bipartite(5, 5))
-    assert perfect_matching_oracle(complete_bipartite(5, 5)) is not None
-    assert not brouwer_haemers_test(petersen())  # 2*2 < 5: condition is silent
-    assert perfect_matching_oracle(petersen()) is not None
-    for seed in range(40):
-        g = random_regular(10, 3, seed=seed)
-        if not is_connected(g):
-            continue
-        if brouwer_haemers_test(g):
-            assert perfect_matching_oracle(g) is not None
-    # odd-component scan: classical form is equivalent to a perfect matching,
-    # exhaustively through n = 8 and on seeded connected graphs at n = 10
-    for n in (2, 4, 6, 8):
-        for g in connected_by_n[n]:
-            rep = tutte_scan(g)
-            assert rep.classical_holds == (perfect_matching_oracle(g) is not None)
-            assert rep.c_star >= 1.0 - 1e-12  # singletons already witness ratio 1
-            assert not rep.strict_holds
-    rng = random.Random(4242)
-    for _ in range(150):
-        g = _random_connected_graph(rng, 10)
-        rep = tutte_scan(g)
-        assert rep.classical_holds == (perfect_matching_oracle(g) is not None)
-
-
-@criterion("08 two-set bound mu_Y mu_Z/((1-mu_Y)(1-mu_Z)) <= ((ML-mL)/(ML+mL))^2, 500 pairs")
-def test_two_set_sweep():
-    def cube():
-        edges = []
-        for u in range(8):
-            for b in range(3):
-                v = u ^ (1 << b)
-                if u < v:
-                    edges.append((u, v))
-        return Graph(8, sorted(edges))
-
-    pool = [petersen(), cube(), complete_bipartite(3, 3), complete_bipartite(4, 4)]
-    pool += [cycle(n) for n in range(5, 13)]
-    for seed in range(30):
-        g = random_regular(12, 3, seed=seed)
-        if is_connected(g):
-            pool.append(g)
-    for seed in range(30):
-        g = random_regular(10, 4, seed=seed)
-        if is_connected(g):
-            pool.append(g)
-
-    rep = two_set_inequality(petersen(), mask_of([0]), mask_of([7]))
-    assert abs(rep.lhs - 1 / 81) <= 1e-12
-    assert abs(rep.rhs - 9 / 49) <= 1e-12
-    assert rep.holds
-
-    rng = random.Random(99)
-    checked = 0
-    while checked < 500:
-        g = pool[rng.randrange(len(pool))]
-        size_y, size_z = rng.randint(1, 2), rng.randint(1, 2)
-        verts = rng.sample(range(g.n), size_y + size_z)
-        y, z = mask_of(verts[:size_y]), mask_of(verts[size_y:])
+def _acceptance_test(inv, label):
+    def test():
         try:
-            rep = two_set_inequality(g, y, z)
-        except ValueError:
-            continue  # sampled sets touch an edge: not a valid instance
-        assert rep.holds
-        checked += 1
+            inv.sweep("full")
+        except BaseException:
+            ACCEPTANCE.append((label, "FAIL"))
+            raise
+        ACCEPTANCE.append((label, "PASS"))
+
+    return test
 
 
-@criterion("09 transport residual <= 1e-12 on 1000 seeded weightings + both specializations")
-def test_mass_transport_sweep():
-    rng = random.Random(31337)
-    for _ in range(1000):
-        n = rng.randint(2, 16)
-        g = _random_graph(rng, n)
-        w = {}
-        for u, v in g.edges():
-            if rng.random() < 0.85:
-                w[(u, v)] = rng.uniform(0, 50)
-            if rng.random() < 0.85:
-                w[(v, u)] = rng.uniform(0, 50)
-        assert verify_mass_transport(Transport(g, w)) <= 1e-12
-
-    # specialization 1: w(x -> y) = f(y) makes both marginals the degree-weighted
-    # integral of f
-    g = petersen()
-    f = [rng.uniform(0, 1) for _ in range(g.n)]
-    w = {(u, v): f[v] for u in range(g.n) for v in g.adj[u]}
-    t = Transport(g, w)
-    assert verify_mass_transport(t) <= 1e-12
-    out_side = sum(f[v] for u in range(g.n) for v in g.adj[u]) / g.n
-    deg_side = sum(g.degrees[v] * f[v] for v in range(g.n)) / g.n
-    assert abs(out_side - deg_side) <= 1e-12
-
-    # specialization 2: symmetric weights balance edge by edge
-    w = {}
-    for u, v in g.edges():
-        c = rng.uniform(0, 10)
-        w[(u, v)] = c
-        w[(v, u)] = c
-    assert verify_mass_transport(Transport(g, w)) <= 1e-12
-
-
-@criterion("10 independence: alpha/n <= -m/(d-m) (regular) and <= 1 - delta/ML, n<=8")
-def test_independence_bounds(connected_by_n):
-    for n in range(1, 9):
-        for g in connected_by_n[n]:
-            alpha, _ = brute_force_independence(g)
-            if g.is_regular and g.m > 0:
-                m, _ = extremes(adjacency_spectrum(g))
-                d = g.max_degree
-                assert alpha / g.n <= -m / (d - m) + 1e-9
-            if g.n >= 2:
-                big = laplacian_spectrum(g).max
-                if big > 1e-9:
-                    assert alpha / g.n <= 1 - g.min_degree / big + 1e-9
-
-
-@criterion("11 rotation coloring: defect <= 51 of 1000 samples, proper off the defect")
-def test_rotation_two_coloring_sweep():
-    alpha, gamma, n = GOLDEN_CONJUGATE, 0.05, 1000
-    col = rotation_two_coloring(alpha, gamma, n)
-    assert col.defect_count <= 51
-
-    def hit(x):
-        j = 0
-        while not (0.0 <= (x + j * alpha) % 1.0 < gamma):
-            j += 1
-        return j
-
-    violations = 0
-    for k in range(n - 1):
-        x = (k * alpha) % 1.0
-        if hit(x) == 0:
-            continue  # defect sample: adjacent labels unconstrained
-        if col.labels[k] == col.labels[k + 1]:
-            violations += 1
-    assert violations == 0
-
-
-@criterion("12 cycle family fills [-2, 2]: max gap < 0.05 at N = 256, monotone from N = 64")
-def test_limit_accumulation():
-    acc64 = accumulate_spectra(cycle_family(), 64)
-    acc256 = accumulate_spectra(cycle_family(), 256)
-    g64 = max_gap(acc64, (-2.0, 2.0))
-    g256 = max_gap(acc256, (-2.0, 2.0))
-    assert g256 < 0.05
-    assert g256 <= g64
-
-
-@criterion("13 function systems on <= 3 maps colored with <= 2k+1 colors, 200 seeded")
-def test_function_system_coloring_sweep():
-    rng = random.Random(777)
-    for _ in range(200):
-        n = rng.randint(1, 50)
-        k = rng.randint(1, 3)
-        maps = [[rng.randrange(n) for _ in range(n)] for _ in range(k)]
-        d = function_graph(maps)
-        col = function_graph_color(d)
-        assert col.is_total
-        assert col.proper(d.underlying())
-        assert col.palette_size <= 2 * d.n_functions + 1
+for _i, _inv in enumerate(INVARIANTS, 1):
+    _name = _TEST_NAMES.get(_inv.name, "test_" + _inv.name.replace("-", "_"))
+    globals()[_name] = _acceptance_test(_inv, f"{_i:02d} {_inv.label}")

@@ -1,11 +1,18 @@
 """Command-line surface: payload shapes, byte determinism, piping, exit codes."""
 
+import dataclasses
+import importlib
 import io
 import json
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import specbound
+from specbound import invariants
 from specbound.cli import run
 from specbound.generators import cycle, petersen
 from specbound.graphs import canonical_digest, dump_edge_list
@@ -190,26 +197,46 @@ def test_gen_random_regular_seeded():
     assert a == b and a[0] == 0
 
 
+# The CLI as a separate process that imports the package the tests import,
+# installed or found through PYTHONPATH, whatever the working directory.
+_CLI = [sys.executable, "-m", "specbound"]
+_PACKAGE_ROOT = str(Path(specbound.__file__).resolve().parents[1])
+_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))}
+
+
+def _spawn(args, **kwargs):
+    return subprocess.run(_CLI + args, capture_output=True, env=_ENV, **kwargs)
+
+
 def test_console_script_pipes():
-    gen = subprocess.run(
-        ["specbound", "gen", "--petersen"], capture_output=True, text=True, check=True
-    )
-    first = subprocess.run(
-        ["specbound", "spectrum"], input=gen.stdout, capture_output=True, text=True, check=True
-    )
+    gen = _spawn(["gen", "--petersen"], text=True, check=True)
+    first = _spawn(["spectrum"], input=gen.stdout, text=True, check=True)
     doc = json.loads(first.stdout)
     assert doc["payload"]["M"] == 3.0
-    again = subprocess.run(
-        ["specbound", "spectrum"], input=gen.stdout, capture_output=True, text=True, check=True
-    )
+    again = _spawn(["spectrum"], input=gen.stdout, text=True, check=True)
     assert first.stdout == again.stdout
 
 
 def test_console_script_exit_codes():
-    r = subprocess.run(["specbound", "spectrum", "--input", "/no/such"], capture_output=True)
+    r = _spawn(["spectrum", "--input", "/no/such"])
     assert r.returncode == 2
-    r = subprocess.run(["specbound", "nonsense"], capture_output=True)
+    r = _spawn(["nonsense"])
     assert r.returncode == 2
+
+
+def test_console_script_target_resolves():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["specbound"]
+    module, _, attr = target.partition(":")
+    assert callable(getattr(importlib.import_module(module), attr))
+
+
+def test_directed_duplicate_arc_rejected():
+    code, text = _run(["color", "--algorithm", "function"], stdin_text="3 3\n0 1\n0 1\n1 2")
+    assert code == 2
+    assert json.loads(text)["error"]["code"] == "input"
 
 
 def test_verify_runs_clean():
@@ -217,3 +244,22 @@ def test_verify_runs_clean():
     assert doc["payload"]["ok"] is True
     assert len(doc["payload"]["checks"]) == 14
     assert all(c["ok"] for c in doc["payload"]["checks"])
+
+
+def test_verify_reports_a_failing_check_and_runs_the_rest(monkeypatch):
+    def boom(item):
+        raise ZeroDivisionError("planted fault")
+
+    broken = dataclasses.replace(invariants.INVARIANTS[3], check=boom)
+    monkeypatch.setattr(invariants, "INVARIANTS",
+                        invariants.INVARIANTS[:3] + (broken,) + invariants.INVARIANTS[4:])
+    code, text = _run(["verify"])
+    assert code == 1
+    payload = json.loads(text)["payload"]
+    assert payload["ok"] is False
+    checks = payload["checks"]
+    assert [c["name"] for c in checks] == [inv.name for inv in invariants.INVARIANTS]
+    assert checks[3]["ok"] is False
+    assert "ZeroDivisionError" in checks[3]["detail"]
+    assert "planted fault" in checks[3]["detail"]
+    assert all(c["ok"] for i, c in enumerate(checks) if i != 3)

@@ -49,7 +49,7 @@ def test_greedy_list_coloring_picks_least_available():
 def test_peel_path_layers():
     peeling = peel_by_threshold(path(4), 1)
     assert peeling.layers == [mask_of([0, 3]), mask_of([1, 2])]
-    assert peeling.residual == 0
+    assert peeling.layers[0] | peeling.layers[1] == path(4).full_mask
     assert peeling.uncovered_counts(4) == [4, 2, 0]
 
 

@@ -15,7 +15,7 @@ from specbound.generators import (
     petersen,
     random_regular,
 )
-from specbound.graphs import CapExceeded, Graph, bits, is_connected, mask_of
+from specbound.graphs import CapExceeded, Graph, is_connected, mask_of
 from specbound.matching import (
     brouwer_haemers_test,
     independent_expansion,
