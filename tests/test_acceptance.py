@@ -2,7 +2,10 @@
 ``full`` tier (``specbound verify`` sweeps the ``quick`` tier), as one test that
 records a PASS/FAIL line for pytest's terminal summary."""
 
+import time
+
 from conftest import ACCEPTANCE
+from specbound.generators import paley_tournament
 from specbound.invariants import INVARIANTS
 
 # Test names that predate the registry; later entries are named after their check.
@@ -22,10 +25,10 @@ _TEST_NAMES = {
 }
 
 
-def _acceptance_test(inv, label):
+def _acceptance_test(label, run):
     def test():
         try:
-            inv.sweep("full")
+            run()
         except BaseException:
             ACCEPTANCE.append((label, "FAIL"))
             raise
@@ -36,4 +39,20 @@ def _acceptance_test(inv, label):
 
 for _i, _inv in enumerate(INVARIANTS, 1):
     _name = _TEST_NAMES.get(_inv.name, "test_" + _inv.name.replace("-", "_"))
-    globals()[_name] = _acceptance_test(_inv, f"{_i:02d} {_inv.label}")
+    globals()[_name] = _acceptance_test(f"{_i:02d} {_inv.label}",
+                                        lambda inv=_inv: inv.sweep("full"))
+
+
+def _paley_tight():
+    """The tight item of ``function-graph-coloring`` on its own: the Paley system
+    on k = 3 maps needs all 2k+1 = 7 colors, and colouring it takes < 1 s."""
+    check = next(inv.check for inv in INVARIANTS if inv.name == "function-graph-coloring")
+    start = time.perf_counter()
+    d = paley_tournament()
+    assert 2 * d.n_functions + 1 == 7
+    check((d, True))
+    assert time.perf_counter() - start < 1.0
+
+
+test_paley_coloring_tight = _acceptance_test(
+    "Paley system colored with 7 = 2*3+1 colors, tight on K7, < 1 s", _paley_tight)
