@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional
 from . import __version__, invariants
 from .bipartite import bfs_bipartition_oracle, spectral_bipartite_test
 from .coloring import (brute_force_chromatic, function_graph_color,
-                       min_degree_peel_color, wilf_color)
+                       min_degree_peel_color)
 from .generators import (complete, complete_bipartite, cycle, cycle_family,
                          function_graph, paley_tournament, path, petersen,
                          random_regular, subdivide)
@@ -169,24 +169,19 @@ def _cmd_color(args, stdin_text, out) -> int:
     digest = canonical_digest(g)
     if algo == "brute":
         payload = {"algorithm": algo, "chromatic": brute_force_chromatic(g)}
-    elif algo == "mindeg":
-        if args.threshold is None:
+    else:  # mindeg or wilf: argparse allows no other choice
+        if algo == "wilf":
+            bound = adjacency_spectrum(g, args.tol).max
+        elif args.threshold is None:
             raise UsageError("--algorithm mindeg needs --threshold")
-        coloring = min_degree_peel_color(g, args.threshold)
+        else:
+            bound = args.threshold
+        coloring = min_degree_peel_color(g, bound)
         payload = {"algorithm": algo,
-                   "palette_bound": snapped_floor(args.threshold) + 1,
+                   "palette_bound": snapped_floor(bound) + 1,
                    "colors": list(coloring.colors),
                    "palette_used": coloring.palette_size,
                    "proper": coloring.proper(g)}
-    elif algo == "wilf":
-        coloring = wilf_color(g)
-        payload = {"algorithm": algo,
-                   "palette_bound": snapped_floor(adjacency_spectrum(g, args.tol).max) + 1,
-                   "colors": list(coloring.colors),
-                   "palette_used": coloring.palette_size,
-                   "proper": coloring.proper(g)}
-    else:
-        raise UsageError(f"unknown coloring algorithm {algo!r}")
     out.write(_report("color", digest, payload))
     return 0
 
@@ -237,7 +232,7 @@ def _cmd_limit(args, stdin_text, out) -> int:
     except ValueError as exc:
         raise UsageError(f"bad interval {args.interval!r}; want LO,HI") from exc
     acc = accumulate_spectra(family, args.max_n, args.tol)
-    gaps = gap_persistence(family, args.max_n, args.tol)
+    gaps = gap_persistence(family, acc)
     payload = {
         "family": args.family,
         "max_index": args.max_n,

@@ -18,6 +18,7 @@ independent of everything above.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import List, Optional, Sequence, Tuple
 
 from .graphs import CapExceeded, DirectedGraph, Graph, Mask, bits, mask_of, popcount
@@ -105,7 +106,8 @@ def peel_by_threshold(g: Graph, threshold: int) -> Peeling:
     """Iteratively remove all vertices of residual degree <= threshold.
 
     Exhausts the graph whenever threshold >= floor(M); a residual subgraph of
-    minimum degree > threshold raises :class:`PeelingStuck` naming it.
+    minimum degree > threshold raises :class:`PeelingStuck` carrying it (the
+    message names its size and first vertices only).
     """
     rem = g.full_mask
     layers: List[Mask] = []
@@ -114,8 +116,9 @@ def peel_by_threshold(g: Graph, threshold: int) -> Peeling:
         layer = mask_of(v for v, d in degs.items() if d <= threshold)
         if layer == 0:
             raise PeelingStuck(
-                f"peeling stuck: residual {sorted(bits(rem))} has minimum "
-                f"degree {min(degs.values())} > threshold {threshold}", rem)
+                f"peeling stuck: residual of {len(degs)} vertices starting "
+                f"{list(islice(bits(rem), 8))} has minimum degree "
+                f"{min(degs.values())} > threshold {threshold}", rem)
         layers.append(layer)
         rem &= ~layer
     return Peeling(layers)
@@ -154,10 +157,7 @@ def wilf_color(g: Graph) -> Coloring:
 
     Peel at threshold floor(M), then color backwards with floor(M)+1 colors.
     """
-    big_m = adjacency_spectrum(g).max
-    t = snapped_floor(big_m)
-    peeling = peel_by_threshold(g, t)
-    return backwards_list_color(g, peeling, t + 1)
+    return min_degree_peel_color(g, adjacency_spectrum(g).max)
 
 
 def min_degree_peel_color(g: Graph, bound: float) -> Coloring:

@@ -340,18 +340,10 @@ def dump_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_lines(text: str) -> List[List[str]]:
-    rows = []
-    for raw in text.splitlines():
-        row = raw.split()
-        if row:
-            rows.append(row)
-    return rows
-
-
-def load_edge_list(text: str) -> Graph:
-    """Parse the plain edge-list format; malformed input raises ValueError."""
-    rows = _parse_lines(text)
+def _parse_pairs(text: str, kind: str) -> Tuple[int, List[Tuple[int, int]]]:
+    """Header ``n m`` and exactly ``m`` integer pair lines, each named in its
+    error as a bad ``kind`` line; blank lines are skipped."""
+    rows = [row for row in (raw.split() for raw in text.splitlines()) if row]
     if not rows:
         raise ValueError("empty edge-list input")
     head = rows[0]
@@ -364,18 +356,23 @@ def load_edge_list(text: str) -> Graph:
     if n < 1 or m < 0:
         raise ValueError(f"bad header values n={n} m={m}")
     if len(rows) - 1 != m:
-        raise ValueError(f"expected {m} edge lines, found {len(rows) - 1}")
-    edges = []
+        raise ValueError(f"expected {m} {kind} lines, found {len(rows) - 1}")
+    pairs = []
     for row in rows[1:]:
-        if len(row) != 2:
-            raise ValueError(f"bad edge line {' '.join(row)!r}")
         try:
-            u, v = int(row[0]), int(row[1])
+            u, v = map(int, row)  # a row of other than two tokens fails too
         except ValueError as exc:
-            raise ValueError(f"bad edge line {' '.join(row)!r}") from exc
+            raise ValueError(f"bad {kind} line {' '.join(row)!r}") from exc
+        pairs.append((u, v))
+    return n, pairs
+
+
+def load_edge_list(text: str) -> Graph:
+    """Parse the plain edge-list format; malformed input raises ValueError."""
+    n, edges = _parse_pairs(text, "edge")
+    for u, v in edges:
         if not (0 <= u < v < n):
             raise ValueError(f"edge line must satisfy 0 <= u < v < n: {u} {v}")
-        edges.append((u, v))
     return Graph(n, edges)  # Graph re-checks duplicates
 
 
@@ -387,23 +384,8 @@ def dump_directed_edge_list(d: DirectedGraph) -> str:
 
 
 def load_directed_edge_list(text: str) -> DirectedGraph:
-    rows = _parse_lines(text)
-    if not rows:
-        raise ValueError("empty edge-list input")
-    head = rows[0]
-    if len(head) != 2:
-        raise ValueError("header must be 'n m'")
-    n, m = int(head[0]), int(head[1])
-    if n < 1 or m < 0:
-        raise ValueError(f"bad header values n={n} m={m}")
-    if len(rows) - 1 != m:
-        raise ValueError(f"expected {m} arc lines, found {len(rows) - 1}")
-    arcs = []
-    for row in rows[1:]:
-        if len(row) != 2:
-            raise ValueError(f"bad arc line {' '.join(row)!r}")
-        u, v = int(row[0]), int(row[1])
-        arcs.append((u, v))
+    """Parse the directed variant; malformed input raises ValueError."""
+    n, arcs = _parse_pairs(text, "arc")
     return DirectedGraph(n, arcs)
 
 

@@ -12,7 +12,8 @@ minimum over the spectrum.
 ``accumulate_spectra`` unions the spectra of a family's members up to an
 index bound, merging duplicates at tolerance; ``max_gap`` measures how densely
 the accumulated points fill an interval; ``gap_persistence`` watches the
-spectral gap across a family, recording per-member failures rather than
+spectral gap across the accumulated members, reading each member's spectrum
+from the accumulation and recording per-member failures rather than
 aborting.
 """
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .generators import GraphFamily
-from .spectral import TOL, Spectrum, adjacency_spectrum, spectral_gap
+from .spectral import TOL, Spectrum, _check_gap_domain, _gap, adjacency_spectrum
 
 
 @dataclass
@@ -99,14 +100,16 @@ class GapPersistenceReport:
         return max(gs) if gs else None
 
 
-def gap_persistence(family: GraphFamily, max_index: int,
-                    tol: float = TOL) -> GapPersistenceReport:
-    """Spectral gap of each family member; per-member errors are recorded
-    (irregular or disconnected members), never raised."""
+def gap_persistence(family: GraphFamily,
+                    acc: SpectrumAccumulation) -> GapPersistenceReport:
+    """Spectral gap of each member ``accumulate_spectra`` collected from
+    ``family`` into ``acc``; per-member errors are recorded (irregular or
+    disconnected members), never raised."""
     entries: List[GapEntry] = []
-    for k, g in family.members(max_index):
+    for k, g in family.members(max(acc.per_index)):
         try:
-            entries.append(GapEntry(k, spectral_gap(g, tol)))
+            _check_gap_domain(g)
+            entries.append(GapEntry(k, _gap(acc.per_index[k], g.max_degree)))
         except ValueError as exc:
             entries.append(GapEntry(k, None, str(exc)))
     return GapPersistenceReport(entries)

@@ -13,7 +13,19 @@ the matching criteria.
 
 All eigensolves are dense symmetric (numpy ``eigvalsh``/``eigh``), capped at
 n = 4096; at that scale the solver is exact to far better than the 1e-9
-tolerance used throughout.
+tolerance used throughout.  ``bounds`` and ``spectral_report`` solve the
+adjacency and the Laplacian spectrum once each and derive every quantity from
+those two.
+
+Tolerance policy, stated once for the whole package:
+
+- ``TOL = 1e-9`` is the default tolerance of every comparison between
+  computed eigenvalues (and the ``--tol`` default of the CLI);
+- integer-valued bounds snap by ``TOL`` before rounding, so a computed
+  2.9999999999 floors to 3 (``snapped_floor``) and 2.0000000001 ceils to 2
+  (``snapped_ceil``);
+- the CLI rounds every real it prints to 12 significant digits, so output is
+  byte-identical across runs and platforms whose solvers agree that far.
 """
 
 from __future__ import annotations
@@ -30,13 +42,13 @@ TOL = 1e-9
 MAX_DENSE_N = 4096
 
 
-def snapped_floor(x: float, eps: float = 1e-9) -> int:
-    """floor with an epsilon nudge so that 2.9999999999 floors to 3."""
-    return math.floor(x + eps)
+def snapped_floor(x: float) -> int:
+    """floor with a ``TOL`` nudge so that 2.9999999999 floors to 3."""
+    return math.floor(x + TOL)
 
 
-def snapped_ceil(x: float, eps: float = 1e-9) -> int:
-    return math.ceil(x - eps)
+def snapped_ceil(x: float) -> int:
+    return math.ceil(x - TOL)
 
 
 @dataclass(frozen=True)
@@ -124,21 +136,34 @@ def extremes(spectrum: Spectrum) -> Tuple[float, float]:
     return spectrum.min, spectrum.max
 
 
+def _check_gap_domain(g: Graph) -> None:
+    if not g.is_regular:
+        raise ValueError("spectral gap is defined for regular graphs")
+    if not is_connected(g):
+        raise ValueError("spectral gap needs a connected graph")
+
+
+def _gap(adj: Spectrum, d: int) -> float:
+    """Gap below the degree eigenvalue d of a connected d-regular graph."""
+    below = [v for v in adj if v < d - adj.tol]
+    if not below:
+        raise ValueError("no eigenvalue below the degree; gap undefined")
+    return d - max(below)
+
+
+def _mean_zero(lap: Spectrum) -> Tuple[float, float]:
+    """Second-smallest and largest Laplacian eigenvalue of a connected graph."""
+    return lap.values[1], lap.values[-1]
+
+
 def spectral_gap(g: Graph, tol: float = TOL) -> float:
     """Distance from the degree eigenvalue down to the rest of the spectrum.
 
     Defined for connected regular graphs: the adjacency spectrum sits inside
     [-d, d - gap] plus the simple eigenvalue d itself.
     """
-    if not g.is_regular:
-        raise ValueError("spectral gap is defined for regular graphs")
-    if not is_connected(g):
-        raise ValueError("spectral gap needs a connected graph")
-    d = g.max_degree
-    below = [v for v in adjacency_spectrum(g, tol) if v < d - tol]
-    if not below:
-        raise ValueError("no eigenvalue below the degree; gap undefined")
-    return d - max(below)
+    _check_gap_domain(g)
+    return _gap(adjacency_spectrum(g, tol), g.max_degree)
 
 
 def mean_zero_extremes(g: Graph, tol: float = TOL) -> Tuple[float, float]:
@@ -151,8 +176,7 @@ def mean_zero_extremes(g: Graph, tol: float = TOL) -> Tuple[float, float]:
         raise ValueError("mean-zero extremes need a connected graph")
     if g.n < 2:
         raise ValueError("mean-zero extremes need at least two vertices")
-    vals = laplacian_spectrum(g, tol).values
-    return vals[1], vals[-1]
+    return _mean_zero(laplacian_spectrum(g, tol))
 
 
 @dataclass(frozen=True)
@@ -176,14 +200,14 @@ def block_extremes(g: Graph, parts: Sequence[Mask], tol: float = TOL) -> List[Bl
         union |= p
     if union != g.full_mask:
         raise ValueError("partition must cover all vertices")
+    a = adjacency_matrix(g)
     out = []
     for p in parts:
         if p == 0:
             out.append(BlockExtremes(0.0, 0.0, empty=True))
             continue
         vs = list(bits(p))
-        sub = adjacency_matrix(g)[np.ix_(vs, vs)]
-        vals = _eigvalsh(sub)
+        vals = _eigvalsh(a[np.ix_(vs, vs)])
         out.append(BlockExtremes(float(vals[0]), float(vals[-1])))
     return out
 
@@ -220,41 +244,35 @@ class SpectralBounds:
     mindeg_independence_bound: Optional[float]
 
 
-def bounds(g: Graph, tol: float = TOL) -> SpectralBounds:
-    adj = adjacency_spectrum(g, tol)
+def _bounds_from(g: Graph, adj: Spectrum, lap: Spectrum) -> SpectralBounds:
+    """Every bound of ``g`` from its adjacency and Laplacian spectra."""
     m_t, big_m = extremes(adj)
-    wilf = snapped_floor(big_m) + 1
-    hoffman = None
-    if g.m > 0:
-        hoffman = snapped_ceil(1.0 - big_m / m_t)
-    gap = None
-    if g.is_regular and g.n >= 2 and is_connected(g):
-        gap = spectral_gap(g, tol)
-    m_l = big_l = None
-    if g.n >= 2 and is_connected(g):
-        m_l, big_l = mean_zero_extremes(g, tol)
-    independence_bound = None
-    if g.is_regular and g.m > 0:
-        d = g.max_degree
-        independence_bound = -m_t / (d - m_t)
-    mindeg_independence_bound = None
-    if g.m > 0:
-        lap_max = laplacian_spectrum(g, tol).max
-        mindeg_independence_bound = 1.0 - g.min_degree / lap_max
-    return SpectralBounds(M=float(big_m), m=float(m_t), wilf=wilf,
-                          hoffman=hoffman, gap=gap, mL=m_l, ML=big_l,
-                          independence_bound=independence_bound,
-                          mindeg_independence_bound=mindeg_independence_bound)
+    d = g.max_degree
+    connected = g.n >= 2 and is_connected(g)
+    m_l, big_l = _mean_zero(lap) if connected else (None, None)
+    has_edge = g.m > 0
+    return SpectralBounds(
+        M=big_m, m=m_t, wilf=snapped_floor(big_m) + 1,
+        hoffman=snapped_ceil(1.0 - big_m / m_t) if has_edge else None,
+        gap=_gap(adj, d) if connected and g.is_regular else None,
+        mL=m_l, ML=big_l,
+        independence_bound=-m_t / (d - m_t) if has_edge and g.is_regular else None,
+        mindeg_independence_bound=1.0 - g.min_degree / lap.max if has_edge else None)
+
+
+def bounds(g: Graph, tol: float = TOL) -> SpectralBounds:
+    return _bounds_from(g, adjacency_spectrum(g, tol), laplacian_spectrum(g, tol))
 
 
 def spectral_report(g: Graph, tol: float = TOL) -> dict:
     """The flat report emitted by the CLI ``spectrum`` subcommand."""
-    b = bounds(g, tol)
+    adj, lap = adjacency_spectrum(g, tol), laplacian_spectrum(g, tol)
+    b = _bounds_from(g, adj, lap)
     return {
         "n": g.n,
         "d": g.max_degree,
-        "spectrum_adj": list(adjacency_spectrum(g, tol).values),
-        "spectrum_lap": list(laplacian_spectrum(g, tol).values),
+        "spectrum_adj": list(adj.values),
+        "spectrum_lap": list(lap.values),
         "M": b.M,
         "m": b.m,
         "wilf": b.wilf,

@@ -9,12 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import specbound
 from specbound import invariants
 from specbound.cli import run
-from specbound.generators import cycle, petersen
+from specbound.generators import complete_bipartite, cycle, petersen
 from specbound.graphs import canonical_digest, dump_edge_list
 
 
@@ -181,6 +182,58 @@ def test_directed_input_rejected_by_undirected_commands():
     _, gen_out = _run(["gen", "--paley"])
     code, _ = _run(["spectrum"], stdin_text=gen_out)
     assert code == 2
+
+
+def test_shared_syntax_dump_read_by_both_commands():
+    # the two formats share one syntax: a one-arc dump with u < v is also an
+    # undirected edge list, and the function coloring reads it as one arc
+    text = "2 1\n0 1\n"
+    assert _doc(["spectrum"], stdin_text=text)["payload"]["spectrum_adj"] == [-1.0, 1.0]
+    p = _doc(["color", "--algorithm", "function"], stdin_text=text)["payload"]
+    assert p["proper"] is True and p["palette_bound"] == 3
+
+
+@pytest.mark.parametrize("text, named", [("2 1\n0 x\n", "bad arc line '0 x'"),
+                                         ("2 x\n", "header")],
+                         ids=["arc", "header"])
+def test_malformed_directed_input_names_the_line(text, named):
+    code, out = _run(["color", "--algorithm", "function"], stdin_text=text)
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["code"] == "input"
+    assert named in err["message"]
+
+
+def test_peeling_stuck_error_is_bounded():
+    _, rr = _run(["gen", "--random-regular", "1000", "3", "--seed", "1"])
+    code, out = _run(["color", "--algorithm", "mindeg", "--threshold", "1"], stdin_text=rr)
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "input"
+    assert len(out.encode()) < 512
+
+
+@pytest.mark.parametrize("graph, argv, solves", [
+    (petersen(), ["spectrum"], 2),
+    (petersen(), ["bounds"], 2),
+    (petersen(), ["color", "--algorithm", "wilf"], 1),
+    (petersen(), ["bipartite"], 1),
+    (complete_bipartite(4, 4), ["bipartite"], 2),  # -d present: one more eigh
+    (None, ["limit", "--max-n", "16"], 14),  # cycles 3..16, one solve each
+], ids=["spectrum", "bounds", "wilf", "bipartite", "bipartite-regular", "limit"])
+def test_each_spectrum_is_solved_once(monkeypatch, graph, argv, solves):
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    code, text = _run(argv, stdin_text=dump_edge_list(graph) if graph else None)
+    assert code == 0, text
+    assert len(calls) == solves
 
 
 def test_gen_subdivide_pipeline():

@@ -82,7 +82,8 @@ def test_delta_zero_iff_on_spectrum():
 
 
 def test_gap_persistence_cycles():
-    rep = gap_persistence(cycle_family(), 12)
+    fam = cycle_family()
+    rep = gap_persistence(fam, accumulate_spectra(fam, 12))
     assert [e.index for e in rep.entries] == list(range(3, 13))
     for e in rep.entries:
         assert e.error is None
@@ -94,7 +95,7 @@ def test_gap_persistence_cycles():
 
 def test_gap_persistence_records_errors():
     fam = GraphFamily("paths", path, range(1, 100))
-    rep = gap_persistence(fam, 5)
+    rep = gap_persistence(fam, accumulate_spectra(fam, 5))
     # paths are not regular (endpoints differ), so most entries report a failure
     failing = [e for e in rep.entries if e.error is not None]
     assert len(failing) >= 3

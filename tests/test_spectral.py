@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
+from specbound import spectral
 from specbound.generators import (
     complete,
     complete_bipartite,
@@ -147,6 +148,17 @@ def test_block_extremes_empty_part():
     blocks = block_extremes(g, [g.full_mask, 0])
     assert blocks[1].empty
     assert blocks[1].m == 0.0 and blocks[1].M == 0.0
+
+
+def test_block_extremes_builds_the_adjacency_matrix_once(monkeypatch):
+    built = []
+    original = spectral.adjacency_matrix
+    monkeypatch.setattr(spectral, "adjacency_matrix",
+                        lambda g: built.append(g) or original(g))
+    g = petersen()
+    parts = [mask_of([0, 1, 2]), mask_of([3, 4, 5, 6]), mask_of([7, 8, 9])]
+    assert len(block_extremes(g, parts)) == 3
+    assert len(built) == 1
 
 
 def test_block_extremes_validates_partition():
