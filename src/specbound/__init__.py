@@ -1,8 +1,8 @@
 """specbound: spectral bounds, colorings, matchings, and limit checks for
 bounded-degree graphs under the uniform vertex measure."""
 
-from .graphs import (CapExceeded, DirectedGraph, Graph, Transport, bits,
-                     canonical_digest, components, degree_stats,
+from .graphs import (CapExceeded, DirectedGraph, Graph, InternalError,
+                     Transport, bits, canonical_digest, components, degree_stats,
                      dump_directed_edge_list, dump_edge_list, induced_subgraph,
                      is_connected, load_directed_edge_list, load_edge_list,
                      mask_of, neighborhood, popcount, verify_mass_transport)

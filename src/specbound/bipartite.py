@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .graphs import Graph, Mask, is_connected, mask_of
+from .graphs import Graph, InternalError, Mask, is_connected, mask_of
 from .spectral import TOL, Spectrum, adjacency_matrix, adjacency_spectrum, multiset_close
 
 SIGN_EPS = 1e-9  # eigenvector entries closer to 0 than this are "defect"
@@ -136,8 +136,8 @@ def rotation_two_coloring(alpha: float, gamma: float, n_samples: int) -> Rotatio
             if y < gamma:
                 return j
             y = (y + alpha) % 1.0
-        raise RuntimeError(f"first-entry search exceeded {j_max} rotations; "
-                           f"orbit is not equidistributing as expected")
+        raise InternalError(f"first-entry search exceeded {j_max} rotations; "
+                            f"orbit is not equidistributing as expected")
 
     labels = []
     defect_count = 0

@@ -12,9 +12,11 @@ Analysis commands emit exactly one JSON report per run::
 
 with keys sorted and every real number rounded to 12 significant digits, so
 identical invocations produce byte-identical output.  Exit codes: 0 success,
-2 malformed usage or input, 3 a size cap was exceeded.  ``verify`` sweeps
-the quick tier of the invariant registry (:mod:`specbound.invariants`) and
-exits 0 only if every check passes, 1 otherwise.
+2 malformed usage or input, 3 a size cap was exceeded, 4 an internal fault
+(``InternalError``: one of specbound's own consistency checks failed, so the
+program, not the input, is at fault).  ``verify`` sweeps the quick tier of
+the invariant registry (:mod:`specbound.invariants`) and exits 0 only if
+every check passes, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -345,9 +347,12 @@ def run(argv: Optional[List[str]] = None, stdin_text: Optional[str] = None,
     except FileNotFoundError as exc:
         out.write(_error_json("input", str(exc)))
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         out.write(_error_json("input", str(exc)))
         return 2
+    except RuntimeError as exc:  # InternalError, or any other fault of the program
+        out.write(_error_json("internal", str(exc)))
+        return 4
 
 
 def main() -> None:

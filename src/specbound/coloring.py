@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import List, Optional, Sequence, Tuple
 
-from .graphs import CapExceeded, DirectedGraph, Graph, Mask, bits, mask_of, popcount
+from .graphs import (CapExceeded, DirectedGraph, Graph, InternalError, Mask, bits,
+                     mask_of, popcount)
 from .spectral import adjacency_spectrum, snapped_floor
 
 
@@ -96,8 +97,8 @@ def greedy_list_coloring(g: Graph, lists: Sequence[Sequence[int]]) -> Coloring:
         taken = {colors[u] for u in g.adj[v] if colors[u] is not None}
         avail = sorted(set(lists[v]) - taken)
         if not avail:
-            raise RuntimeError(f"no color left at vertex {v}; cannot happen "
-                               f"when deg < |list| everywhere")
+            raise InternalError(f"no color left at vertex {v}; cannot happen "
+                                f"when deg < |list| everywhere")
         colors[v] = avail[0]
     return Coloring(g.n, colors)
 
@@ -190,9 +191,9 @@ def function_graph_color(d: DirectedGraph) -> Coloring:
                     indeg[v] += 1
         layer = mask_of(v for v, c in indeg.items() if c <= k)
         if layer == 0:
-            raise RuntimeError("residual digraph with all in-degrees above "
-                               "the out-degree bound; impossible, since total "
-                               "in-degree equals total out-degree")
+            raise InternalError("residual digraph with all in-degrees above "
+                                "the out-degree bound; impossible, since total "
+                                "in-degree equals total out-degree")
         layers.append(layer)
         rem &= ~layer
     return backwards_list_color(g, Peeling(layers), 2 * k + 1)

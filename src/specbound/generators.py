@@ -110,7 +110,8 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
 
     Stubs are shuffled and paired; a pairing producing a loop or a repeated
     edge is thrown away and redrawn from the same generator, up to 1000
-    attempts.  Requires 0 <= d < n and n*d even.
+    attempts; running out of attempts, which large d makes near certain, is a
+    ``ValueError``.  Requires 0 <= d < n and n*d even.
     """
     if not (0 <= d < n):
         raise ValueError("need 0 <= d < n")
@@ -134,8 +135,12 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
             edges.add(key)
         if ok:
             return Graph(n, sorted(edges))
-    raise RuntimeError(f"pairing model failed to produce a simple graph "
-                       f"for n={n}, d={d} within 1000 attempts")
+    # A pairing is simple with probability about exp(-(d*d - 1) / 4), so the
+    # attempts run out for large d (d = 8 succeeds about once in 10^7): a
+    # limit of the model for these arguments, not a fault of the program.
+    raise ValueError(f"pairing model found no simple {d}-regular graph on {n} "
+                     f"vertices in 1000 attempts; degree d={d} is too large "
+                     f"for it (about exp(-(d^2-1)/4) of pairings are simple)")
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,12 @@ class CapExceeded(RuntimeError):
     """Raised when an exhaustive routine is asked to run above its size cap."""
 
 
+class InternalError(RuntimeError):
+    """Raised when specbound's own check finds a state its code should never
+    reach (an untrustworthy eigensolve, a coloring step with no color left):
+    a fault in the program or its numerics, not in the input."""
+
+
 # ---------------------------------------------------------------------------
 # bitmask helpers
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 from .bipartite import (bfs_bipartition_oracle, rotation_two_coloring,
                         spectral_bipartite_test)
 from .coloring import (brute_force_chromatic, brute_force_independence,
-                       function_graph_color, wilf_color)
+                       function_graph_color, min_degree_peel_color)
 from .enumeration import enumerate_graphs
 from .generators import (complete, complete_bipartite, cycle, cycle_family,
                          function_graph, paley_tournament, petersen,
@@ -215,7 +215,7 @@ def _block(item):
 def _sandwich(g):
     b = bounds(g)
     chi = brute_force_chromatic(g)
-    col = wilf_color(g)
+    col = min_degree_peel_color(g, b.M)  # wilf_color, from the same M
     _require(chi <= b.wilf, "chi <= wilf")
     _require(col.is_total and col.proper(g), "the wilf coloring is proper")
     _require(col.palette_size <= b.wilf, "the wilf coloring uses <= wilf colors")

@@ -53,26 +53,74 @@ class TutteReport:
     matching: Optional[List[Tuple[int, int]]]
 
 
+def _neighbourhood_tables(g: Graph) -> List[Tuple[Mask, ...]]:
+    """One byte-indexed table per 8 vertices: N(F) is the OR over i of
+    ``tables[i][byte i of F]``.
+
+    The last table covers only the vertices left in its byte, and the list is
+    padded to three with ``(0,)``, so an n <= 7 graph builds one table of at
+    most 128 entries.
+    """
+    adj = g.adj_masks
+    tables = []
+    for lo in range(0, g.n, 8):
+        t = [0] * (1 << min(8, g.n - lo))
+        for f in range(1, len(t)):
+            low = f & -f
+            t[f] = t[f ^ low] | adj[lo + low.bit_length() - 1]
+        tables.append(tuple(t))
+    return tables + [(0,)] * (3 - len(tables))
+
+
 def _scan(g: Graph, subsets) -> Tuple[float, Mask, bool, bool, int]:
+    """Worst ratio, its earliest witness, both Tutte flags and the count of
+    subsets decided, by a frontier BFS over the byte tables that adds each
+    component's parity straight into the count.
+
+    The first three bytes of a frontier are looked up directly, which covers
+    every exhaustive scan (n <= 22); higher bytes, which only large randomized
+    scans have, go through a loop over the nonzero ones.  G - A has at most
+    n - |A| odd components, so once (n - s) / s <= best no subset of size s
+    can raise the maximum (a tie keeps the earlier witness), and it is
+    counted without a BFS.  Both Tutte flags follow from the maximum --
+    o > s exactly when o / s > 1 -- so a subset that cannot raise it cannot
+    flip them either.
+    """
+    n = g.n
+    full = g.full_mask
+    t0, t1, t2, *high = _neighbourhood_tables(g)
+    nhigh = len(high)
+    bound = [math.inf] + [(n - s) / s for s in range(1, n + 1)]
     best = -1.0
     witness = 0
-    classical = True
-    strict = True
     scanned = 0
-    count = odd_component_count
     for a in subsets:
-        o = count(g, a)
-        s = popcount(a)
         scanned += 1
-        if o > s:
-            classical = False
-        if o >= s:
-            strict = False
+        s = a.bit_count()
+        if bound[s] <= best:
+            continue
+        o = 0
+        rest = full ^ a
+        while rest:
+            before = rest
+            frontier = rest & -rest
+            rest ^= frontier
+            while frontier:
+                nbhd = (t0[frontier & 255] | t1[frontier >> 8 & 255]
+                        | t2[frontier >> 16 & 255])
+                frontier >>= 24
+                if frontier:
+                    for t, byte in zip(high, frontier.to_bytes(nhigh, "little")):
+                        if byte:
+                            nbhd |= t[byte]
+                frontier = nbhd & rest
+                rest ^= frontier
+            o += (before ^ rest).bit_count() & 1
         ratio = o / s
         if ratio > best:
             best = ratio
             witness = a
-    return best, witness, classical, strict, scanned
+    return best, witness, best <= 1.0, best < 1.0, scanned
 
 
 def _random_subsets(g: Graph, seed: int, samples: int):
@@ -110,10 +158,13 @@ def tutte_scan(g: Graph, mode: str = "exhaustive", seed: int = 0,
                samples: int = 2000, tol: float = TOL) -> TutteReport:
     """Scan subsets A for the worst odd-component ratio.
 
-    ``exhaustive`` walks all nonempty subsets (n <= 22); ``randomized`` draws
-    seeded samples biased toward small sets grown from low-degree vertices,
-    plus all singletons.  Ties on the maximum keep the earliest (smallest)
-    witness encountered.
+    ``exhaustive`` decides every nonempty subset (n <= 22); ``randomized``
+    draws seeded samples biased toward small sets grown from low-degree
+    vertices, plus all singletons.  Ties on the maximum keep the earliest
+    (smallest) witness encountered.  A subset gets a BFS only when the bound
+    o(G - A) <= |V - A| leaves it open, i.e. when that bound still allows a
+    new worst ratio or a flip of either Tutte flag; ``scanned`` counts every
+    subset decided, so an exhaustive scan reports 2^n - 1.
     """
     if mode == "exhaustive":
         if g.n > 22:

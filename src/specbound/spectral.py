@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graphs import CapExceeded, Graph, Mask, bits, is_connected
+from .graphs import CapExceeded, Graph, InternalError, Mask, bits, is_connected
 
 TOL = 1e-9
 MAX_DENSE_N = 4096
@@ -117,8 +117,8 @@ def adjacency_spectrum(g: Graph, tol: float = TOL) -> Spectrum:
     vals = _eigvalsh(adjacency_matrix(g))
     d = g.max_degree
     if len(vals) and (vals[0] < -d - tol or vals[-1] > d + tol):
-        raise RuntimeError("adjacency eigenvalue escaped the degree bound; "
-                           "eigensolve is untrustworthy here")
+        raise InternalError("adjacency eigenvalue escaped the degree bound; "
+                            "eigensolve is untrustworthy here")
     return Spectrum(tuple(vals), tol)
 
 
@@ -126,8 +126,8 @@ def laplacian_spectrum(g: Graph, tol: float = TOL) -> Spectrum:
     """Eigenvalues of L = D - T; nonnegative, kernel dim = #components."""
     vals = _eigvalsh(laplacian_matrix(g))
     if len(vals) and vals[0] < -tol:
-        raise RuntimeError("negative Laplacian eigenvalue; eigensolve is "
-                           "untrustworthy here")
+        raise InternalError("negative Laplacian eigenvalue; eigensolve is "
+                            "untrustworthy here")
     return Spectrum(tuple(vals), tol)
 
 

@@ -1,3 +1,5 @@
+import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from specbound.graphs import Graph
@@ -13,6 +15,23 @@ def graphs(draw, min_n=1, max_n=12):
     else:
         edges = set()
     return Graph(n, sorted(edges))
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """The names of the dense eigensolves (``numpy.linalg.eigvalsh``/``eigh``)
+    called while the test runs, in order."""
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    return calls
+
 
 # acceptance tests append (label, "PASS"/"FAIL") here; printed at session end
 ACCEPTANCE = []

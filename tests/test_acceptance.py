@@ -5,7 +5,7 @@ records a PASS/FAIL line for pytest's terminal summary."""
 import time
 
 from conftest import ACCEPTANCE
-from specbound.generators import paley_tournament
+from specbound.generators import paley_tournament, petersen
 from specbound.invariants import INVARIANTS
 
 # Test names that predate the registry; later entries are named after their check.
@@ -56,3 +56,11 @@ def _paley_tight():
 
 test_paley_coloring_tight = _acceptance_test(
     "Paley system colored with 7 = 2*3+1 colors, tight on K7, < 1 s", _paley_tight)
+
+
+def test_chromatic_sandwich_solves_each_spectrum_once(eigensolves):
+    """The sandwich check colors from the ``M`` of its ``bounds``: one adjacency
+    and one Laplacian solve per graph, not a second adjacency solve."""
+    check = next(inv.check for inv in INVARIANTS if inv.name == "chromatic-sandwich")
+    check(petersen())
+    assert len(eigensolves) == 2

@@ -120,6 +120,12 @@ def test_random_regular_rejects_bad_parameters():
         random_regular(4, 4, seed=0)
 
 
+def test_random_regular_large_degree_is_an_input_error():
+    # about one pairing in 10^7 is simple at d = 8: the attempts run out
+    with pytest.raises(ValueError, match="d=8 is too large"):
+        random_regular(40, 8, seed=0)
+
+
 def test_family_members_iterates_index_set():
     fam = cycle_family()
     assert [(k, g.n) for k, g in fam.members(6)] == [(3, 3), (4, 4), (5, 5), (6, 6)]

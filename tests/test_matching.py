@@ -15,7 +15,8 @@ from specbound.generators import (
     petersen,
     random_regular,
 )
-from specbound.graphs import CapExceeded, Graph, is_connected, mask_of
+from specbound.graphs import CapExceeded, Graph, is_connected, mask_of, popcount
+from specbound import matching
 from specbound.matching import (
     brouwer_haemers_test,
     independent_expansion,
@@ -25,6 +26,11 @@ from specbound.matching import (
     tutte_scan,
     two_set_inequality,
 )
+
+try:
+    import networkx as nx
+except ImportError:  # optional second matching oracle (the ``dev`` extra)
+    nx = None
 
 
 def _matching_covers(g, matching):
@@ -77,12 +83,81 @@ def test_tutte_even_cycle():
 
 def test_tutte_equivalence_small_exhaustive():
     # classical condition (o(G-A) <= |A| for all A) holds iff a perfect matching
-    # exists, for connected graphs on an even number of vertices
-    for n in (2, 4, 6):
+    # exists, for connected graphs on an even number of vertices; networkx's
+    # maximum matching, when it is installed, is a second oracle for the same
+    for n in (2, 4, 6, 8):
         for g in enumerate_graphs(n, connected=True):
-            rep = tutte_scan(g)
             has_matching = perfect_matching_oracle(g) is not None
-            assert rep.classical_holds == has_matching
+            assert tutte_scan(g).classical_holds == has_matching, g
+            if nx is not None:
+                h = nx.Graph(g.edges())
+                perfect = 2 * len(nx.max_weight_matching(h, maxcardinality=True)) == n
+                assert perfect == has_matching, g
+    if nx is None:
+        pytest.skip("networkx is not installed; the second matching oracle did not run")
+
+
+def _unbounded_scan(g, subsets=None):
+    """The scan with no size bound: ``odd_component_count`` on every subset
+    given, by default every nonempty subset in integer order."""
+    best, witness, classical, strict, scanned = -1.0, 0, True, True, 0
+    for a in subsets if subsets is not None else range(1, 1 << g.n):
+        o = odd_component_count(g, a)
+        s = popcount(a)
+        scanned += 1
+        classical = classical and o <= s
+        strict = strict and o < s
+        if o / s > best:
+            best, witness = o / s, a
+    return best, witness, classical, strict, scanned
+
+
+def _scan_fields(rep):
+    return rep.c_star, rep.witness, rep.classical_holds, rep.strict_holds, rep.scanned
+
+
+def _random_graph_with_isolated(seed, n=None):
+    """n = 8..14 unless given, at one of five densities, with up to three
+    isolated vertices placed at random labels."""
+    rng = random.Random(seed)
+    n = n or rng.randint(8, 14)
+    p = (0.1, 0.2, 0.35, 0.6, 0.9)[seed % 5]
+    core = rng.sample(range(n), n - rng.randint(0, 3))
+    return Graph(n, [(u, v) for i, u in enumerate(core) for v in core[i + 1:]
+                     if rng.random() < p])
+
+
+def _hub_obstruction():
+    """Vertex 0 joined to five odd blocks (two triangles, two single vertices,
+    a 5-cycle): removing it alone leaves 5 odd components, so from then on
+    every subset of 3 or more of the 14 vertices is settled by the bound."""
+    edges = [(0, 1), (0, 4), (0, 7), (0, 8), (0, 9)]
+    edges += [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)]
+    edges += [(9 + i, 9 + (i + 1) % 5) for i in range(5)]
+    return Graph(14, edges)
+
+
+@pytest.mark.parametrize("graphs", [
+    pytest.param(lambda: [g for n in range(1, 7) for g in enumerate_graphs(n)],
+                 id="every-graph-n<=6"),
+    pytest.param(lambda: [_random_graph_with_isolated(seed) for seed in range(40)],
+                 id="random-n8-14"),
+    pytest.param(lambda: [complete_bipartite(1, 5), _hub_obstruction()],
+                 id="bound-settles-most"),
+    pytest.param(lambda: [_random_graph_with_isolated(2, n=17)], id="third-byte-n17"),
+])
+def test_exhaustive_scan_matches_unbounded_reference(graphs):
+    for g in graphs():
+        assert _scan_fields(tutte_scan(g)) == _unbounded_scan(g), g
+
+
+@pytest.mark.parametrize("seed,n", [(seed, 24) for seed in range(5)]
+                         + [(5, 30), (6, 41), (7, 64)])
+def test_randomized_scan_matches_unbounded_reference(seed, n):
+    g = _random_graph_with_isolated(seed, n=n)
+    rep = tutte_scan(g, mode="randomized", seed=seed, samples=400)
+    subsets = list(matching._random_subsets(g, seed, 400))
+    assert _scan_fields(rep) == _unbounded_scan(g, subsets)
 
 
 def test_tutte_randomized_is_seeded():
