@@ -12,6 +12,7 @@ from specbound.bipartite import (
     rotation_two_coloring,
     spectral_bipartite_test,
 )
+from specbound.enumeration import enumerate_graphs
 from specbound.generators import (
     complete,
     complete_bipartite,
@@ -20,7 +21,7 @@ from specbound.generators import (
     petersen,
     subdivide,
 )
-from specbound.graphs import Graph, bits, mask_of
+from specbound.graphs import Graph, bits, is_connected, mask_of
 from specbound.spectral import adjacency_spectrum
 
 GOLDEN_CONJUGATE = (math.sqrt(5) - 1) / 2
@@ -164,3 +165,16 @@ def test_even_cycles_bipartite_odd_not(k):
     assert bfs_bipartition_oracle(cycle(n + 1)) is None
     assert is_symmetric_spectrum(adjacency_spectrum(cycle(n)))
     assert not is_symmetric_spectrum(adjacency_spectrum(cycle(n + 1)))
+
+
+def test_bipartiteness_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(g.edges())
+            expected = nx.is_bipartite(h)
+            assert (bfs_bipartition_oracle(g) is not None) == expected, g
+            if is_connected(g):
+                assert spectral_bipartite_test(g).minus_d_in_spectrum == expected, g

@@ -1,17 +1,21 @@
 """Isomorphism-free generation and canonical forms, pinned to classical counts."""
 
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
+from specbound import enumeration
 from specbound.enumeration import (
     MAX_ENUM_N,
     canonical_key,
     enumerate_graphs,
+    graph_masks,
     isomorphic,
+    masks_from_key,
 )
 from specbound.generators import complete, complete_bipartite, cycle, petersen, subdivide
 from specbound.graphs import CapExceeded, Graph
@@ -41,11 +45,87 @@ def test_counts_regular_graphs():
 
 
 def test_enumeration_members_are_canonical_and_distinct():
-    got = enumerate_graphs(5)
-    keys = {canonical_key(g.adj_masks, g.n) for g in got}
-    assert len(keys) == len(got)
-    for g in got:
-        assert g.n == 5
+    for n in range(1, 8):
+        reps = graph_masks(n)
+        for rep in reps:
+            assert len(rep) == n
+            assert masks_from_key(canonical_key(rep, n)) == rep
+        assert len(set(reps)) == len(reps)
+
+
+@pytest.fixture(scope="module")
+def glued_and_deduped():
+    """The class lists built the slow way: glue a new vertex onto every
+    subset of every smaller class and keep one graph per canonical key."""
+    levels = {1: [(0,)]}
+    for n in range(2, 8):
+        k = n - 1
+        seen = {}
+        for adj in levels[k]:
+            for s in range(1 << k):
+                cand = tuple(adj[v] | (((s >> v) & 1) << k) for v in range(k)) + (s,)
+                key = canonical_key(cand, n)
+                if key not in seen:
+                    seen[key] = masks_from_key(key)
+        levels[n] = list(seen.values())
+    return levels
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_canonical_augmentation_matches_glue_and_dedup(glued_and_deduped, n):
+    assert sorted(graph_masks(n)) == sorted(glued_and_deduped[n])
+
+
+def test_graph_masks_match_networkx_atlas():
+    nx = pytest.importorskip("networkx")
+
+    def bucket(h):
+        return h.number_of_nodes(), tuple(sorted(d for _, d in h.degree()))
+
+    atlas = defaultdict(list)
+    for h in nx.graph_atlas_g()[1:]:  # entry 0 is the graph on no vertices
+        atlas[bucket(h)].append(h)
+    ours = defaultdict(list)
+    for n in range(1, 8):
+        for adj in graph_masks(n):
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from((u, v) for u in range(n) for v in range(u) if adj[u] >> v & 1)
+            ours[bucket(h)].append(h)
+    assert ours.keys() == atlas.keys()
+    for key, hs in atlas.items():
+        iso = [[nx.is_isomorphic(g, h) for h in hs] for g in ours[key]]
+        assert len(iso) == len(hs), key
+        assert all(sum(row) == 1 for row in iso), key
+        assert all(sum(col) == 1 for col in zip(*iso)), key
+
+
+def test_cold_enumeration_is_memoized_only_in_cache(monkeypatch):
+    # a cold enumeration clears _CACHE alone, so any other memo (of
+    # automorphisms or searches) would make the second run cheaper
+    searches = []
+    real = enumeration._search
+
+    def counting(adj, n, ranks):
+        searches.append(n)
+        return real(adj, n, ranks)
+
+    monkeypatch.setattr(enumeration, "_search", counting)
+    saved = dict(enumeration._CACHE)
+    counts = []
+    try:
+        for _ in range(2):
+            enumeration._CACHE.clear()
+            enumeration._CACHE[1] = [(0,)]
+            before = len(searches)
+            classes = sum(len(graph_masks(n)) for n in range(1, 8))
+            counts.append(len(searches) - before)
+    finally:
+        enumeration._CACHE.clear()
+        enumeration._CACHE.update(saved)
+    assert counts[0] == counts[1]
+    # one search per parent and about one per class, not one per candidate
+    assert counts[0] < 2 * classes
 
 
 def test_cap_is_enforced():
