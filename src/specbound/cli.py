@@ -39,8 +39,8 @@ from .graphs import (CapExceeded, Graph, bits, canonical_digest,
                      load_directed_edge_list, load_edge_list)
 from .limits import accumulate_spectra, gap_persistence, max_gap
 from .matching import tutte_scan
-from .spectral import (TOL, adjacency_spectrum, bounds, snapped_floor,
-                       spectral_report)
+from .spectral import (TOL, _check_dense, adjacency_spectrum, bounds,
+                       snapped_floor, spectral_report)
 
 
 class UsageError(Exception):
@@ -233,6 +233,7 @@ def _cmd_limit(args, stdin_text, out) -> int:
         lo, hi = float(lo_s), float(hi_s)
     except ValueError as exc:
         raise UsageError(f"bad interval {args.interval!r}; want LO,HI") from exc
+    _check_dense(args.max_n)  # fail before any solve: a cycle's index is its order
     acc = accumulate_spectra(family, args.max_n, args.tol)
     gaps = gap_persistence(family, acc)
     payload = {
@@ -243,7 +244,7 @@ def _cmd_limit(args, stdin_text, out) -> int:
         "points": list(acc.points) if len(acc.points) <= 512 else None,
         "max_gap": max_gap(acc, (lo, hi)),
         "gaps": [{"index": e.index, "gap": e.gap, "error": e.error}
-                 for e in gaps.entries],
+                 for e in gaps],
     }
     digest_src = f"family={args.family};max_n={args.max_n};interval={lo},{hi}"
     out.write(_report("limit", hashlib.sha256(digest_src.encode()).hexdigest(), payload))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .graphs import (CapExceeded, DirectedGraph, Graph, InternalError, Mask, bits,
                      mask_of, popcount)
@@ -40,10 +40,6 @@ class Coloring:
 
     n: int
     colors: List[Optional[int]]
-
-    @property
-    def colored_mask(self) -> Mask:
-        return mask_of(v for v, c in enumerate(self.colors) if c is not None)
 
     @property
     def is_total(self) -> bool:
@@ -69,38 +65,6 @@ class Peeling:
     every vertex, in peeling order."""
 
     layers: List[Mask]
-
-    def uncovered_counts(self, n: int) -> List[int]:
-        counts = [n]
-        rem = n
-        for layer in self.layers:
-            rem -= popcount(layer)
-            counts.append(rem)
-        return counts
-
-
-def greedy_list_coloring(g: Graph, lists: Sequence[Sequence[int]]) -> Coloring:
-    """Greedy coloring from per-vertex color lists.
-
-    Requires deg(v) < |L(v)| for every vertex, which guarantees a color is
-    always available; vertices are processed in index order and get the least
-    available color from their list.
-    """
-    if len(lists) != g.n:
-        raise ValueError("need one color list per vertex")
-    for v in range(g.n):
-        if g.degrees[v] >= len(set(lists[v])):
-            raise ValueError(f"vertex {v} has degree {g.degrees[v]} but only "
-                             f"{len(set(lists[v]))} allowed colors")
-    colors: List[Optional[int]] = [None] * g.n
-    for v in range(g.n):
-        taken = {colors[u] for u in g.adj[v] if colors[u] is not None}
-        avail = sorted(set(lists[v]) - taken)
-        if not avail:
-            raise InternalError(f"no color left at vertex {v}; cannot happen "
-                                f"when deg < |list| everywhere")
-        colors[v] = avail[0]
-    return Coloring(g.n, colors)
 
 
 def peel_by_threshold(g: Graph, threshold: int) -> Peeling:

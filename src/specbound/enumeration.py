@@ -21,6 +21,10 @@ lists are in generation order, which is deterministic.  Slow next to real
 canonical labeling tools, but exact, dependency-free, and fast enough for
 n <= 8 -- which is all the exhaustive test sweeps need.
 
+Two memos, one per representation: ``graph_masks`` keeps the class lists as
+adjacency masks in ``_CACHE``, and ``enumerate_graphs`` keeps the ``Graph``
+objects built from them, so a sweep that revisits an order builds nothing.
+
 The class counts are pinned in the tests against the classical values
 (graphs: 1, 2, 4, 11, 34, 156, 1044, 12346; connected: 1, 1, 2, 6, 21, 112,
 853, 11117 for n = 1..8), and the n <= 7 lists are checked against the
@@ -230,25 +234,18 @@ def _to_graph(adj: AdjMasks) -> Graph:
     return Graph(n, es)
 
 
-def enumerate_graphs(n: int, connected: bool = False,
-                     regular: bool = False) -> List[Graph]:
-    """All graphs on exactly n vertices up to isomorphism, optionally
-    filtered to connected and/or regular ones."""
-    out = []
-    full = (1 << n) - 1
-    for adj in graph_masks(n):
-        if regular:
-            degs = {popcount(a) for a in adj}
-            if len(degs) != 1:
-                continue
-        if connected and len(components_within(adj, full)) != 1:
-            continue
-        out.append(_to_graph(adj))
-    return out
+_GRAPHS: Dict[Tuple[int, bool], Tuple[Graph, ...]] = {}
 
 
-def isomorphic(g: Graph, h: Graph) -> bool:
-    """Exact isomorphism test via canonical keys (n <= 8)."""
-    if g.n != h.n:
-        return False
-    return canonical_key(g.adj_masks, g.n) == canonical_key(h.adj_masks, h.n)
+def enumerate_graphs(n: int, connected: bool = False) -> Tuple[Graph, ...]:
+    """All graphs on exactly n vertices up to isomorphism, optionally only
+    the connected ones.  Memoized: every call for the same ``(n, connected)``
+    returns the same tuple and builds nothing.  The connected tuple is
+    filtered on the masks, so the registry's sweeps, which ask only for
+    connected graphs, build no disconnected ones."""
+    key = (n, connected)
+    if key not in _GRAPHS:
+        full = (1 << n) - 1
+        _GRAPHS[key] = tuple(_to_graph(adj) for adj in graph_masks(n)
+                             if not connected or len(components_within(adj, full)) == 1)
+    return _GRAPHS[key]

@@ -160,7 +160,3 @@ class GraphFamily:
 
 def cycle_family() -> GraphFamily:
     return GraphFamily("cycles", cycle, range(3, 1 << 30))
-
-
-def constant_family(g: Graph, name: str = "constant") -> GraphFamily:
-    return GraphFamily(name, lambda _k: g, range(1, 1 << 30))

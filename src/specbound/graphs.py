@@ -10,6 +10,10 @@ works on two small types defined here:
 * :class:`DirectedGraph` -- finite out-neighbor lists, optionally remembering
   the generating functions it was built from.
 
+Around them sit the bitmask helpers, neighbourhoods and masked BFS components
+(``components_within`` works on raw adjacency masks), and the edge-list text
+format with its canonical digest.
+
 The module also holds the mass-transport checker: a transport is a nonnegative
 weight on ordered adjacent pairs, and under the uniform measure the total mass
 sent equals the total mass received.  ``verify_mass_transport`` recomputes both
@@ -143,11 +147,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def degree_stats(g: Graph) -> Tuple[int, int, float]:
-    """(min degree, max degree, average degree).  Average is ``2m/n``."""
-    return g.min_degree, g.max_degree, 2.0 * g.m / g.n
-
-
 def neighborhood(g: Graph, subset: Mask) -> Mask:
     """Vertices with at least one neighbor in ``subset``.
 
@@ -158,24 +157,6 @@ def neighborhood(g: Graph, subset: Mask) -> Mask:
     for v in bits(subset):
         out |= g.adj_masks[v]
     return out
-
-
-def induced_subgraph(g: Graph, subset: Mask) -> Tuple[Graph, List[int]]:
-    """Subgraph induced on ``subset``, relabeled to ``0..k-1``.
-
-    Returns ``(graph, index_map)`` where ``index_map[i]`` is the original
-    vertex behind new index ``i``.  The empty subset is an error.
-    """
-    vs = list(bits(subset))
-    if not vs:
-        raise ValueError("induced subgraph of the empty set is undefined")
-    pos = {v: i for i, v in enumerate(vs)}
-    es = []
-    for i, v in enumerate(vs):
-        for w in g.adj[v]:
-            if w > v and (subset >> w) & 1:
-                es.append((i, pos[w]))
-    return Graph(len(vs), es), vs
 
 
 def components_within(adj_masks: Sequence[Mask], region: Mask) -> List[Mask]:
@@ -226,7 +207,7 @@ class DirectedGraph:
     ``n_functions`` then bounds the out-degree.
     """
 
-    __slots__ = ("n", "out", "out_masks", "functions")
+    __slots__ = ("n", "out", "functions")
 
     def __init__(self, n: int, out_edges: Iterable[Tuple[int, int]],
                  functions: Optional[Sequence[Sequence[int]]] = None):
@@ -244,7 +225,6 @@ class DirectedGraph:
                 raise ValueError(f"duplicate arc {(u, v)!r}")
             out[u].add(v)
         self.out = tuple(tuple(sorted(s)) for s in out)
-        self.out_masks = tuple(mask_of(s) for s in out)
         if functions is not None:
             fns = []
             for f in functions:
@@ -266,14 +246,6 @@ class DirectedGraph:
     @property
     def out_degrees(self) -> Tuple[int, ...]:
         return tuple(len(o) for o in self.out)
-
-    @property
-    def in_degrees(self) -> Tuple[int, ...]:
-        indeg = [0] * self.n
-        for u in range(self.n):
-            for v in self.out[u]:
-                indeg[v] += 1
-        return tuple(indeg)
 
     def arcs(self) -> List[Tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.out[u]]

@@ -10,7 +10,6 @@ round.  Corpora are deterministic, so a failure names the item that broke it.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -94,15 +93,9 @@ def _random_graphs(seed: int, count: int, lo: int, hi: int) -> Iterator[Graph]:
         yield _random_graph(rng, rng.randint(lo, hi))
 
 
-@functools.lru_cache(maxsize=None)
-def _connected_graphs(n: int) -> Tuple[Graph, ...]:
-    # immutable, at most MAX_ENUM_N entries, shared by every sweep of order n
-    return tuple(enumerate_graphs(n, connected=True))
-
-
 def _connected(ns: Iterable[int]) -> Iterator[Graph]:
     for n in ns:
-        yield from _connected_graphs(n)
+        yield from enumerate_graphs(n, connected=True)
 
 
 @_invariant("edge-list-round-trip", "edge lists round-trip: 3 fixtures + 200 seeded graphs",

@@ -1,13 +1,8 @@
 """Accumulated spectra along graph families, and what survives in the limit.
 
-When graphs converge locally-globally their spectra converge too: the
-distance-to-spectrum functional
-
-    delta(G, x) = min over eigenvalues lam of (x - lam)^2
-
-is continuous along convergent sequences, so eigenvalue accumulation points
-and spectral gaps are limit objects worth tracking.  ``delta`` is the direct
-minimum over the spectrum.
+When graphs converge locally-globally their spectra converge too, so
+eigenvalue accumulation points and spectral gaps are limit objects worth
+tracking.
 
 ``accumulate_spectra`` unions the spectra of a family's members up to an
 index bound, merging duplicates at tolerance; ``max_gap`` measures how densely
@@ -69,11 +64,6 @@ def max_gap(acc: SpectrumAccumulation, interval: Tuple[float, float]) -> float:
     return max(b - a for a, b in zip(anchors, anchors[1:]))
 
 
-def delta(spectrum: Spectrum, x: float) -> float:
-    """min (x - lam)^2 over the spectrum."""
-    return min((lam - x) ** 2 for lam in spectrum.values)
-
-
 @dataclass(frozen=True)
 class GapEntry:
     index: int
@@ -81,27 +71,8 @@ class GapEntry:
     error: Optional[str] = None
 
 
-@dataclass
-class GapPersistenceReport:
-    entries: List[GapEntry]
-
-    @property
-    def gaps(self) -> List[float]:
-        return [e.gap for e in self.entries if e.gap is not None]
-
-    @property
-    def min_gap(self) -> Optional[float]:
-        gs = self.gaps
-        return min(gs) if gs else None
-
-    @property
-    def max_gap(self) -> Optional[float]:
-        gs = self.gaps
-        return max(gs) if gs else None
-
-
 def gap_persistence(family: GraphFamily,
-                    acc: SpectrumAccumulation) -> GapPersistenceReport:
+                    acc: SpectrumAccumulation) -> List[GapEntry]:
     """Spectral gap of each member ``accumulate_spectra`` collected from
     ``family`` into ``acc``; per-member errors are recorded (irregular or
     disconnected members), never raised."""
@@ -112,4 +83,4 @@ def gap_persistence(family: GraphFamily,
             entries.append(GapEntry(k, _gap(acc.per_index[k], g.max_degree)))
         except ValueError as exc:
             entries.append(GapEntry(k, None, str(exc)))
-    return GapPersistenceReport(entries)
+    return entries

@@ -2,9 +2,9 @@
 
 Under the uniform measure every odd component of ``G - A`` carries exactly
 1/n of mass in the natural odd-component measure (a component of size 2k+1
-weighted by 1/(2k+1)), so the scan below works with the integer count of odd
+weighted by 1/(2k+1)), so ``tutte_scan`` works with the integer count of odd
 components directly.  ``c_star`` is the worst ratio (odd components of G-A) /
-|A| over scanned nonempty A:
+|A| over scanned nonempty A, exhaustive or seeded-randomized:
 
 * ``classical_holds`` (all ratios <= 1) is, for connected graphs on an even
   number of vertices, exactly Tutte's perfect-matching condition;
@@ -16,6 +16,8 @@ components directly.  ``c_star`` is the worst ratio (odd components of G-A) /
 ``2*mL >= ML`` on the mean-zero Laplacian extremes; ``two_set_inequality``
 checks the measure inequality that a pair of sets with no edges between them
 must satisfy; both are validated against the exhaustive oracles in the tests.
+``perfect_matching_oracle`` is the exact search the Tutte flags are checked
+against.
 """
 
 from __future__ import annotations
@@ -25,20 +27,8 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .graphs import (CapExceeded, Graph, Mask, bits, components_within,
-                     is_connected, popcount)
+from .graphs import CapExceeded, Graph, Mask, bits, is_connected, popcount
 from .spectral import TOL, mean_zero_extremes
-
-
-def odd_component_count(g: Graph, removed: Mask) -> int:
-    region = g.full_mask & ~removed
-    return sum(1 for comp in components_within(g.adj_masks, region)
-               if popcount(comp) % 2 == 1)
-
-
-def odd_component_measure(g: Graph, removed: Mask) -> float:
-    """Mass of the odd components of G - A: each contributes exactly 1/n."""
-    return odd_component_count(g, removed) / g.n
 
 
 @dataclass
@@ -176,10 +166,7 @@ def tutte_scan(g: Graph, mode: str = "exhaustive", seed: int = 0,
         raise ValueError(f"unknown scan mode {mode!r}")
     c_star, witness, classical, strict, scanned = _scan(g, subsets)
 
-    bh = None
-    if g.n >= 2 and is_connected(g):
-        m_l, big_l = mean_zero_extremes(g, tol)
-        bh = bool(2.0 * m_l >= big_l - tol)
+    bh = _doubled_gap_holds(g, tol) if g.n >= 2 and is_connected(g) else None
 
     matching = None
     if g.n % 2 == 0 and g.n <= 24:
@@ -190,14 +177,19 @@ def tutte_scan(g: Graph, mode: str = "exhaustive", seed: int = 0,
                        bh_condition=bh, matching=matching)
 
 
+def _doubled_gap_holds(g: Graph, tol: float) -> bool:
+    """2*mL >= ML on the mean-zero Laplacian extremes of a connected graph."""
+    m_l, big_l = mean_zero_extremes(g, tol)
+    return bool(2.0 * m_l >= big_l - tol)
+
+
 def brouwer_haemers_test(g: Graph, tol: float = TOL) -> bool:
     """Spectral matching condition 2*mL >= ML for connected regular graphs."""
     if not g.is_regular:
         raise ValueError("spectral matching condition needs a regular graph")
     if not is_connected(g):
         raise ValueError("spectral matching condition needs a connected graph")
-    m_l, big_l = mean_zero_extremes(g, tol)
-    return bool(2.0 * m_l >= big_l - tol)
+    return _doubled_gap_holds(g, tol)
 
 
 @dataclass(frozen=True)
@@ -234,38 +226,6 @@ def two_set_inequality(g: Graph, y: Mask, z: Mask, tol: float = TOL) -> TwoSetRe
     rhs = ((big_l - m_l) / (big_l + m_l)) ** 2
     return TwoSetReport(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + tol),
                         mL=m_l, ML=big_l)
-
-
-def independent_expansion(g: Graph) -> Tuple[float, Mask]:
-    """min |N(A)|/|A| over nonempty independent sets A; capped at n = 24.
-
-    Strict expansion (min ratio > 1) rules out perfect matchings' obstructions
-    for bipartite-style graphs; the tests use the contrapositive.
-    """
-    if g.n > 24:
-        raise CapExceeded("independent-set expansion scan capped at n=24")
-    adj = g.adj_masks
-    best = math.inf
-    witness = 0
-
-    def visit(a: Mask, nbhd: Mask, size: int):
-        nonlocal best, witness
-        ratio = popcount(nbhd) / size
-        if ratio < best:
-            best = ratio
-            witness = a
-
-    def rec(a: Mask, nbhd: Mask, size: int, start: int):
-        for v in range(start, g.n):
-            if adj[v] & a:
-                continue  # v sees A, so A + v is not independent
-            a2 = a | (1 << v)
-            nb2 = nbhd | adj[v]
-            visit(a2, nb2, size + 1)
-            rec(a2, nb2, size + 1, v + 1)
-
-    rec(0, 0, 0, 0)
-    return best, witness
 
 
 def perfect_matching_oracle(g: Graph) -> Optional[List[Tuple[int, int]]]:

@@ -12,10 +12,10 @@ spectral gap of regular graphs, and the mean-zero Laplacian extremes used by
 the matching criteria.
 
 All eigensolves are dense symmetric (numpy ``eigvalsh``/``eigh``), capped at
-n = 4096; at that scale the solver is exact to far better than the 1e-9
-tolerance used throughout.  ``bounds`` and ``spectral_report`` solve the
-adjacency and the Laplacian spectrum once each and derive every quantity from
-those two.
+matrix order 4096, which is checked before any matrix is allocated; at that
+scale the solver is exact to far better than the 1e-9 tolerance used
+throughout.  ``bounds`` and ``spectral_report`` solve the adjacency and the
+Laplacian spectrum once each and derive every quantity from those two.
 
 Tolerance policy, stated once for the whole package:
 
@@ -61,9 +61,6 @@ class Spectrum:
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     def __iter__(self):
         return iter(self.values)
 
@@ -78,12 +75,6 @@ class Spectrum:
     def contains(self, x: float) -> bool:
         return any(abs(v - x) <= self.tol for v in self.values)
 
-    def multiplicity(self, x: float) -> int:
-        return sum(1 for v in self.values if abs(v - x) <= self.tol)
-
-    def multiset_close(self, other: "Spectrum") -> bool:
-        return multiset_close(self.values, other.values, max(self.tol, other.tol))
-
 
 def multiset_close(a: Sequence[float], b: Sequence[float], tol: float = TOL) -> bool:
     """Multiset equality by greedy pairing of the two sorted lists."""
@@ -93,7 +84,15 @@ def multiset_close(a: Sequence[float], b: Sequence[float], tol: float = TOL) -> 
     return all(abs(x - y) <= tol for x, y in zip(sa, sb))
 
 
+def _check_dense(n: int) -> None:
+    if n > MAX_DENSE_N:
+        raise CapExceeded(f"dense eigensolve capped at n={MAX_DENSE_N}")
+
+
 def adjacency_matrix(g: Graph) -> np.ndarray:
+    """Dense adjacency matrix; every dense solve builds through it, so the
+    size cap is checked here, before anything is allocated."""
+    _check_dense(g.n)
     a = np.zeros((g.n, g.n))
     for u, v in g.edges():
         a[u, v] = a[v, u] = 1.0
@@ -106,15 +105,9 @@ def laplacian_matrix(g: Graph) -> np.ndarray:
     return lap
 
 
-def _eigvalsh(mat: np.ndarray) -> np.ndarray:
-    if mat.shape[0] > MAX_DENSE_N:
-        raise CapExceeded(f"dense eigensolve capped at n={MAX_DENSE_N}")
-    return np.linalg.eigvalsh(mat)
-
-
 def adjacency_spectrum(g: Graph, tol: float = TOL) -> Spectrum:
     """Eigenvalues of the adjacency operator; always within [-d, d]."""
-    vals = _eigvalsh(adjacency_matrix(g))
+    vals = np.linalg.eigvalsh(adjacency_matrix(g))
     d = g.max_degree
     if len(vals) and (vals[0] < -d - tol or vals[-1] > d + tol):
         raise InternalError("adjacency eigenvalue escaped the degree bound; "
@@ -124,16 +117,11 @@ def adjacency_spectrum(g: Graph, tol: float = TOL) -> Spectrum:
 
 def laplacian_spectrum(g: Graph, tol: float = TOL) -> Spectrum:
     """Eigenvalues of L = D - T; nonnegative, kernel dim = #components."""
-    vals = _eigvalsh(laplacian_matrix(g))
+    vals = np.linalg.eigvalsh(laplacian_matrix(g))
     if len(vals) and vals[0] < -tol:
         raise InternalError("negative Laplacian eigenvalue; eigensolve is "
                             "untrustworthy here")
     return Spectrum(tuple(vals), tol)
-
-
-def extremes(spectrum: Spectrum) -> Tuple[float, float]:
-    """(m, M): least and greatest eigenvalue."""
-    return spectrum.min, spectrum.max
 
 
 def _check_gap_domain(g: Graph) -> None:
@@ -156,16 +144,6 @@ def _mean_zero(lap: Spectrum) -> Tuple[float, float]:
     return lap.values[1], lap.values[-1]
 
 
-def spectral_gap(g: Graph, tol: float = TOL) -> float:
-    """Distance from the degree eigenvalue down to the rest of the spectrum.
-
-    Defined for connected regular graphs: the adjacency spectrum sits inside
-    [-d, d - gap] plus the simple eigenvalue d itself.
-    """
-    _check_gap_domain(g)
-    return _gap(adjacency_spectrum(g, tol), g.max_degree)
-
-
 def mean_zero_extremes(g: Graph, tol: float = TOL) -> Tuple[float, float]:
     """Rayleigh extremes of the Laplacian restricted to mean-zero functions.
 
@@ -183,7 +161,6 @@ def mean_zero_extremes(g: Graph, tol: float = TOL) -> Tuple[float, float]:
 class BlockExtremes:
     m: float
     M: float
-    empty: bool = False
 
 
 def block_extremes(g: Graph, parts: Sequence[Mask], tol: float = TOL) -> List[BlockExtremes]:
@@ -191,7 +168,7 @@ def block_extremes(g: Graph, parts: Sequence[Mask], tol: float = TOL) -> List[Bl
 
     The diagonal block for a part is the adjacency operator of the induced
     subgraph.  Parts must be disjoint and cover the vertex set; empty parts
-    are legal and contribute (0, 0), flagged.
+    are legal and contribute (0, 0).
     """
     union = 0
     for p in parts:
@@ -204,10 +181,10 @@ def block_extremes(g: Graph, parts: Sequence[Mask], tol: float = TOL) -> List[Bl
     out = []
     for p in parts:
         if p == 0:
-            out.append(BlockExtremes(0.0, 0.0, empty=True))
+            out.append(BlockExtremes(0.0, 0.0))
             continue
         vs = list(bits(p))
-        vals = _eigvalsh(a[np.ix_(vs, vs)])
+        vals = np.linalg.eigvalsh(a[np.ix_(vs, vs)])
         out.append(BlockExtremes(float(vals[0]), float(vals[-1])))
     return out
 
@@ -218,10 +195,11 @@ def antidiagonal_spectrum(g: Graph, tol: float = TOL) -> Spectrum:
     Computed from the actual 2n x 2n matrix; equals the symmetrization
     spec(T) union -spec(T) as a multiset, which the tests cross-check.
     """
+    _check_dense(2 * g.n)
     a = adjacency_matrix(g)
     z = np.zeros_like(a)
     big = np.block([[z, a], [a, z]])
-    return Spectrum(tuple(_eigvalsh(big)), tol)
+    return Spectrum(tuple(np.linalg.eigvalsh(big)), tol)
 
 
 @dataclass(frozen=True)
@@ -246,7 +224,7 @@ class SpectralBounds:
 
 def _bounds_from(g: Graph, adj: Spectrum, lap: Spectrum) -> SpectralBounds:
     """Every bound of ``g`` from its adjacency and Laplacian spectra."""
-    m_t, big_m = extremes(adj)
+    m_t, big_m = adj.min, adj.max
     d = g.max_degree
     connected = g.n >= 2 and is_connected(g)
     m_l, big_l = _mean_zero(lap) if connected else (None, None)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from specbound.enumeration import canonical_key
 from specbound.graphs import Graph
 
 
@@ -15,6 +16,12 @@ def graphs(draw, min_n=1, max_n=12):
     else:
         edges = set()
     return Graph(n, sorted(edges))
+
+
+def isomorphic(g, h):
+    """Exact isomorphism test through canonical keys (n <= 8)."""
+    return g.n == h.n and canonical_key(g.adj_masks, g.n) == canonical_key(h.adj_masks, h.n)
+
 
 @pytest.fixture
 def eigensolves(monkeypatch):

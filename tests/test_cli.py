@@ -162,6 +162,25 @@ def test_cap_is_exit_3():
     assert json.loads(out)["error"]["code"] == "cap-exceeded"
 
 
+@pytest.mark.parametrize("argv", [["spectrum"], ["bounds"], ["color"], ["bipartite"]],
+                         ids=["spectrum", "bounds", "wilf", "bipartite"])
+def test_dense_cap_is_exit_3_before_any_allocation(monkeypatch, argv):
+    allocated = []
+    real = np.zeros
+    monkeypatch.setattr(np, "zeros", lambda *a, **k: allocated.append(a) or real(*a, **k))
+    code, out = _run(argv, stdin_text=dump_edge_list(cycle(4097)))
+    assert code == 3
+    assert json.loads(out)["error"]["code"] == "cap-exceeded"
+    assert allocated == []
+
+
+def test_limit_above_dense_cap_fails_before_any_solve(eigensolves):
+    code, out = _run(["limit", "--max-n", "5000"])
+    assert code == 3
+    assert json.loads(out)["error"]["code"] == "cap-exceeded"
+    assert eigensolves == []
+
+
 def test_internal_fault_is_exit_4(monkeypatch):
     # an eigensolve that breaks the degree bound is specbound's fault, not the input's
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: np.full(len(mat), 99.0))
@@ -277,6 +296,22 @@ def test_console_script_exit_codes():
     assert r.returncode == 2
     r = _spawn(["nonsense"])
     assert r.returncode == 2
+
+
+def test_huge_header_is_capped_under_a_memory_limit():
+    # 300000^2 doubles would be 671 GiB; under a 1 GB address-space limit an
+    # allocation before the cap check fails loudly instead of exhausting the host
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {**_ENV, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    r = subprocess.run(_CLI + ["spectrum"], input="300000 0\n", capture_output=True,
+                       text=True, env=env, preexec_fn=limit, timeout=120)
+    assert r.returncode == 3, r.stderr
+    assert r.stdout.count("\n") == 1
+    assert json.loads(r.stdout)["error"]["code"] == "cap-exceeded"
 
 
 def test_console_script_target_resolves():

@@ -12,7 +12,6 @@ from specbound.coloring import (
     brute_force_chromatic,
     brute_force_independence,
     function_graph_color,
-    greedy_list_coloring,
     min_degree_peel_color,
     peel_by_threshold,
     wilf_color,
@@ -31,26 +30,10 @@ from specbound.graphs import CapExceeded, Graph, mask_of
 from specbound.spectral import bounds, snapped_floor
 
 
-def test_greedy_list_coloring_needs_room():
-    g = complete(3)
-    lists = [[0, 1], [0, 1], [0, 1]]
-    with pytest.raises(ValueError, match="vertex 0"):
-        greedy_list_coloring(g, lists)
-
-
-def test_greedy_list_coloring_picks_least_available():
-    g = path(3)
-    lists = [[0, 5], [0, 5, 7], [0, 5]]
-    col = greedy_list_coloring(g, lists)
-    assert col.colors == [0, 5, 0]
-    assert col.proper(g)
-
-
 def test_peel_path_layers():
     peeling = peel_by_threshold(path(4), 1)
     assert peeling.layers == [mask_of([0, 3]), mask_of([1, 2])]
     assert peeling.layers[0] | peeling.layers[1] == path(4).full_mask
-    assert peeling.uncovered_counts(4) == [4, 2, 0]
 
 
 def test_peel_reports_stuck_residual():
@@ -98,7 +81,9 @@ def test_peel_layer_sizes_decay_geometrically(g):
     peeling = peel_by_threshold(g, t)
     s = min(0.999, (b.M - t + 1) / 2) if b.M > t else 0.5
     r = (t + s) / (t + 1)
-    counts = peeling.uncovered_counts(g.n)
+    counts = [g.n]  # vertices not yet peeled, before and after each layer
+    for layer in peeling.layers:
+        counts.append(counts[-1] - layer.bit_count())
     for before, after in zip(counts, counts[1:]):
         assert after <= r * before + 1e-9
 
@@ -177,7 +162,6 @@ def test_brute_oracles_refuse_large_inputs():
 
 def test_coloring_helpers():
     col = Coloring(3, [0, None, 1])
-    assert col.colored_mask == mask_of([0, 2])
     assert not col.is_total
     assert col.palette_size == 2
 

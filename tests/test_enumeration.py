@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs
-from specbound import enumeration
+from conftest import graphs, isomorphic
+from specbound import enumeration, invariants
 from specbound.enumeration import (
     MAX_ENUM_N,
     canonical_key,
     enumerate_graphs,
     graph_masks,
-    isomorphic,
     masks_from_key,
 )
 from specbound.generators import complete, complete_bipartite, cycle, petersen, subdivide
@@ -38,10 +37,21 @@ def test_counts_connected_graphs(n):
 def test_counts_regular_graphs():
     # connected regular graphs on 6 vertices: C6; K3,3 and the prism; the
     # octahedron; K6
-    got = enumerate_graphs(6, connected=True, regular=True)
+    got = [g for g in enumerate_graphs(6, connected=True) if g.is_regular]
     assert len(got) == 5
     degrees = sorted(g.max_degree for g in got)
     assert degrees == [2, 3, 3, 4, 5]
+
+
+def test_enumerated_graphs_are_memoized_once():
+    for n in (5, 6):
+        assert enumerate_graphs(n) is enumerate_graphs(n)
+        assert enumerate_graphs(n, connected=True) is enumerate_graphs(n, connected=True)
+    # the invariant sweeps read the same objects and keep no cache of their own
+    swept = list(invariants._connected([6]))
+    assert len(swept) == CONNECTED_COUNTS[6]
+    assert all(a is b for a, b in zip(swept, enumerate_graphs(6, connected=True)))
+    assert not any(hasattr(v, "cache_info") for v in vars(invariants).values())
 
 
 def test_enumeration_members_are_canonical_and_distinct():

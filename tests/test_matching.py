@@ -15,13 +15,11 @@ from specbound.generators import (
     petersen,
     random_regular,
 )
-from specbound.graphs import CapExceeded, Graph, is_connected, mask_of, popcount
+from specbound.graphs import (CapExceeded, Graph, components_within, is_connected,
+                              mask_of, neighborhood, popcount)
 from specbound import matching
 from specbound.matching import (
     brouwer_haemers_test,
-    independent_expansion,
-    odd_component_count,
-    odd_component_measure,
     perfect_matching_oracle,
     tutte_scan,
     two_set_inequality,
@@ -31,6 +29,14 @@ try:
     import networkx as nx
 except ImportError:  # optional second matching oracle (the ``dev`` extra)
     nx = None
+
+
+def odd_component_count(g, removed):
+    """Odd components of G - removed by a plain BFS over the vertex masks: the
+    reference the table-driven kernel of ``tutte_scan`` is checked against."""
+    region = g.full_mask & ~removed
+    return sum(1 for comp in components_within(g.adj_masks, region)
+               if popcount(comp) % 2 == 1)
 
 
 def _matching_covers(g, matching):
@@ -45,13 +51,11 @@ def _matching_covers(g, matching):
 def test_odd_components_after_removing_star_center():
     g = complete_bipartite(1, 3)
     assert odd_component_count(g, mask_of([0])) == 3
-    assert odd_component_measure(g, mask_of([0])) == pytest.approx(3 / 4)
 
 
 def test_odd_components_complete_graph():
     g = complete(4)
     assert odd_component_count(g, mask_of([0])) == 1
-    assert odd_component_measure(g, mask_of([0])) == pytest.approx(1 / 4)
 
 
 def test_tutte_complete_graph():
@@ -185,6 +189,8 @@ def test_brouwer_haemers_positive_cases():
     assert brouwer_haemers_test(complete(4))
     assert brouwer_haemers_test(cycle(4))
     assert brouwer_haemers_test(complete_bipartite(3, 3))
+    for g in (complete(4), cycle(4), complete_bipartite(3, 3), petersen()):
+        assert tutte_scan(g).bh_condition == brouwer_haemers_test(g)
 
 
 def test_brouwer_haemers_petersen_fails_antecedent():
@@ -200,6 +206,9 @@ def test_brouwer_haemers_preconditions():
         brouwer_haemers_test(path(4))
     with pytest.raises(ValueError):
         brouwer_haemers_test(Graph(6, [(0, 1), (2, 3), (4, 5)]))
+    # the scan reports the condition on every connected graph, regular or not
+    assert tutte_scan(path(4)).bh_condition is False  # Laplacian 2 - sqrt 2 and 2 + sqrt 2
+    assert tutte_scan(Graph(6, [(0, 1), (2, 3), (4, 5)])).bh_condition is None
 
 
 def test_two_set_petersen_frozen():
@@ -251,26 +260,13 @@ def test_two_set_holds_on_random_regular(seed):
     assert rep.holds
 
 
-def test_independent_expansion_values():
-    ratio, witness = independent_expansion(complete_bipartite(3, 3))
-    assert ratio == pytest.approx(1.0)
-    ratio, witness = independent_expansion(complete_bipartite(1, 3))
-    assert ratio == pytest.approx(1 / 3)
-    assert witness == mask_of([1, 2, 3])  # the three leaves crowd one center
-
-
 def test_independent_expansion_poor_expansion_blocks_matching():
     g = complete_bipartite(2, 4)
-    ratio, _ = independent_expansion(g)
-    assert ratio < 1
+    leaves = mask_of(range(2, 6))  # independent, with only two neighbours
+    assert popcount(neighborhood(g, leaves)) < popcount(leaves)
     assert perfect_matching_oracle(g) is None
     rep = tutte_scan(g)
     assert not rep.classical_holds
-
-
-def test_independent_expansion_cap():
-    with pytest.raises(CapExceeded):
-        independent_expansion(Graph(25, []))
 
 
 def test_perfect_matching_oracle_basics():
