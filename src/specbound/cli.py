@@ -39,8 +39,8 @@ from .graphs import (CapExceeded, Graph, bits, canonical_digest,
                      load_directed_edge_list, load_edge_list)
 from .limits import accumulate_spectra, gap_persistence, max_gap
 from .matching import tutte_scan
-from .spectral import (TOL, _check_dense, adjacency_spectrum, bounds,
-                       snapped_floor, spectral_report)
+from .spectral import (TOL, _check_dense, bounds, norm_floor, snapped_floor,
+                       spectral_report)
 
 
 class UsageError(Exception):
@@ -85,8 +85,10 @@ def _read_text(args, stdin_text: Optional[str]) -> str:
     return sys.stdin.read()
 
 
-def _load_graph(args, stdin_text: Optional[str]) -> Graph:
-    return load_edge_list(_read_text(args, stdin_text))
+def _load_graph(args, stdin_text: Optional[str], dense: bool = False) -> Graph:
+    """The input graph; ``dense`` commands check the dense cap on the parsed
+    header, before the graph is built."""
+    return load_edge_list(_read_text(args, stdin_text), _check_dense if dense else None)
 
 
 def _mask_list(mask: int) -> List[int]:
@@ -138,13 +140,13 @@ def _cmd_gen(args, stdin_text, out) -> int:
 
 
 def _cmd_spectrum(args, stdin_text, out) -> int:
-    g = _load_graph(args, stdin_text)
+    g = _load_graph(args, stdin_text, dense=True)
     out.write(_report("spectrum", canonical_digest(g), spectral_report(g, args.tol)))
     return 0
 
 
 def _cmd_bounds(args, stdin_text, out) -> int:
-    g = _load_graph(args, stdin_text)
+    g = _load_graph(args, stdin_text, dense=True)
     b = bounds(g, args.tol)
     payload = {"n": g.n, "d": g.max_degree, "M": b.M, "m": b.m, "wilf": b.wilf,
                "hoffman": b.hoffman, "gap": b.gap, "mL": b.mL, "ML": b.ML,
@@ -167,13 +169,13 @@ def _cmd_color(args, stdin_text, out) -> int:
                    "proper": coloring.proper(g)}
         out.write(_report("color", digest, payload))
         return 0
-    g = _load_graph(args, stdin_text)
+    g = _load_graph(args, stdin_text, dense=algo == "wilf")
     digest = canonical_digest(g)
     if algo == "brute":
         payload = {"algorithm": algo, "chromatic": brute_force_chromatic(g)}
     else:  # mindeg or wilf: argparse allows no other choice
         if algo == "wilf":
-            bound = adjacency_spectrum(g, args.tol).max
+            bound = norm_floor(g, args.tol)
         elif args.threshold is None:
             raise UsageError("--algorithm mindeg needs --threshold")
         else:
@@ -189,7 +191,7 @@ def _cmd_color(args, stdin_text, out) -> int:
 
 
 def _cmd_bipartite(args, stdin_text, out) -> int:
-    g = _load_graph(args, stdin_text)
+    g = _load_graph(args, stdin_text, dense=True)
     v = spectral_bipartite_test(g, args.tol)
     oracle = bfs_bipartition_oracle(g)
     payload = {

@@ -18,12 +18,11 @@ independent of everything above.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import List, Optional, Tuple
 
 from .graphs import (CapExceeded, DirectedGraph, Graph, InternalError, Mask, bits,
-                     mask_of, popcount)
-from .spectral import adjacency_spectrum, snapped_floor
+                     mask_of)
+from .spectral import norm_floor, snapped_floor
 
 
 class PeelingStuck(ValueError):
@@ -73,19 +72,36 @@ def peel_by_threshold(g: Graph, threshold: int) -> Peeling:
     Exhausts the graph whenever threshold >= floor(M); a residual subgraph of
     minimum degree > threshold raises :class:`PeelingStuck` carrying it (the
     message names its size and first vertices only).
+
+    A queue in the manner of Matula and Beck (1983), O(n + m) in all: residual
+    degrees are kept, removing a layer decrements its neighbours', and the
+    next layer is exactly the vertices whose degree just fell to the
+    threshold.
     """
-    rem = g.full_mask
+    deg = list(g.degrees)
+    peeled = [False] * g.n
+    layer = [v for v in range(g.n) if deg[v] <= threshold]
     layers: List[Mask] = []
-    while rem:
-        degs = {v: popcount(g.adj_masks[v] & rem) for v in bits(rem)}
-        layer = mask_of(v for v, d in degs.items() if d <= threshold)
-        if layer == 0:
-            raise PeelingStuck(
-                f"peeling stuck: residual of {len(degs)} vertices starting "
-                f"{list(islice(bits(rem), 8))} has minimum degree "
-                f"{min(degs.values())} > threshold {threshold}", rem)
-        layers.append(layer)
-        rem &= ~layer
+    left = g.n
+    while layer:
+        for v in layer:
+            peeled[v] = True
+        layers.append(mask_of(layer))
+        left -= len(layer)
+        nxt = []
+        for v in layer:
+            for u in g.adj[v]:
+                if not peeled[u]:
+                    deg[u] -= 1
+                    if deg[u] == threshold:
+                        nxt.append(u)
+        layer = nxt
+    if left:
+        rest = [v for v in range(g.n) if not peeled[v]]
+        raise PeelingStuck(
+            f"peeling stuck: residual of {left} vertices starting "
+            f"{rest[:8]} has minimum degree "
+            f"{min(deg[v] for v in rest)} > threshold {threshold}", mask_of(rest))
     return Peeling(layers)
 
 
@@ -120,9 +136,11 @@ def backwards_list_color(g: Graph, peeling: Peeling, palette: int) -> Coloring:
 def wilf_color(g: Graph) -> Coloring:
     """Proper coloring with at most floor(M)+1 colors, M = ||T||.
 
-    Peel at threshold floor(M), then color backwards with floor(M)+1 colors.
+    Peel at threshold floor(M), then color backwards with floor(M)+1 colors;
+    floor(M) is certified without an eigensolve where it can be
+    (``spectral.norm_floor``).
     """
-    return min_degree_peel_color(g, adjacency_spectrum(g).max)
+    return min_degree_peel_color(g, norm_floor(g))
 
 
 def min_degree_peel_color(g: Graph, bound: float) -> Coloring:

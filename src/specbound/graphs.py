@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Mask = int  # vertex subsets as bitmasks over 0..n-1
 
@@ -345,13 +345,25 @@ def _parse_pairs(text: str, kind: str) -> Tuple[int, List[Tuple[int, int]]]:
     return n, pairs
 
 
-def load_edge_list(text: str) -> Graph:
-    """Parse the plain edge-list format; malformed input raises ValueError."""
+def load_edge_list(text: str, check_n: Optional[Callable[[int], None]] = None) -> Graph:
+    """Parse the plain edge-list format; malformed input raises ValueError.
+
+    ``check_n`` (the CLI passes its size cap) sees n once every line has
+    been validated -- so a bad line is still reported first -- and before any
+    per-vertex list or mask is built.
+    """
     n, edges = _parse_pairs(text, "edge")
     for u, v in edges:
         if not (0 <= u < v < n):
             raise ValueError(f"edge line must satisfy 0 <= u < v < n: {u} {v}")
-    return Graph(n, edges)  # Graph re-checks duplicates
+    seen = set()
+    for e in edges:
+        if e in seen:
+            raise ValueError(f"duplicate edge {e!r}")
+        seen.add(e)
+    if check_n is not None:
+        check_n(n)
+    return Graph(n, edges)
 
 
 def dump_directed_edge_list(d: DirectedGraph) -> str:

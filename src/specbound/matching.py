@@ -25,9 +25,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Optional, Tuple
 
-from .graphs import CapExceeded, Graph, Mask, bits, is_connected, popcount
+from .graphs import CapExceeded, Graph, Mask, bits, is_connected
 from .spectral import TOL, mean_zero_extremes
 
 
@@ -113,32 +114,55 @@ def _scan(g: Graph, subsets) -> Tuple[float, Mask, bool, bool, int]:
     return best, witness, best <= 1.0, best < 1.0, scanned
 
 
+def _kth_bit(mask: Mask, k: int) -> int:
+    """Position of the k-th (from 0) set bit of ``mask``, by bisecting on the
+    count of set bits below a position."""
+    lo, hi = 0, mask.bit_length()  # at most k set bits below lo, more below hi
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        if (mask & ((1 << mid) - 1)).bit_count() > k:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
 def _random_subsets(g: Graph, seed: int, samples: int):
+    """All singletons, then seeded sets grown from a low-degree vertex.
+
+    Each draw is O(|A| log n) big-integer operations: the neighbourhood grows
+    with A, and a pool member is picked by its rank, never by listing the
+    pool.  ``cum_weights`` makes ``random.choices`` skip re-summing the
+    weights and leaves its draws unchanged.
+    """
     rng = random.Random(seed)
     n = g.n
+    adj = g.adj_masks
+    full = g.full_mask
     verts = list(range(n))
-    seed_weights = [1.0 / (1 + g.degrees[v]) for v in verts]
+    seed_cum = list(accumulate(1.0 / (1 + d) for d in g.degrees))
     sizes = list(range(1, n))
-    size_weights = [2.0 ** -s for s in sizes]
+    size_cum = list(accumulate(2.0 ** -s for s in sizes))
     seen = set()
     for v in verts:  # always probe the singletons
         m = 1 << v
         seen.add(m)
         yield m
     for _ in range(samples):
-        s = rng.choices(sizes, weights=size_weights)[0] if sizes else 1
-        v0 = rng.choices(verts, weights=seed_weights)[0]
+        s = rng.choices(sizes, cum_weights=size_cum)[0] if sizes else 1
+        v0 = rng.choices(verts, cum_weights=seed_cum)[0]
         a = 1 << v0
-        while popcount(a) < s:
-            nbhd = 0
-            for v in bits(a):
-                nbhd |= g.adj_masks[v]
-            nbhd &= ~a
-            pool = nbhd if (nbhd and rng.random() < 0.7) else (g.full_mask & ~a)
+        reach = adj[v0]  # N(A), grown with A
+        size = 1
+        while size < s:
+            nbhd = reach & ~a
+            pool = nbhd if (nbhd and rng.random() < 0.7) else (full & ~a)
             if pool == 0:
                 break
-            pool_list = list(bits(pool))
-            a |= 1 << pool_list[rng.randrange(len(pool_list))]
+            v = _kth_bit(pool, rng.randrange(pool.bit_count()))
+            a |= 1 << v
+            reach |= adj[v]
+            size += 1
         if a not in seen:
             seen.add(a)
             yield a

@@ -11,11 +11,13 @@ Hoffman-type lower bound ``ceil(1 - M/m)``, independence-ratio bounds, the
 spectral gap of regular graphs, and the mean-zero Laplacian extremes used by
 the matching criteria.
 
-All eigensolves are dense symmetric (numpy ``eigvalsh``/``eigh``), capped at
-matrix order 4096, which is checked before any matrix is allocated; at that
-scale the solver is exact to far better than the 1e-9 tolerance used
-throughout.  ``bounds`` and ``spectral_report`` solve the adjacency and the
-Laplacian spectrum once each and derive every quantity from those two.
+All eigensolves are dense symmetric (numpy ``eigvalsh``/``eigh``), as are
+the Cholesky factorization and the linear solve of the certificates below.
+All are capped at matrix order 4096, which is checked before any matrix is
+allocated; at that scale the solvers are exact to far better than the 1e-9
+tolerance used throughout.  ``bounds`` and ``spectral_report`` solve
+the adjacency and the Laplacian spectrum once each and derive every quantity
+from those two.
 
 Tolerance policy, stated once for the whole package:
 
@@ -25,7 +27,30 @@ Tolerance policy, stated once for the whole package:
   2.9999999999 floors to 3 (``snapped_floor``) and 2.0000000001 ceils to 2
   (``snapped_ceil``);
 - the CLI rounds every real it prints to 12 significant digits, so output is
-  byte-identical across runs and platforms whose solvers agree that far.
+  byte-identical across runs and platforms whose solvers agree that far;
+- ``margin(g) = 8 n (d + 1) eps`` (``eta``; d the maximum degree, eps the
+  double-precision machine epsilon) bounds how far a dense solve's eigenvalue
+  or eigenvector, or a factorization's backward error, may stray on ``g``:
+  each is a small multiple of ``n eps ||A||``, and ``||A|| <= d``.  A
+  certificate below settles an answer only if it is the answer for every
+  value within ``eta`` of the quantity it brackets, so the dense solve it
+  replaces would print the same bytes.  Where ``eta`` exceeds ``TOL`` (large
+  dense graphs) nothing near a snap boundary is certified.
+
+Which answers are certified and which go dense:
+
+- ``norm_floor`` (the ``floor(M)`` behind ``color --algorithm wilf`` and
+  ``coloring.wilf_color``) is certified by the bracket
+  ``sqrt(sum d_v^2 / n) <= M <= d`` alone when both ends snap alike (always
+  on regular graphs, where they meet), else by one Cholesky factorization
+  of ``(t + 1 - TOL - eta) I - A`` for the lower end's t; when that fails it
+  takes the dense spectrum;
+- the -d eigenvector of ``bipartite`` is certified by one shifted solve with
+  a Davis-Kahan residual bound (``bipartite.spectral_bipartite_test``), else
+  taken from ``eigh``;
+- every real-valued output (``spectrum``, ``bounds``, ``limit``, the Tutte
+  scan's doubled-gap flag) comes from a dense solve: no certificate is
+  cheaper than ``eigvalsh`` there at n <= 4096.
 """
 
 from __future__ import annotations
@@ -40,6 +65,7 @@ from .graphs import CapExceeded, Graph, InternalError, Mask, bits, is_connected
 
 TOL = 1e-9
 MAX_DENSE_N = 4096
+EPS = float(np.finfo(float).eps)
 
 
 def snapped_floor(x: float) -> int:
@@ -122,6 +148,39 @@ def laplacian_spectrum(g: Graph, tol: float = TOL) -> Spectrum:
         raise InternalError("negative Laplacian eigenvalue; eigensolve is "
                             "untrustworthy here")
     return Spectrum(tuple(vals), tol)
+
+
+def margin(g: Graph) -> float:
+    """``eta`` of the tolerance policy: the largest error a dense solve or
+    a factorization may make on ``g``'s adjacency operator."""
+    return 8.0 * g.n * (g.max_degree + 1) * EPS
+
+
+def norm_floor(g: Graph, tol: float = TOL) -> int:
+    """``snapped_floor(M)``, certified without an eigensolve when it can be.
+
+    Hofmeister's bound ``M^2 >= sum d_v^2 / n`` (Rayleigh quotient of ``A^2``
+    at the constant vector) and ``M <= d`` bracket M.  Let t be the snapped
+    floor of the lower end less ``eta``.  If t = d, every value within
+    ``eta`` of M snaps to d (always so on regular graphs, where the ends
+    meet).  Otherwise a Cholesky factorization of ``(t + 1 - TOL - eta) I - A``
+    proves ``M + eta < t + 1 - TOL``, so t is the answer.  If it fails the
+    dense spectrum decides, exactly as ``adjacency_spectrum(g, tol).max``
+    would.
+    """
+    _check_dense(g.n)
+    eta = margin(g)
+    t = snapped_floor(math.sqrt(sum(d * d for d in g.degrees) / g.n) - eta)
+    if t == g.max_degree:
+        return t
+    shifted = adjacency_matrix(g)
+    np.negative(shifted, out=shifted)
+    shifted[np.diag_indices(g.n)] = t + 1 - TOL - eta
+    try:
+        np.linalg.cholesky(shifted)
+        return t
+    except np.linalg.LinAlgError:
+        return snapped_floor(adjacency_spectrum(g, tol).max)
 
 
 def _check_gap_domain(g: Graph) -> None:

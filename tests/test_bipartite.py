@@ -1,12 +1,17 @@
 """Spectral bipartiteness indicators, side extraction, rotation two-colorings."""
 
+import io
+import json
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specbound.bipartite import (
+    SIGN_EPS,
     bfs_bipartition_oracle,
     is_symmetric_spectrum,
     rotation_two_coloring,
@@ -21,8 +26,9 @@ from specbound.generators import (
     petersen,
     subdivide,
 )
-from specbound.graphs import Graph, bits, is_connected, mask_of
-from specbound.spectral import adjacency_spectrum
+from specbound.cli import run
+from specbound.graphs import Graph, bits, dump_edge_list, is_connected, mask_of
+from specbound.spectral import adjacency_matrix, adjacency_spectrum
 
 GOLDEN_CONJUGATE = (math.sqrt(5) - 1) / 2
 
@@ -178,3 +184,75 @@ def test_bipartiteness_agrees_with_networkx():
             assert (bfs_bipartition_oracle(g) is not None) == expected, g
             if is_connected(g):
                 assert spectral_bipartite_test(g).minus_d_in_spectrum == expected, g
+
+
+# ---------------------------------------------------------------------------
+# the certified -d vector against the eigh extraction it replaces
+# ---------------------------------------------------------------------------
+
+def _eigh_sides(g):
+    """Sides and defect from the sign pattern of eigh's least eigenvector,
+    canonically ordered: the extraction before the certified solve."""
+    vec = np.linalg.eigh(adjacency_matrix(g))[1][:, 0]
+    pos = mask_of(v for v in range(g.n) if vec[v] > SIGN_EPS)
+    neg = mask_of(v for v in range(g.n) if vec[v] < -SIGN_EPS)
+    lo = (pos | neg) & -(pos | neg)
+    if lo & neg:
+        pos, neg = neg, pos
+    return (pos, neg), g.full_mask & ~(pos | neg)
+
+
+def _bipartite_cubic(n, seed):
+    """Connected simple 3-regular bipartite graph: three perfect matchings
+    between the sides 0..n/2-1 and n/2..n-1."""
+    rng = random.Random(seed)
+    k = n // 2
+    while True:
+        edges = set()
+        for _ in range(3):
+            right = list(range(k, n))
+            while not edges.isdisjoint(zip(range(k), right)):
+                rng.shuffle(right)
+            edges.update(zip(range(k), right))
+        g = Graph(n, sorted(edges))
+        if is_connected(g):
+            return g
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.5, 1.0])
+def test_extraction_matches_eigh_on_every_regular_class_up_to_8(tol):
+    # tol = 0.5 and 1.0 let -d "match" other least eigenvalues, multiple ones
+    # included, so the uncertified fallback runs and must agree too
+    extracted = 0
+    for n in range(2, 9):
+        for g in enumerate_graphs(n, connected=True):
+            if not g.is_regular:
+                continue
+            v = spectral_bipartite_test(g, tol)
+            if v.bipartition is not None:
+                extracted += 1
+                assert (v.bipartition, v.defect) == _eigh_sides(g), g.edges()
+    assert extracted >= 7  # K2, C4, C6, C8, K33, K44 and the cube at tol 1e-9
+
+
+@pytest.mark.parametrize("n, seed", [(20, 1), (100, 2), (250, 3), (500, 4), (1000, 5)])
+def test_extraction_is_certified_on_bipartite_cubic_graphs(eigensolves, n, seed):
+    g = _bipartite_cubic(n, seed)
+    v = spectral_bipartite_test(g)
+    assert eigensolves == ["eigvalsh"]  # the -d vector came from one certified solve
+    assert v.defect == 0
+    assert (v.bipartition, v.defect) == _eigh_sides(g)
+    assert _sides_as_sets(v.bipartition) == _sides_as_sets(bfs_bipartition_oracle(g))
+
+
+def test_petersen_with_wide_tolerance_falls_back_to_eigh(eigensolves):
+    # --tol 1.0 lets -3 "match" the fourfold least eigenvalue -2: no gap, no
+    # certificate, so eigh's sign pattern is reported exactly as before
+    out = io.StringIO()
+    assert run(["bipartite", "--tol", "1.0"], stdin_text=dump_edge_list(petersen()), out=out) == 0
+    assert eigensolves == ["eigvalsh", "eigh"]
+    p = json.loads(out.getvalue())["payload"]
+    (a, b), defect = _eigh_sides(petersen())
+    assert p["minus_d_in_spectrum"] is True
+    assert p["bipartition"] == [list(bits(a)), list(bits(b))]
+    assert p["defect"] == list(bits(defect))

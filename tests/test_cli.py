@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import specbound
-from specbound import invariants
+from specbound import graphs, invariants
 from specbound.cli import run
 from specbound.generators import complete_bipartite, cycle, petersen
 from specbound.graphs import canonical_digest, dump_edge_list
@@ -162,8 +162,12 @@ def test_cap_is_exit_3():
     assert json.loads(out)["error"]["code"] == "cap-exceeded"
 
 
-@pytest.mark.parametrize("argv", [["spectrum"], ["bounds"], ["color"], ["bipartite"]],
-                         ids=["spectrum", "bounds", "wilf", "bipartite"])
+_DENSE_COMMANDS = pytest.mark.parametrize(
+    "argv", [["spectrum"], ["bounds"], ["color"], ["bipartite"]],
+    ids=["spectrum", "bounds", "wilf", "bipartite"])
+
+
+@_DENSE_COMMANDS
 def test_dense_cap_is_exit_3_before_any_allocation(monkeypatch, argv):
     allocated = []
     real = np.zeros
@@ -172,6 +176,54 @@ def test_dense_cap_is_exit_3_before_any_allocation(monkeypatch, argv):
     assert code == 3
     assert json.loads(out)["error"]["code"] == "cap-exceeded"
     assert allocated == []
+
+
+@pytest.fixture
+def graphs_built(monkeypatch):
+    """The orders of the ``Graph``s constructed while the test runs."""
+    built = []
+    real = graphs.Graph.__init__
+
+    def spy(self, n, edges):
+        built.append(n)
+        real(self, n, edges)
+
+    monkeypatch.setattr(graphs.Graph, "__init__", spy)
+    return built
+
+
+@_DENSE_COMMANDS
+def test_dense_cap_is_checked_while_parsing(graphs_built, argv):
+    # 3000000 per-vertex lists and masks took 3 s and 310 MB before the cap
+    code, out = _run(argv, stdin_text="3000000 1\n0 1\n")
+    assert code == 3
+    assert json.loads(out)["error"] == {"code": "cap-exceeded",
+                                        "message": "dense eigensolve capped at n=4096"}
+    assert graphs_built == []
+
+
+@_DENSE_COMMANDS
+@pytest.mark.parametrize("text, named", [
+    ("3000000 1\n0 x\n", "bad edge line '0 x'"),
+    ("3000000 2\n0 1\n1 1\n", "0 <= u < v < n: 1 1"),
+    ("3000000 1\n0 3000000\n", "0 <= u < v < n: 0 3000000"),
+    ("3000000 3\n0 1\n1 2\n0 1\n", "duplicate edge (0, 1)"),
+], ids=["malformed", "loop", "out-of-range", "duplicate"])
+def test_bad_lines_are_reported_before_the_dense_cap(graphs_built, argv, text, named):
+    code, out = _run(argv, stdin_text=text)
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["code"] == "input" and named in err["message"]
+    assert graphs_built == []
+
+
+def test_commands_without_a_dense_solve_build_large_graphs(graphs_built):
+    text = dump_edge_list(cycle(5000))
+    graphs_built.clear()
+    code, out = _run(["color", "--algorithm", "mindeg", "--threshold", "2"], stdin_text=text)
+    p = json.loads(out)["payload"]
+    assert code == 0 and p["proper"] and p["palette_bound"] == 3
+    assert graphs_built == [5000]
 
 
 def test_limit_above_dense_cap_fails_before_any_solve(eigensolves):
@@ -245,9 +297,9 @@ def test_peeling_stuck_error_is_bounded():
 @pytest.mark.parametrize("graph, argv, solves", [
     (petersen(), ["spectrum"], 2),
     (petersen(), ["bounds"], 2),
-    (petersen(), ["color", "--algorithm", "wilf"], 1),
+    (petersen(), ["color", "--algorithm", "wilf"], 0),  # regular: floor(M) = d, certified
     (petersen(), ["bipartite"], 1),
-    (complete_bipartite(4, 4), ["bipartite"], 2),  # -d present: one more eigh
+    (complete_bipartite(4, 4), ["bipartite"], 1),  # -d vector: a certified solve, no eigh
     (None, ["limit", "--max-n", "16"], 14),  # cycles 3..16, one solve each
 ], ids=["spectrum", "bounds", "wilf", "bipartite", "bipartite-regular", "limit"])
 def test_each_spectrum_is_solved_once(eigensolves, graph, argv, solves):

@@ -1,5 +1,8 @@
 """Peeling orders, backwards list coloring, function-system palettes, brute oracles."""
 
+import random
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +29,8 @@ from specbound.generators import (
     petersen,
     random_regular,
 )
-from specbound.graphs import CapExceeded, Graph, mask_of
+from specbound.enumeration import enumerate_graphs
+from specbound.graphs import CapExceeded, Graph, bits, mask_of, popcount
 from specbound.spectral import bounds, snapped_floor
 
 
@@ -172,3 +176,63 @@ def test_wilf_color_matches_chromatic_on_regular_samples():
         col = wilf_color(g)
         chi = brute_force_chromatic(g)
         assert chi <= col.palette_size <= 4  # floor(3) + 1
+
+
+# ---------------------------------------------------------------------------
+# the queue peeling against the round-by-round loop it replaced
+# ---------------------------------------------------------------------------
+
+def _peel_by_rounds(g, threshold):
+    """Reference: recompute every residual degree each round; returns the
+    layers, or the PeelingStuck message and residual."""
+    rem = g.full_mask
+    layers = []
+    while rem:
+        degs = {v: popcount(g.adj_masks[v] & rem) for v in bits(rem)}
+        layer = mask_of(v for v, d in degs.items() if d <= threshold)
+        if layer == 0:
+            return (f"peeling stuck: residual of {len(degs)} vertices starting "
+                    f"{list(islice(bits(rem), 8))} has minimum degree "
+                    f"{min(degs.values())} > threshold {threshold}", rem)
+        layers.append(layer)
+        rem &= ~layer
+    return layers
+
+
+def _peel_outcome(g, threshold):
+    try:
+        return peel_by_threshold(g, threshold).layers
+    except PeelingStuck as exc:
+        return str(exc), exc.residual
+
+
+def _random_graph(seed, n, p):
+    rng = random.Random(seed)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def test_queue_peeling_matches_rounds_on_every_graph_up_to_7():
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            for t in range(-1, n):
+                assert _peel_outcome(g, t) == _peel_by_rounds(g, t), (g.edges(), t)
+
+
+@pytest.mark.parametrize("seed, n, p", [(1, 65, 0.05), (2, 100, 0.1), (3, 150, 0.03),
+                                        (4, 200, 0.3), (5, 300, 0.01)])
+def test_queue_peeling_matches_rounds_above_64_vertices(seed, n, p):
+    g = _random_graph(seed, n, p)
+    outcomes = [_peel_outcome(g, t) for t in range(g.max_degree + 1)]
+    assert outcomes == [_peel_by_rounds(g, t) for t in range(g.max_degree + 1)]
+    assert any(isinstance(o, tuple) for o in outcomes)  # some peelings got stuck
+    assert isinstance(outcomes[-1], list)  # threshold d always exhausts
+
+
+def test_stuck_peeling_message_and_residual():
+    # K5 with a pendant path: the path peels away, K5 is left at degree 4
+    g = Graph(8, [(u, v) for u in range(5) for v in range(u + 1, 5)] + [(4, 5), (5, 6), (6, 7)])
+    with pytest.raises(PeelingStuck) as exc:
+        peel_by_threshold(g, 3)
+    assert exc.value.residual == mask_of(range(5))
+    assert str(exc.value) == ("peeling stuck: residual of 5 vertices starting "
+                              "[0, 1, 2, 3, 4] has minimum degree 4 > threshold 3")

@@ -15,8 +15,8 @@ from specbound.generators import (
     petersen,
     random_regular,
 )
-from specbound.graphs import (CapExceeded, Graph, components_within, is_connected,
-                              mask_of, neighborhood, popcount)
+from specbound.graphs import (CapExceeded, Graph, bits, components_within,
+                              is_connected, mask_of, neighborhood, popcount)
 from specbound import matching
 from specbound.matching import (
     brouwer_haemers_test,
@@ -162,6 +162,59 @@ def test_randomized_scan_matches_unbounded_reference(seed, n):
     rep = tutte_scan(g, mode="randomized", seed=seed, samples=400)
     subsets = list(matching._random_subsets(g, seed, 400))
     assert _scan_fields(rep) == _unbounded_scan(g, subsets)
+
+
+def _random_subsets_by_lists(g, seed, samples):
+    """Reference sampler: re-sums the weights on every draw, recomputes N(A)
+    from scratch and lists the pool to pick from it."""
+    rng = random.Random(seed)
+    n = g.n
+    verts = list(range(n))
+    seed_weights = [1.0 / (1 + g.degrees[v]) for v in verts]
+    sizes = list(range(1, n))
+    size_weights = [2.0 ** -s for s in sizes]
+    seen = set()
+    for v in verts:
+        seen.add(1 << v)
+        yield 1 << v
+    for _ in range(samples):
+        s = rng.choices(sizes, weights=size_weights)[0] if sizes else 1
+        v0 = rng.choices(verts, weights=seed_weights)[0]
+        a = 1 << v0
+        while popcount(a) < s:
+            nbhd = 0
+            for v in bits(a):
+                nbhd |= g.adj_masks[v]
+            nbhd &= ~a
+            pool = nbhd if (nbhd and rng.random() < 0.7) else (g.full_mask & ~a)
+            if pool == 0:
+                break
+            pool_list = list(bits(pool))
+            a |= 1 << pool_list[rng.randrange(len(pool_list))]
+        if a not in seen:
+            seen.add(a)
+            yield a
+
+
+@pytest.mark.parametrize("seed, n", [(0, 1), (1, 2), (2, 9), (3, 24), (4, 65), (5, 130),
+                                     (6, 250)])
+def test_sampler_draws_match_the_listing_reference(seed, n):
+    graphs = [path(n), Graph(n, [])]
+    if n >= 4:
+        graphs.append(_random_graph_with_isolated(seed, n=n))
+    if n % 2 == 0 and n >= 4:
+        graphs.append(random_regular(n, 3, seed))
+    for g in graphs:
+        assert (list(matching._random_subsets(g, seed, 300))
+                == list(_random_subsets_by_lists(g, seed, 300))), g
+
+
+@given(st.integers(1, (1 << 300) - 1), st.data())
+@settings(max_examples=200, deadline=None)
+def test_kth_bit_is_the_kth_listed_bit(mask, data):
+    listed = list(bits(mask))
+    k = data.draw(st.integers(0, len(listed) - 1))
+    assert matching._kth_bit(mask, k) == listed[k]
 
 
 def test_tutte_randomized_is_seeded():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import graphs
 from specbound import spectral
+from specbound.enumeration import enumerate_graphs
 from specbound.generators import (
     complete,
     complete_bipartite,
@@ -27,8 +28,10 @@ from specbound.spectral import (
     bounds,
     laplacian_matrix,
     laplacian_spectrum,
+    margin,
     mean_zero_extremes,
     multiset_close,
+    norm_floor,
     snapped_ceil,
     snapped_floor,
     spectral_report,
@@ -264,7 +267,7 @@ def test_dense_cap_is_checked_before_any_allocation(monkeypatch):
         monkeypatch.setattr(np, name, spy(name))
     big = cycle(4097)
     for solve in (adjacency_spectrum, laplacian_spectrum, bounds, mean_zero_extremes,
-                  lambda g: block_extremes(g, [g.full_mask])):
+                  norm_floor, lambda g: block_extremes(g, [g.full_mask])):
         with pytest.raises(CapExceeded):
             solve(big)
     with pytest.raises(CapExceeded):
@@ -272,3 +275,88 @@ def test_dense_cap_is_checked_before_any_allocation(monkeypatch):
     assert allocated == []
     assert len(antidiagonal_spectrum(cycle(5)).values) == 10  # the spies still count
     assert allocated
+
+
+# ---------------------------------------------------------------------------
+# norm_floor: the certified floor(M) against the dense solve it replaces
+# ---------------------------------------------------------------------------
+
+def _dense_floor(g):
+    return snapped_floor(float(np.linalg.eigvalsh(adjacency_matrix(g))[-1]))
+
+
+def _union(*parts):
+    edges, base = [], 0
+    for g in parts:
+        edges += [(base + u, base + v) for u, v in g.edges()]
+        base += g.n
+    return Graph(base, edges)
+
+
+def _friendship(k):
+    """k triangles sharing vertex 0; M = (1 + sqrt(1 + 8k)) / 2."""
+    return Graph(2 * k + 1, [e for i in range(k)
+                             for e in ((0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2))])
+
+
+def test_norm_floor_matches_dense_on_every_class_up_to_8():
+    for n in range(1, 9):
+        for g in enumerate_graphs(n):
+            assert norm_floor(g) == _dense_floor(g), g.edges()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_norm_floor_matches_dense_on_seeded_graphs(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(9, 201)
+    p = rng.choice((0.02, 0.05, 0.2, 0.6))
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+    assert norm_floor(g) == _dense_floor(g)
+    h = random_regular(n - n % 2, rng.randrange(1, 5), seed)
+    assert norm_floor(h) == _dense_floor(h) == h.max_degree
+    assert norm_floor(path(n)) == _dense_floor(path(n)) == 1
+
+
+@pytest.mark.parametrize("g, want", [
+    (complete_bipartite(1, 4), 2), (complete_bipartite(1, 9), 3),
+    (complete_bipartite(4, 9), 6), (cycle(7), 2), (complete(6), 5),
+], ids=["star-4", "star-9", "K4,9", "C7", "K6"])
+def test_integer_norm_is_certified_without_an_eigensolve(eigensolves, g, want):
+    assert norm_floor(g) == want
+    assert eigensolves == []
+
+
+@pytest.mark.parametrize("g, want", [
+    (Graph(6, [(0, 5), (1, 5), (2, 4), (3, 4), (4, 5)]), 2),  # double star, M = 2
+    (_friendship(3), 3), (_friendship(6), 4), (_friendship(10), 5),
+    (_union(complete(4), Graph(1, [])), 3),
+], ids=["double-star", "friendship-3", "friendship-6", "friendship-10", "K4+K1"])
+def test_integer_norm_off_the_certificate_goes_dense(eigensolves, g, want):
+    # the lower end of the bracket floors below M, and M itself is the
+    # Cholesky shift's integer, so the factorization fails and eigvalsh decides
+    assert norm_floor(g) == want
+    assert eigensolves == ["eigvalsh"]
+    assert _dense_floor(g) == want
+
+
+def test_margin_scales_with_order_and_degree():
+    eps = np.finfo(float).eps
+    for g in (Graph(1, []), path(50), complete(30), random_regular(200, 3, 1)):
+        assert margin(g) >= g.n * max(g.max_degree, 1) * eps
+
+
+@pytest.mark.parametrize("g, eps, boundary, want", [
+    (petersen(), 1e-11, 3, 3),  # M = 3, margin 3.2e-9 > TOL
+    (path(200), 1e-6, 2, 1),  # M = 2 - 2.4e-4, margin 4.8e-3
+], ids=["petersen", "path-200"])
+def test_no_certificate_within_the_margin_of_a_snap_boundary(eigensolves, monkeypatch,
+                                                             g, eps, boundary, want):
+    # a dense solve may stray by the margin, and within it of the snap
+    # boundary (an integer minus TOL) the floor it snaps to could differ, so
+    # neither the degree bracket nor the Cholesky shift may settle it; the
+    # machine epsilon is inflated to put M that close
+    monkeypatch.setattr(spectral, "EPS", eps)
+    assert abs(boundary - spectral.TOL - adjacency_spectrum(g).max) < margin(g)
+    eigensolves.clear()
+    assert norm_floor(g) == want
+    assert eigensolves == ["eigvalsh"]
