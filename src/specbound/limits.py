@@ -5,11 +5,11 @@ eigenvalue accumulation points and spectral gaps are limit objects worth
 tracking.
 
 ``accumulate_spectra`` unions the spectra of a family's members up to an
-index bound, merging duplicates at tolerance; ``max_gap`` measures how densely
-the accumulated points fill an interval; ``gap_persistence`` watches the
-spectral gap across the accumulated members, reading each member's spectrum
-from the accumulation and recording per-member failures rather than
-aborting.
+index bound, merging duplicates at tolerance, and records each member's
+spectral gap (or why it has none) while the member is at hand, so no member
+is built twice and none is kept; ``max_gap`` measures how densely the
+accumulated points fill an interval; ``gap_persistence`` lists the recorded
+gaps, per-member failures included rather than aborting.
 """
 
 from __future__ import annotations
@@ -21,10 +21,18 @@ from .generators import GraphFamily
 from .spectral import TOL, Spectrum, _check_gap_domain, _gap, adjacency_spectrum
 
 
+@dataclass(frozen=True)
+class GapEntry:
+    index: int
+    gap: Optional[float]
+    error: Optional[str] = None
+
+
 @dataclass
 class SpectrumAccumulation:
     points: Tuple[float, ...]
     per_index: Dict[int, Spectrum]
+    gaps: Tuple[GapEntry, ...]
     tol: float = TOL
 
 
@@ -40,14 +48,21 @@ def _merge(values: List[float], tol: float) -> Tuple[float, ...]:
 def accumulate_spectra(family: GraphFamily, max_index: int,
                        tol: float = TOL) -> SpectrumAccumulation:
     per_index: Dict[int, Spectrum] = {}
+    gaps: List[GapEntry] = []
     values: List[float] = []
     for k, g in family.members(max_index):
         spec = adjacency_spectrum(g, tol)
         per_index[k] = spec
+        try:  # irregular or disconnected members have no gap
+            _check_gap_domain(g)
+            gaps.append(GapEntry(k, _gap(spec, g.max_degree)))
+        except ValueError as exc:
+            gaps.append(GapEntry(k, None, str(exc)))
         values.extend(spec.values)
     if not per_index:
         raise ValueError(f"family {family.name!r} has no members at index <= {max_index}")
-    return SpectrumAccumulation(points=_merge(values, tol), per_index=per_index, tol=tol)
+    return SpectrumAccumulation(points=_merge(values, tol), per_index=per_index,
+                                gaps=tuple(gaps), tol=tol)
 
 
 def max_gap(acc: SpectrumAccumulation, interval: Tuple[float, float]) -> float:
@@ -64,23 +79,8 @@ def max_gap(acc: SpectrumAccumulation, interval: Tuple[float, float]) -> float:
     return max(b - a for a, b in zip(anchors, anchors[1:]))
 
 
-@dataclass(frozen=True)
-class GapEntry:
-    index: int
-    gap: Optional[float]
-    error: Optional[str] = None
-
-
-def gap_persistence(family: GraphFamily,
-                    acc: SpectrumAccumulation) -> List[GapEntry]:
-    """Spectral gap of each member ``accumulate_spectra`` collected from
-    ``family`` into ``acc``; per-member errors are recorded (irregular or
-    disconnected members), never raised."""
-    entries: List[GapEntry] = []
-    for k, g in family.members(max(acc.per_index)):
-        try:
-            _check_gap_domain(g)
-            entries.append(GapEntry(k, _gap(acc.per_index[k], g.max_degree)))
-        except ValueError as exc:
-            entries.append(GapEntry(k, None, str(exc)))
-    return entries
+def gap_persistence(acc: SpectrumAccumulation) -> List[GapEntry]:
+    """Spectral gap of each member ``accumulate_spectra`` collected into
+    ``acc``, in index order; per-member errors (irregular or disconnected
+    members) are recorded, never raised."""
+    return list(acc.gaps)

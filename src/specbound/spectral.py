@@ -35,7 +35,10 @@ Tolerance policy, stated once for the whole package:
   certificate below settles an answer only if it is the answer for every
   value within ``eta`` of the quantity it brackets, so the dense solve it
   replaces would print the same bytes.  Where ``eta`` exceeds ``TOL`` (large
-  dense graphs) nothing near a snap boundary is certified.
+  dense graphs) nothing near a snap boundary is certified;
+- the solves' own sanity checks (adjacency eigenvalues within [-d, d], the
+  Laplacian's nonnegative) allow the larger of ``tol`` and ``eta``, so a
+  ``tol`` finer than the solver's precision is not an internal fault.
 
 Which answers are certified and which go dense:
 
@@ -132,19 +135,21 @@ def laplacian_matrix(g: Graph) -> np.ndarray:
 
 
 def adjacency_spectrum(g: Graph, tol: float = TOL) -> Spectrum:
-    """Eigenvalues of the adjacency operator; always within [-d, d]."""
+    """Eigenvalues of the adjacency operator; always within [-d, d], up to
+    the larger of ``tol`` and the solver's own error ``margin(g)``."""
     vals = np.linalg.eigvalsh(adjacency_matrix(g))
-    d = g.max_degree
-    if len(vals) and (vals[0] < -d - tol or vals[-1] > d + tol):
+    slack = g.max_degree + max(tol, margin(g))
+    if len(vals) and (vals[0] < -slack or vals[-1] > slack):
         raise InternalError("adjacency eigenvalue escaped the degree bound; "
                             "eigensolve is untrustworthy here")
     return Spectrum(tuple(vals), tol)
 
 
 def laplacian_spectrum(g: Graph, tol: float = TOL) -> Spectrum:
-    """Eigenvalues of L = D - T; nonnegative, kernel dim = #components."""
+    """Eigenvalues of L = D - T; nonnegative (up to the larger of ``tol`` and
+    ``margin(g)``), kernel dim = #components."""
     vals = np.linalg.eigvalsh(laplacian_matrix(g))
-    if len(vals) and vals[0] < -tol:
+    if len(vals) and vals[0] < -max(tol, margin(g)):
         raise InternalError("negative Laplacian eigenvalue; eigensolve is "
                             "untrustworthy here")
     return Spectrum(tuple(vals), tol)

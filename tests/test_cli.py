@@ -11,9 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specbound
-from specbound import graphs, invariants
+from specbound import generators, graphs, invariants, matching, spectral
 from specbound.cli import run
 from specbound.generators import complete_bipartite, cycle, petersen
 from specbound.graphs import canonical_digest, dump_edge_list
@@ -404,3 +406,127 @@ def test_verify_reports_a_failing_check_and_runs_the_rest(monkeypatch):
     assert "ZeroDivisionError" in checks[3]["detail"]
     assert "planted fault" in checks[3]["detail"]
     assert all(c["ok"] for i, c in enumerate(checks) if i != 3)
+
+
+@pytest.mark.parametrize("argv, graph, named", [
+    (["spectrum", "--tol", "-1"], petersen(), "--tol"),
+    (["bipartite", "--tol", "inf"], petersen(), "--tol"),
+    (["bounds", "--tol", "nan"], petersen(), "--tol"),
+    (["color", "--algorithm", "mindeg", "--threshold", "inf"], petersen(), "--threshold"),
+], ids=["negative-tol", "infinite-tol", "nan-tol", "infinite-threshold"])
+def test_bad_numeric_arguments_are_usage_errors(argv, graph, named):
+    code, out = _run(argv, stdin_text=dump_edge_list(graph))
+    assert code == 2
+    assert out.count("\n") == 1
+    err = json.loads(out)["error"]
+    assert err["code"] == "usage" and named in err["message"]
+
+
+def test_tolerance_below_the_solver_error_is_not_an_internal_fault():
+    # the eigensolves' sanity checks allow the solver's own error margin, so a
+    # tiny --tol is the caller's choice, not a failed consistency check
+    for argv in (["spectrum"], ["bounds"], ["bipartite"], ["tutte"]):
+        code, out = _run(argv + ["--tol", "1e-300"], stdin_text=dump_edge_list(petersen()))
+        assert code == 0, out
+
+
+def test_tutte_above_the_dense_cap_fails_before_the_scan(monkeypatch):
+    # the randomized scan of C_5000 ran for minutes before the doubled-gap flag
+    # hit the cap
+    scans = []
+    monkeypatch.setattr(matching, "_scan", lambda *a: scans.append(a))
+    code, out = _run(["tutte", "--mode", "randomized"], stdin_text=dump_edge_list(cycle(5000)))
+    assert code == 3
+    assert json.loads(out)["error"]["code"] == "cap-exceeded"
+    assert scans == []
+
+
+def test_disconnected_tutte_input_above_the_dense_cap_is_scanned(monkeypatch):
+    # a disconnected graph needs no solve, so the cap does not apply to it
+    text = dump_edge_list(graphs.Graph(24, [(i, i + 1) for i in range(23) if i != 11]))
+    argv = ["tutte", "--mode", "randomized", "--samples", "50"]
+    uncapped = _doc(argv, stdin_text=text)
+    monkeypatch.setattr(spectral, "MAX_DENSE_N", 12)
+    assert _run(argv, stdin_text=dump_edge_list(cycle(24)))[0] == 3
+    capped = _doc(argv, stdin_text=text)
+    assert capped == uncapped and capped["payload"]["bh_condition"] is None
+
+
+def test_limit_builds_each_cycle_once(monkeypatch):
+    built = []
+    real = generators.cycle
+    monkeypatch.setattr(generators, "cycle", lambda n: built.append(n) or real(n))
+    doc = _doc(["limit", "--max-n", "20"])
+    assert built == list(range(3, 21))
+    assert [e["index"] for e in doc["payload"]["gaps"]] == built
+
+
+# --- the CLI boundary under arbitrary arguments and corrupted edge lists ---
+
+_REALS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.sampled_from(["", "x", "1e-300", "1e308", "-0", "0x10", "1_000", " 2 "]))
+
+
+@st.composite
+def _edge_list_texts(draw):
+    """Edge lists on at most 14 vertices (a header's n stays small, so every
+    scan finishes quickly), valid or corrupted one way or another."""
+    n = draw(st.integers(0, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    header = f"{n} {len(edges)}"
+    lines = [f"{u} {v}" for u, v in edges]
+    junk_line = st.one_of(
+        st.tuples(st.integers(-2, 16), st.integers(-2, 16)).map(lambda p: f"{p[0]} {p[1]}"),
+        st.sampled_from(["", "0", "0 1 2", "a b", "1.5 2", "0 0", " 1   2 ", "#", "-"]))
+    corruption = draw(st.sampled_from(["none", "header", "insert", "drop", "truncate",
+                                       "duplicate", "noise"]))
+    if corruption == "header":
+        header = draw(st.one_of(
+            st.tuples(st.integers(-3, 30), st.integers(-3, 130)).map(lambda p: f"{p[0]} {p[1]}"),
+            st.sampled_from(["", "x", "5", "5 5 5", "1e1 0", "-1 0"])))
+    elif corruption == "insert":
+        lines.insert(draw(st.integers(0, len(lines))), draw(junk_line))
+    elif corruption == "drop" and lines:
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    elif corruption == "duplicate" and lines:
+        lines.append(draw(st.sampled_from(lines)))
+    text = "\n".join([header] + lines) + "\n"
+    if corruption == "truncate":
+        text = text[:draw(st.integers(0, len(text)))]
+    elif corruption == "noise":
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.text(alphabet=" \t\n-.0123456789ex", max_size=3)) + text[i:]
+    return text
+
+
+@st.composite
+def _cli_calls(draw):
+    command = draw(st.sampled_from(["spectrum", "bounds", "color", "bipartite", "tutte"]))
+    argv = [command]
+    if draw(st.booleans()):
+        argv.append(f"--tol={draw(_REALS)}")
+    if command == "color":
+        argv.append(f"--algorithm={draw(st.sampled_from(['wilf', 'mindeg', 'brute', 'function', 'x']))}")
+        if draw(st.booleans()):
+            argv.append(f"--threshold={draw(_REALS)}")
+    if command == "tutte":
+        if draw(st.booleans()):
+            argv.append(f"--mode={draw(st.sampled_from(['exhaustive', 'randomized', 'x']))}")
+        if draw(st.booleans()):
+            argv.append(f"--samples={draw(st.one_of(st.integers(-5, 200).map(str), _REALS))}")
+        if draw(st.booleans()):
+            argv.append(f"--seed={draw(st.one_of(st.integers().map(str), _REALS))}")
+    return argv
+
+
+@given(_cli_calls(), _edge_list_texts())
+@settings(max_examples=300, deadline=None)
+def test_cli_boundary_fuzz(argv, text):
+    code, out = _run(argv, stdin_text=text)
+    assert code in (0, 2, 3), out
+    assert out.endswith("\n") and out.count("\n") == 1
+    doc = json.loads(out)
+    assert ("payload" in doc) == (code == 0)

@@ -57,7 +57,7 @@ def test_cycle_accumulation_fills_band():
 
 def test_gap_persistence_cycles():
     fam = cycle_family()
-    entries = gap_persistence(fam, accumulate_spectra(fam, 12))
+    entries = gap_persistence(accumulate_spectra(fam, 12))
     assert [e.index for e in entries] == list(range(3, 13))
     for e in entries:
         assert e.error is None
@@ -69,7 +69,7 @@ def test_gap_persistence_cycles():
 
 def test_gap_persistence_records_errors():
     fam = GraphFamily("paths", path, range(1, 100))
-    entries = gap_persistence(fam, accumulate_spectra(fam, 5))
+    entries = gap_persistence(accumulate_spectra(fam, 5))
     # paths are not regular (endpoints differ), so most entries report a failure
     failing = [e for e in entries if e.error is not None]
     assert len(failing) >= 3

@@ -352,3 +352,78 @@ def test_oracles_agree_on_random_even_graphs(seed):
         return
     rep = tutte_scan(g)
     assert rep.classical_holds == (perfect_matching_oracle(g) is not None)
+
+
+def _scalar_scan(g):
+    return matching._scan(g, range(1, 1 << g.n))
+
+
+def _star_of_odd_blocks(blocks):
+    """Vertex 0 joined to one vertex of each block; block i is a path on
+    ``blocks[i]`` vertices, so an odd block is an odd component of G - {0}."""
+    edges, start = [], 1
+    for size in blocks:
+        edges.append((0, start))
+        edges += [(start + i, start + i + 1) for i in range(size - 1)]
+        start += size
+    return Graph(start, edges)
+
+
+def _disjoint_union(*parts):
+    edges, start = [], 0
+    for h in parts:
+        edges += [(start + u, start + v) for u, v in h.edges()]
+        start += h.n
+    return Graph(start, edges)
+
+
+def test_block_kernel_matches_scalar_scan_on_every_small_class():
+    for n in range(1, 9):
+        for g in enumerate_graphs(n):
+            assert matching._scan_blocks(g) == _scalar_scan(g), g
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _random_graph_with_isolated(seed, n=n), id=f"random-{n}-s{seed}")
+    for seed, n in [(0, 12), (1, 13), (2, 14), (3, 15), (4, 16), (5, 16), (6, 17)]
+] + [
+    pytest.param(lambda: Graph(12, []), id="edgeless-12"),
+    pytest.param(lambda: Graph(20, []), id="edgeless-20"),
+    pytest.param(_hub_obstruction, id="hub-obstruction-14"),
+    pytest.param(lambda: _star_of_odd_blocks([1, 1, 3, 3, 5, 5]), id="obstruction-19"),
+    pytest.param(lambda: _star_of_odd_blocks([3, 1, 5, 1, 7, 1, 1]), id="obstruction-20"),
+    pytest.param(lambda: cycle(13), id="odd-cycle-13"),
+    pytest.param(lambda: path(15), id="odd-path-15"),
+    pytest.param(lambda: _disjoint_union(petersen(), cycle(5)), id="disconnected-15"),
+    pytest.param(lambda: _disjoint_union(complete(3), path(4), Graph(2, []), cycle(7)),
+                 id="disconnected-16"),
+    # c_star = 1 is reached by {0} in the first block and tied by later blocks
+    pytest.param(lambda: random_regular(16, 3, seed=5), id="ties-cubic-16"),
+    pytest.param(lambda: random_regular(18, 3, seed=2), id="ties-cubic-18"),
+])
+def test_block_kernel_matches_scalar_scan(make):
+    g = make()
+    assert matching._scan_blocks(g) == _scalar_scan(g), g
+
+
+def test_block_kernel_keeps_the_earliest_tied_witness():
+    # every singleton of an even cycle leaves one odd path: ratio 1 first at
+    # {0}, tied in every block after the first
+    g = cycle(16)
+    c_star, witness, classical, strict, scanned = matching._scan_blocks(g)
+    assert (c_star, witness, classical, strict, scanned) == (1.0, 1, True, False, 2 ** 16 - 1)
+    assert _unbounded_scan(g) == (c_star, witness, classical, strict, scanned)
+
+
+@pytest.mark.parametrize("n, kernel", [(11, "_scan"), (12, "_scan_blocks")])
+def test_exhaustive_scan_dispatch_by_size(monkeypatch, n, kernel):
+    called = []
+    for name in ("_scan", "_scan_blocks"):
+        fn = getattr(matching, name)
+        monkeypatch.setattr(matching, name,
+                            lambda *a, _fn=fn, _name=name: called.append(_name) or _fn(*a))
+    tutte_scan(cycle(n))
+    assert called == [kernel]
+    called.clear()
+    tutte_scan(cycle(n), mode="randomized", samples=20)
+    assert called == ["_scan"]  # randomized masks are big integers of any n
