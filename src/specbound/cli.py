@@ -95,9 +95,14 @@ def _error_json(code: str, message: str) -> str:
 
 
 def _read_text(args, stdin_text: Optional[str]) -> str:
+    """The input text; an ``--input`` path that cannot be read (missing, a
+    directory, no permission) is bad input, reported with the OS's message."""
     if getattr(args, "input", None):
-        with open(args.input, "r") as fh:
-            return fh.read()
+        try:
+            with open(args.input, "r") as fh:
+                return fh.read()
+        except OSError as exc:
+            raise ValueError(str(exc)) from exc
     if stdin_text is not None:
         return stdin_text
     return sys.stdin.read()
@@ -253,6 +258,8 @@ def _cmd_limit(args, stdin_text, out) -> int:
         lo, hi = float(lo_s), float(hi_s)
     except ValueError as exc:
         raise UsageError(f"bad interval {args.interval!r}; want LO,HI") from exc
+    if not math.isfinite(hi - lo):  # false for an infinite or NaN end, too
+        raise UsageError(f"bad interval {args.interval!r}; LO, HI and HI - LO must be finite")
     _check_dense(args.max_n)  # fail before any solve: a cycle's index is its order
     acc = accumulate_spectra(family, args.max_n, args.tol)
     gaps = gap_persistence(acc)
@@ -370,9 +377,6 @@ def run(argv: Optional[List[str]] = None, stdin_text: Optional[str] = None,
     except CapExceeded as exc:
         out.write(_error_json("cap-exceeded", str(exc)))
         return 3
-    except FileNotFoundError as exc:
-        out.write(_error_json("input", str(exc)))
-        return 2
     except ValueError as exc:
         out.write(_error_json("input", str(exc)))
         return 2

@@ -18,7 +18,7 @@ independent of everything above.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .graphs import (CapExceeded, DirectedGraph, Graph, InternalError, Mask, bits,
                      mask_of)
@@ -66,40 +66,45 @@ class Peeling:
     layers: List[Mask]
 
 
+def _peel(deg: List[int], succ: Sequence[Sequence[int]],
+          threshold: int) -> Tuple[List[Mask], List[int]]:
+    """Layers of iterated peeling at ``threshold``, and the vertices left over.
+
+    A queue in the manner of Matula and Beck (1983), O(n + m) in all: ``deg``
+    holds residual degrees (updated in place), removing a layer decrements
+    those of its vertices' successors in ``succ``, and the next layer is
+    exactly the vertices whose degree just fell to the threshold.
+    """
+    peeled = [False] * len(deg)
+    layer = [v for v in range(len(deg)) if deg[v] <= threshold]
+    layers: List[Mask] = []
+    while layer:
+        for v in layer:
+            peeled[v] = True
+        layers.append(mask_of(layer))
+        nxt = []
+        for v in layer:
+            for u in succ[v]:
+                if not peeled[u]:
+                    deg[u] -= 1
+                    if deg[u] == threshold:
+                        nxt.append(u)
+        layer = nxt
+    return layers, [v for v in range(len(deg)) if not peeled[v]]
+
+
 def peel_by_threshold(g: Graph, threshold: int) -> Peeling:
     """Iteratively remove all vertices of residual degree <= threshold.
 
     Exhausts the graph whenever threshold >= floor(M); a residual subgraph of
     minimum degree > threshold raises :class:`PeelingStuck` carrying it (the
     message names its size and first vertices only).
-
-    A queue in the manner of Matula and Beck (1983), O(n + m) in all: residual
-    degrees are kept, removing a layer decrements its neighbours', and the
-    next layer is exactly the vertices whose degree just fell to the
-    threshold.
     """
     deg = list(g.degrees)
-    peeled = [False] * g.n
-    layer = [v for v in range(g.n) if deg[v] <= threshold]
-    layers: List[Mask] = []
-    left = g.n
-    while layer:
-        for v in layer:
-            peeled[v] = True
-        layers.append(mask_of(layer))
-        left -= len(layer)
-        nxt = []
-        for v in layer:
-            for u in g.adj[v]:
-                if not peeled[u]:
-                    deg[u] -= 1
-                    if deg[u] == threshold:
-                        nxt.append(u)
-        layer = nxt
-    if left:
-        rest = [v for v in range(g.n) if not peeled[v]]
+    layers, rest = _peel(deg, g.adj, threshold)
+    if rest:
         raise PeelingStuck(
-            f"peeling stuck: residual of {left} vertices starting "
+            f"peeling stuck: residual of {len(rest)} vertices starting "
             f"{rest[:8]} has minimum degree "
             f"{min(deg[v] for v in rest)} > threshold {threshold}", mask_of(rest))
     return Peeling(layers)
@@ -162,23 +167,16 @@ def function_graph_color(d: DirectedGraph) -> Coloring:
     so 2k+1 colors never run out.
     """
     k = d.n_functions
-    g = d.underlying()
-    rem = g.full_mask
-    layers: List[Mask] = []
-    while rem:
-        indeg = {v: 0 for v in bits(rem)}
-        for u in bits(rem):
-            for v in d.out[u]:
-                if (rem >> v) & 1:
-                    indeg[v] += 1
-        layer = mask_of(v for v, c in indeg.items() if c <= k)
-        if layer == 0:
-            raise InternalError("residual digraph with all in-degrees above "
-                                "the out-degree bound; impossible, since total "
-                                "in-degree equals total out-degree")
-        layers.append(layer)
-        rem &= ~layer
-    return backwards_list_color(g, Peeling(layers), 2 * k + 1)
+    indeg = [0] * d.n
+    for out in d.out:
+        for v in out:
+            indeg[v] += 1
+    layers, rest = _peel(indeg, d.out, k)
+    if rest:
+        raise InternalError("residual digraph with all in-degrees above "
+                            "the out-degree bound; impossible, since total "
+                            "in-degree equals total out-degree")
+    return backwards_list_color(d.underlying(), Peeling(layers), 2 * k + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ def function_graph(maps: Sequence[Sequence[int]]) -> DirectedGraph:
         for x in range(n):
             if f[x] != x:
                 arcs.add((x, f[x]))
-    return DirectedGraph(n, sorted(arcs), functions=[tuple(f) for f in maps])
+    return DirectedGraph(n, sorted(arcs), n_functions=len(maps))
 
 
 def paley_tournament() -> DirectedGraph:

@@ -8,24 +8,21 @@ works on two small types defined here:
   always uniform, ``mu({v}) = 1/n``; subsets of vertices are plain ``int``
   bitmasks so that exhaustive subset scans stay cheap.
 * :class:`DirectedGraph` -- finite out-neighbor lists, optionally remembering
-  the generating functions it was built from.
+  how many generating functions it was built from.
 
 Around them sit the bitmask helpers, neighbourhoods and masked BFS components
 (``components_within`` works on raw adjacency masks), and the edge-list text
 format with its canonical digest.
 
-The module also holds the mass-transport checker: a transport is a nonnegative
-weight on ordered adjacent pairs, and under the uniform measure the total mass
-sent equals the total mass received.  ``verify_mass_transport`` recomputes both
-sides grouped by sender and by receiver and reports the (floating point)
-residual, which must vanish to near machine precision.
+The mass-transport principle needs no checker here: under the uniform measure
+on a finite graph, mass sent and mass received are one finite sum taken in two
+orders, equal by algebra.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Mask = int  # vertex subsets as bitmasks over 0..n-1
 
@@ -203,14 +200,14 @@ class DirectedGraph:
     """Finite digraph with sorted out-neighbor lists, no loops, no duplicates.
 
     When built from a family of functions ``f_i : V -> V`` (see
-    ``generators.function_graph``) the functions are remembered;
-    ``n_functions`` then bounds the out-degree.
+    ``generators.function_graph``) their number is remembered as
+    ``n_functions``, which then bounds the out-degree.
     """
 
-    __slots__ = ("n", "out", "functions")
+    __slots__ = ("n", "out", "_n_functions")
 
     def __init__(self, n: int, out_edges: Iterable[Tuple[int, int]],
-                 functions: Optional[Sequence[Sequence[int]]] = None):
+                 n_functions: Optional[int] = None):
         if n < 1:
             raise ValueError("digraph needs at least one vertex")
         self.n = n
@@ -225,22 +222,13 @@ class DirectedGraph:
                 raise ValueError(f"duplicate arc {(u, v)!r}")
             out[u].add(v)
         self.out = tuple(tuple(sorted(s)) for s in out)
-        if functions is not None:
-            fns = []
-            for f in functions:
-                f = tuple(f)
-                if len(f) != n or any(not (0 <= y < n) for y in f):
-                    raise ValueError("function table must map 0..n-1 into 0..n-1")
-                fns.append(f)
-            self.functions = tuple(fns)
-        else:
-            self.functions = None
+        self._n_functions = n_functions
 
     @property
     def n_functions(self) -> int:
         """Number of generating functions; falls back to max out-degree."""
-        if self.functions is not None:
-            return len(self.functions)
+        if self._n_functions is not None:
+            return self._n_functions
         return max((len(o) for o in self.out), default=0)
 
     @property
@@ -260,49 +248,6 @@ class DirectedGraph:
 
     def __repr__(self) -> str:
         return f"DirectedGraph(n={self.n}, arcs={sum(self.out_degrees)})"
-
-
-# ---------------------------------------------------------------------------
-# mass transport
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Transport:
-    """Nonnegative weights on ordered adjacent pairs of a graph.
-
-    ``weights[(x, y)]`` is the mass vertex x sends to its neighbor y.  Support
-    off the edge set, or a negative weight, is rejected up front.
-    """
-
-    graph: Graph
-    weights: Dict[Tuple[int, int], float]
-
-    def __post_init__(self) -> None:
-        g = self.graph
-        for (x, y), w in self.weights.items():
-            if not (0 <= x < g.n and 0 <= y < g.n) or not g.has_edge(x, y):
-                raise ValueError(f"transport supported on non-edge pair {(x, y)!r}")
-            if w < 0:
-                raise ValueError(f"negative transport weight at {(x, y)!r}")
-
-
-def verify_mass_transport(transport: Transport) -> float:
-    """Residual of the mass-transport identity under the uniform measure.
-
-    Integrates the outgoing mass over senders and the incoming mass over
-    receivers, grouped the two different ways, and returns
-    ``|sum_out - sum_in| / n``.  Mathematically the two integrals coincide;
-    floating point leaves at most a tiny summation-order residual.
-    """
-    g = transport.graph
-    out = [0.0] * g.n
-    inc = [0.0] * g.n
-    for (x, y), w in transport.weights.items():
-        out[x] += w
-        inc[y] += w
-    total_out = sum(out)
-    total_in = sum(inc)
-    return abs(total_out - total_in) / g.n
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,11 @@ from .enumeration import enumerate_graphs
 from .generators import (complete, complete_bipartite, cycle, cycle_family,
                          function_graph, paley_tournament, petersen,
                          random_regular, subdivide)
-from .graphs import (Graph, Transport, dump_edge_list, is_connected,
-                     load_edge_list, mask_of, neighborhood,
-                     verify_mass_transport)
+from .graphs import (Graph, dump_edge_list, is_connected, load_edge_list, mask_of,
+                     neighborhood)
 from .limits import accumulate_spectra, max_gap
 from .matching import brouwer_haemers_test, tutte_scan, two_set_inequality
-from .spectral import (adjacency_spectrum, antidiagonal_spectrum,
-                       block_extremes, bounds, laplacian_spectrum,
+from .spectral import (adjacency_spectrum, block_extremes, bounds, laplacian_spectrum,
                        multiset_close)
 
 
@@ -107,42 +105,6 @@ def _round_trip(g):
     _require(back == g and dump_edge_list(back) == text, "load(dump(G)) == G")
 
 
-def _transport_corpus(tier):
-    """``(transport, mass)``; ``mass`` is the degree-weighted integral of f,
-    set when the weights are ``w(x -> y) = f(y)``."""
-    rng = random.Random(_tier(tier, 7, 31337))
-    for _ in range(_tier(tier, 200, 1000)):
-        n = rng.randint(2, 16)
-        g = _random_graph(rng, n)
-        w = {}
-        for u, v in g.edges():
-            if rng.random() < 0.85:
-                w[(u, v)] = rng.uniform(0, 50)
-            if rng.random() < 0.85:
-                w[(v, u)] = rng.uniform(0, 50)
-        yield Transport(g, w), None
-    g = petersen()
-    f = [rng.uniform(0, 1) for _ in range(g.n)]
-    w = {(u, v): f[v] for u in range(g.n) for v in g.adj[u]}
-    yield Transport(g, w), sum(g.degrees[v] * f[v] for v in range(g.n)) / g.n
-    w = {}
-    for u, v in g.edges():  # symmetric weights balance edge by edge
-        c = rng.uniform(0, 10)
-        w[(u, v)] = c
-        w[(v, u)] = c
-    yield Transport(g, w), None
-
-
-@_invariant("mass-transport", "transport residual <= 1e-12 on 1000 seeded weightings + "
-            "both specializations", _transport_corpus)
-def _mass_transport(item):
-    t, mass = item
-    _require(verify_mass_transport(t) <= 1e-12, "transport residual <= 1e-12")
-    if mass is not None:
-        sent = sum(t.weights.values()) / t.graph.n
-        _require(abs(sent - mass) <= 1e-12, "mass sent == degree-weighted integral of f")
-
-
 @_invariant("cycle-spectra", "cycle spectra match 2cos(2*pi*k/n) to 1e-9, n = 3..64",
             lambda tier: range(3, _tier(tier, 33, 65)))
 def _cycle_spectra(n):
@@ -165,16 +127,6 @@ def _norms_corpus(tier):
 def _norms(item):
     g, want = item
     _require(abs(adjacency_spectrum(g).max - want) <= 1e-9, "M == closed form")
-
-
-@_invariant("antidiagonal-symmetrization", "spec [[0,T],[T,0]] = spec(T) u -spec(T) to 1e-8 "
-            "on 200 seeded graphs",
-            lambda tier: _random_graphs(11, _tier(tier, 20, 200), 2, _tier(tier, 11, 16)))
-def _antidiagonal(g):
-    spec = adjacency_spectrum(g).values
-    _require(multiset_close(antidiagonal_spectrum(g).values,
-                            list(spec) + [-v for v in spec], 1e-8),
-             "spec [[0,T],[T,0]] == spec T u -spec T")
 
 
 def _block_corpus(tier):
@@ -344,19 +296,17 @@ def _function_coloring(item):
                            and brute_force_chromatic(under) == palette), "chi == 2k+1")
 
 
-@_invariant("limit-accumulation", "cycle family fills [-2, 2]: max gap < 0.05 at N = 256, "
-            "monotone from N = 64", lambda tier: [_tier(tier, (32, 64, 0.2), (64, 256, 0.05))])
+@_invariant("limit-accumulation", "cycle family fills [-2, 2]: max gap < 0.05 at N = 256",
+            lambda tier: [_tier(tier, (64, 0.2), (256, 0.05))])
 def _limit(item):
-    small, big, bound = item
-    gap_small = max_gap(accumulate_spectra(cycle_family(), small), (-2.0, 2.0))
-    gap_big = max_gap(accumulate_spectra(cycle_family(), big), (-2.0, 2.0))
-    _require(gap_big < bound, f"max gap at N = {big} < {bound}")
-    _require(gap_big <= gap_small, f"max gap at N = {big} <= max gap at N = {small}")
+    n, bound = item
+    gap = max_gap(accumulate_spectra(cycle_family(), n), (-2.0, 2.0))
+    _require(gap < bound, f"max gap at N = {n} < {bound}")
 
 
 INVARIANTS: Tuple[Invariant, ...] = (
-    _round_trip, _mass_transport, _cycle_spectra, _norms, _antidiagonal, _block, _sandwich,
-    _bipartite, _independence, _matching, _two_set, _rotation, _function_coloring, _limit)
+    _round_trip, _cycle_spectra, _norms, _block, _sandwich, _bipartite, _independence,
+    _matching, _two_set, _rotation, _function_coloring, _limit)
 
 
 def verify(tier: str) -> List[Tuple[str, bool, str]]:

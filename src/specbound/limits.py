@@ -15,10 +15,10 @@ gaps, per-member failures included rather than aborting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .generators import GraphFamily
-from .spectral import TOL, Spectrum, _check_gap_domain, _gap, adjacency_spectrum
+from .spectral import TOL, _check_gap_domain, _gap, adjacency_spectrum
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,7 @@ class GapEntry:
 @dataclass
 class SpectrumAccumulation:
     points: Tuple[float, ...]
-    per_index: Dict[int, Spectrum]
     gaps: Tuple[GapEntry, ...]
-    tol: float = TOL
 
 
 def _merge(values: List[float], tol: float) -> Tuple[float, ...]:
@@ -47,22 +45,19 @@ def _merge(values: List[float], tol: float) -> Tuple[float, ...]:
 
 def accumulate_spectra(family: GraphFamily, max_index: int,
                        tol: float = TOL) -> SpectrumAccumulation:
-    per_index: Dict[int, Spectrum] = {}
     gaps: List[GapEntry] = []
     values: List[float] = []
     for k, g in family.members(max_index):
         spec = adjacency_spectrum(g, tol)
-        per_index[k] = spec
         try:  # irregular or disconnected members have no gap
             _check_gap_domain(g)
             gaps.append(GapEntry(k, _gap(spec, g.max_degree)))
         except ValueError as exc:
             gaps.append(GapEntry(k, None, str(exc)))
         values.extend(spec.values)
-    if not per_index:
+    if not gaps:
         raise ValueError(f"family {family.name!r} has no members at index <= {max_index}")
-    return SpectrumAccumulation(points=_merge(values, tol), per_index=per_index,
-                                gaps=tuple(gaps), tol=tol)
+    return SpectrumAccumulation(points=_merge(values, tol), gaps=tuple(gaps))
 
 
 def max_gap(acc: SpectrumAccumulation, interval: Tuple[float, float]) -> float:

@@ -9,7 +9,9 @@ summing over neighbors, ``(Tf)(x) = sum_{y ~ x} f(y)``; the Laplacian is
 drive everything here: the greedy-peeling chromatic bound ``floor(M)+1``, the
 Hoffman-type lower bound ``ceil(1 - M/m)``, independence-ratio bounds, the
 spectral gap of regular graphs, and the mean-zero Laplacian extremes used by
-the matching criteria.
+the matching criteria.  The antidiagonal operator ``[[0, T], [T, 0]]`` of the
+bipartite double cover is not built: on a finite graph it is ``sigma_x (x) T``,
+so its spectrum is ``spec T u -spec T`` by algebra.
 
 All eigensolves are dense symmetric (numpy ``eigvalsh``/``eigh``), as are
 the Cholesky factorization and the linear solve of the certificates below.
@@ -251,19 +253,6 @@ def block_extremes(g: Graph, parts: Sequence[Mask], tol: float = TOL) -> List[Bl
         vals = np.linalg.eigvalsh(a[np.ix_(vs, vs)])
         out.append(BlockExtremes(float(vals[0]), float(vals[-1])))
     return out
-
-
-def antidiagonal_spectrum(g: Graph, tol: float = TOL) -> Spectrum:
-    """Spectrum of the operator [[0, T], [T, 0]] on the doubled vertex set.
-
-    Computed from the actual 2n x 2n matrix; equals the symmetrization
-    spec(T) union -spec(T) as a multiset, which the tests cross-check.
-    """
-    _check_dense(2 * g.n)
-    a = adjacency_matrix(g)
-    z = np.zeros_like(a)
-    big = np.block([[z, a], [a, z]])
-    return Spectrum(tuple(np.linalg.eigvalsh(big)), tol)
 
 
 @dataclass(frozen=True)

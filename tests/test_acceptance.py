@@ -10,7 +10,6 @@ from specbound.invariants import INVARIANTS
 
 # Test names that predate the registry; later entries are named after their check.
 _TEST_NAMES = {
-    "mass-transport": "test_mass_transport_sweep",
     "cycle-spectra": "test_cycle_spectra_closed_form",
     "biregular-and-subdivision-norms": "test_biregular_and_subdivision_norms",
     "block-inequality": "test_block_inequality_sweep",

@@ -376,6 +376,38 @@ def test_console_script_target_resolves():
     assert callable(getattr(importlib.import_module(module), attr))
 
 
+def _strict_json(text):
+    """``json.loads`` that also rejects the NaN and Infinity tokens, which are
+    not JSON."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("kind", ["directory", "missing"])
+def test_unreadable_input_path_is_an_input_error(tmp_path, kind):
+    # a directory raised IsADirectoryError through to a traceback; the message
+    # is the OS's, exactly as a missing file always reported it
+    path = str(tmp_path if kind == "directory" else tmp_path / "no-such-file")
+    with pytest.raises(OSError) as exc:
+        open(path).close()
+    code, out = _run(["spectrum", "--input", path])
+    assert code == 2
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"error": {"code": "input", "message": str(exc.value)},
+                               "version": "0.1.0"}
+
+
+@pytest.mark.parametrize("interval", ["-inf,inf", "0,inf", "nan,1", "-1e308,1e308"])
+def test_limit_interval_must_be_finite(interval):
+    code, out = _run(["limit", "--max-n", "8", f"--interval={interval}"])
+    assert code == 2
+    assert out.count("\n") == 1
+    err = _strict_json(out)["error"]
+    assert err["code"] == "usage" and interval in err["message"]
+
+
 def test_directed_duplicate_arc_rejected():
     code, text = _run(["color", "--algorithm", "function"], stdin_text="3 3\n0 1\n0 1\n1 2")
     assert code == 2
@@ -385,7 +417,7 @@ def test_directed_duplicate_arc_rejected():
 def test_verify_runs_clean():
     doc = _doc(["verify"])
     assert doc["payload"]["ok"] is True
-    assert len(doc["payload"]["checks"]) == 14
+    assert len(doc["payload"]["checks"]) == 12
     assert all(c["ok"] for c in doc["payload"]["checks"])
 
 
@@ -504,7 +536,9 @@ def _edge_list_texts(draw):
 
 @st.composite
 def _cli_calls(draw):
-    command = draw(st.sampled_from(["spectrum", "bounds", "color", "bipartite", "tutte"]))
+    # gen is left out: its sizes have no cap, so a draw could allocate without bound
+    command = draw(st.sampled_from(["spectrum", "bounds", "color", "bipartite", "tutte",
+                                    "limit"]))
     argv = [command]
     if draw(st.booleans()):
         argv.append(f"--tol={draw(_REALS)}")
@@ -519,6 +553,10 @@ def _cli_calls(draw):
             argv.append(f"--samples={draw(st.one_of(st.integers(-5, 200).map(str), _REALS))}")
         if draw(st.booleans()):
             argv.append(f"--seed={draw(st.one_of(st.integers().map(str), _REALS))}")
+    if command == "limit":
+        argv.append(f"--max-n={draw(st.integers(-5, 40))}")
+        if draw(st.booleans()):
+            argv.append(f"--interval={draw(_REALS)},{draw(_REALS)}")
     return argv
 
 
@@ -528,5 +566,5 @@ def test_cli_boundary_fuzz(argv, text):
     code, out = _run(argv, stdin_text=text)
     assert code in (0, 2, 3), out
     assert out.endswith("\n") and out.count("\n") == 1
-    doc = json.loads(out)
+    doc = _strict_json(out)
     assert ("payload" in doc) == (code == 0)

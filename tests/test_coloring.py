@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
+from specbound import coloring
 from specbound.coloring import (
     Coloring,
+    Peeling,
     PeelingStuck,
     backwards_list_color,
     brute_force_chromatic,
@@ -30,7 +32,8 @@ from specbound.generators import (
     random_regular,
 )
 from specbound.enumeration import enumerate_graphs
-from specbound.graphs import CapExceeded, Graph, bits, mask_of, popcount
+from specbound.graphs import (CapExceeded, DirectedGraph, Graph, InternalError, bits,
+                              load_directed_edge_list, mask_of, popcount)
 from specbound.spectral import bounds, snapped_floor
 
 
@@ -236,3 +239,55 @@ def test_stuck_peeling_message_and_residual():
     assert exc.value.residual == mask_of(range(5))
     assert str(exc.value) == ("peeling stuck: residual of 5 vertices starting "
                               "[0, 1, 2, 3, 4] has minimum degree 4 > threshold 3")
+
+
+def _function_layers_by_rounds(d):
+    """Reference: the round-by-round in-degree recount that
+    ``function_graph_color`` made before it shared the queue."""
+    rem = (1 << d.n) - 1
+    layers = []
+    while rem:
+        indeg = {v: 0 for v in bits(rem)}
+        for u in bits(rem):
+            for v in d.out[u]:
+                if rem >> v & 1:
+                    indeg[v] += 1
+        layer = mask_of(v for v, c in indeg.items() if c <= d.n_functions)
+        assert layer, "the reference loop got stuck"
+        layers.append(layer)
+        rem &= ~layer
+    return layers
+
+
+def _function_systems():
+    yield paley_tournament()
+    # no generating maps: n_functions falls back to the out-degree 2, and
+    # vertex 0 (in-degree 4) waits for a later layer
+    yield load_directed_edge_list("6 9\n0 1\n0 2\n1 2\n2 0\n3 0\n3 1\n4 0\n5 0\n5 3\n")
+    rng = random.Random(2026)
+    for _ in range(3000):
+        n = rng.randint(1, 60)
+        k = rng.randint(1, 4)
+        yield function_graph([[rng.randrange(n) for _ in range(n)] for _ in range(k)])
+
+
+def test_function_peeling_queue_matches_rounds(monkeypatch):
+    peelings = []
+    monkeypatch.setattr(coloring, "backwards_list_color",
+                        lambda g, p, palette: peelings.append(p.layers)
+                        or backwards_list_color(g, p, palette))
+    for d in _function_systems():
+        layers = _function_layers_by_rounds(d)
+        want = backwards_list_color(d.underlying(), Peeling(layers), 2 * d.n_functions + 1)
+        assert function_graph_color(d).colors == want.colors
+        assert peelings.pop() == layers
+
+
+def test_stuck_function_peeling_is_an_internal_fault():
+    # a triangle in both directions has in-degree 2 everywhere; claiming one
+    # generating map is the inconsistency the queue must report
+    d = DirectedGraph(3, [(u, v) for u in range(3) for v in range(3) if u != v], n_functions=1)
+    with pytest.raises(InternalError, match="^residual digraph with all in-degrees above "
+                       "the out-degree bound; impossible, since total in-degree equals "
+                       "total out-degree$"):
+        function_graph_color(d)

@@ -1,18 +1,16 @@
-"""Core graph container, bitmask regions, transport residuals, edge-list I/O."""
+"""Core graph container, bitmask regions, edge-list I/O."""
 
 import hashlib
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
-from specbound.generators import cycle, path, petersen
+from specbound.generators import cycle, petersen
 from specbound.graphs import (
     DirectedGraph,
     Graph,
-    Transport,
     bits,
     canonical_digest,
     components,
@@ -23,7 +21,6 @@ from specbound.graphs import (
     load_edge_list,
     mask_of,
     neighborhood,
-    verify_mass_transport,
 )
 
 
@@ -96,50 +93,6 @@ def test_components_ordered_by_least_vertex():
 def test_isolated_vertices_are_their_own_components():
     g = Graph(3, [])
     assert components(g) == [1, 2, 4]
-
-
-def test_transport_rejects_off_support_weights():
-    g = path(3)
-    with pytest.raises(ValueError):
-        Transport(g, {(0, 2): 1.0})
-    with pytest.raises(ValueError):
-        Transport(g, {(0, 1): -0.5})
-
-
-def test_transport_residual_zero_for_symmetric_weights():
-    g = cycle(5)
-    w = {}
-    for u in range(5):
-        for v in g.adj[u]:
-            w[(u, v)] = 1.0
-    assert verify_mass_transport(Transport(g, w)) <= 1e-12
-
-
-@given(st.integers(0, 10_000))
-@settings(max_examples=80, deadline=None)
-def test_transport_residual_small_for_random_weights(seed):
-    rng = random.Random(seed)
-    n = rng.randint(2, 14)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = sorted(rng.sample(pairs, rng.randint(0, len(pairs))))
-    g = Graph(n, edges)
-    w = {}
-    for u, v in edges:
-        if rng.random() < 0.8:
-            w[(u, v)] = rng.uniform(0, 100)
-        if rng.random() < 0.8:
-            w[(v, u)] = rng.uniform(0, 100)
-    assert verify_mass_transport(Transport(g, w)) <= 1e-12
-
-
-def test_transport_counts_degrees():
-    # weight 1 on every ordered edge: both marginals integrate to avg degree
-    g = petersen()
-    w = {(u, v): 1.0 for u in range(g.n) for v in g.adj[u]}
-    t = Transport(g, w)
-    out_total = sum(w.values()) / g.n
-    assert out_total == pytest.approx(3.0)
-    assert verify_mass_transport(t) <= 1e-12
 
 
 def test_edge_list_round_trip():

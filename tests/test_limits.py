@@ -6,6 +6,7 @@ import pytest
 
 from specbound.generators import GraphFamily, complete, cycle_family, path
 from specbound.limits import (
+    GapEntry,
     SpectrumAccumulation,
     _merge,
     accumulate_spectra,
@@ -20,8 +21,7 @@ SINGLE_EDGE = GraphFamily("constant", lambda _k: complete(2), range(1, 100))
 def test_accumulate_constant_family():
     acc = accumulate_spectra(SINGLE_EDGE, 5)
     assert acc.points == (-1.0, 1.0)
-    assert set(acc.per_index) == {1, 2, 3, 4, 5}
-    assert acc.tol == pytest.approx(1e-9)
+    assert [e.index for e in acc.gaps] == [1, 2, 3, 4, 5]
 
 
 def test_accumulate_requires_members():
@@ -89,4 +89,4 @@ def test_gap_persistence_records_errors():
 def test_accumulation_record_fields():
     acc = accumulate_spectra(SINGLE_EDGE, 2)
     assert isinstance(acc, SpectrumAccumulation)
-    assert acc.per_index[1].values == acc.per_index[2].values
+    assert acc.gaps == (GapEntry(1, pytest.approx(2.0)), GapEntry(2, pytest.approx(2.0)))
