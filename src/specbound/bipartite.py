@@ -2,14 +2,11 @@
 
 For a connected d-regular graph three statements coincide: the graph is
 bipartite, the adjacency spectrum is symmetric about 0, and -d is an
-eigenvalue.  The test below reports the two spectral indicators and, in the
-regular case with -d present, extracts the two sides from the sign pattern of
-the -d eigenvector (entries too close to zero land in a defect set, which is
-empty for exact finite instances).  That eigenvector comes from one shifted
-linear solve whose signs a Davis-Kahan residual bound certifies; only when
-the bound does not close (a multiple or nearly multiple least eigenvalue)
-does a full ``eigh`` run.  A plain BFS 2-coloring serves as the independent
-oracle.
+eigenvalue, whose eigenvector is then the +-1 side vector s: ``A s = -d s``
+holds exactly when every edge joins the two sides.  The test below reports
+the two spectral indicators and, in the regular case, takes the sides from
+the signs of one shifted linear solve, reporting them only when that exact
+O(m) edge check passes.  A plain BFS 2-coloring is the independent oracle.
 
 ``rotation_two_coloring`` is the odd one out: it builds the classical
 2-coloring of an irrational-rotation orbit graph off a small interval
@@ -29,10 +26,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .graphs import Graph, InternalError, Mask, is_connected, mask_of
-from .spectral import (TOL, Spectrum, adjacency_matrix, adjacency_spectrum, margin,
-                       multiset_close)
+from .spectral import TOL, Spectrum, adjacency_matrix, adjacency_spectrum, multiset_close
 
-SIGN_EPS = 1e-9  # eigenvector entries closer to 0 than this are "defect"
+SIGN_EPS = 1e-9  # eigenvector entries closer to 0 than this are undecided
 
 
 def is_symmetric_spectrum(spectrum: Spectrum, tol: float = TOL) -> bool:
@@ -45,7 +41,6 @@ class BipartiteVerdict:
     symmetric_spectrum: bool
     minus_d_in_spectrum: bool
     bipartition: Optional[Tuple[Mask, Mask]]
-    defect: Mask
     regular: bool
     note: str = ""
 
@@ -66,66 +61,43 @@ def spectral_bipartite_test(g: Graph, tol: float = TOL) -> BipartiteVerdict:
     minus_d_in = spec.contains(-ref)
 
     bipartition = None
-    defect = 0
     note = ""
     if regular and minus_d_in and g.n >= 2:
-        mat = adjacency_matrix(g)
-        vec = _certified_bottom_vector(g, mat, spec)
-        if vec is None:
-            vec = np.linalg.eigh(mat)[1][:, 0]  # eigenvector of the least eigenvalue
-        pos = mask_of(v for v in range(g.n) if vec[v] > SIGN_EPS)
-        neg = mask_of(v for v in range(g.n) if vec[v] < -SIGN_EPS)
-        defect = g.full_mask & ~(pos | neg)
-        # canonical sides: the one holding the least classified vertex first
-        lo = (pos | neg) & -(pos | neg)
-        if lo & neg:
-            pos, neg = neg, pos
-        bipartition = (pos, neg)
+        bipartition = _sign_sides(g, spec)
+        if bipartition is None:
+            note = "-d lies within tol of the spectrum, but no sign pattern is a bipartition"
     elif not regular:
         note = "graph is not regular: indicator uses -M in place of -d, extraction skipped"
     return BipartiteVerdict(symmetric_spectrum=symmetric,
                             minus_d_in_spectrum=minus_d_in,
-                            bipartition=bipartition, defect=defect,
-                            regular=regular, note=note)
+                            bipartition=bipartition, regular=regular, note=note)
 
 
-def _certified_bottom_vector(g: Graph, mat: np.ndarray,
-                             spec: Spectrum) -> Optional[np.ndarray]:
-    """An eigenvector of the least eigenvalue whose signs are certified to be
-    those ``eigh`` would give, with no entry within ``SIGN_EPS`` of 0; None
-    when one shifted solve cannot certify that.
+def _sign_sides(g: Graph, spec: Spectrum) -> Optional[Tuple[Mask, Mask]]:
+    """The sides of the least eigenvector's sign pattern, vertex 0's first;
+    None when some entry lies within ``SIGN_EPS`` of 0 or some edge has both
+    ends on one side.
 
-    One step of inverse iteration: solve ``(A - (l0 - delta) I) x = b`` for a
-    fixed b, l0 and l1 the two least computed eigenvalues and delta = 1e-8
-    (l1 - l0).  With x a unit vector, theta its Rayleigh quotient and
-    ``r = ||Ax - theta x||``, Davis-Kahan (1970) bounds the angle to the true
-    eigenvector by ``r / (l1 - theta)``, so each entry of x lies within
-    ``sqrt(2) r / gap`` of it; ``eigh``'s vector lies within ``sqrt(2) eta /
-    gap`` of it as well (``eta = spectral.margin``, which also absorbs l1's
-    error and the rounding in r).  x is accepted when every entry clears
-    ``SIGN_EPS`` by both.  A multiple or nearly multiple least eigenvalue
-    leaves no gap and goes to ``eigh``.
+    The vector is one step of inverse iteration: solve ``(A - (l0 - delta) I)
+    x = b`` for a fixed b, l0 and l1 the two least computed eigenvalues and
+    delta = 1e-8 (l1 - l0), then scale x to unit length.  On a connected
+    regular bipartite graph -d is a simple eigenvalue and x is the side
+    vector up to scale, so every check passes; on any other graph no sign
+    pattern passes the edge check, whatever the solve returns.
     """
-    eta = margin(g)
+    mat = adjacency_matrix(g)
     l0, l1 = spec.values[0], spec.values[1]
-    if l1 - l0 <= 2.0 * eta:
-        return None
-    diag = np.diag_indices(g.n)
-    mat[diag] = 1e-8 * (l1 - l0) - l0  # shift in place: A has a zero diagonal
+    mat[np.diag_indices(g.n)] = 1e-8 * (l1 - l0) - l0  # A has a zero diagonal
     try:
         x = np.linalg.solve(mat, np.sin(np.arange(1.0, g.n + 1.0)))
-    except np.linalg.LinAlgError:
+    except np.linalg.LinAlgError:  # an exactly singular shift
         return None
-    finally:
-        mat[diag] = 0.0
     x /= np.linalg.norm(x)
-    ax = mat @ x
-    theta = float(x @ ax)
-    gap = l1 - eta - theta
-    if not gap > 0.0:
+    pos = (x > SIGN_EPS).tolist()
+    if not (np.abs(x) > SIGN_EPS).all() or any(pos[u] == pos[v] for u, v in g.edges()):
         return None
-    error = math.sqrt(2.0) * (float(np.linalg.norm(ax - theta * x)) + 2.0 * eta) / gap
-    return x if float(np.abs(x).min()) > SIGN_EPS + error else None
+    a = mask_of(v for v in range(g.n) if pos[v] == pos[0])
+    return a, g.full_mask & ~a
 
 
 def bfs_bipartition_oracle(g: Graph) -> Optional[Tuple[Mask, Mask]]:

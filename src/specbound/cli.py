@@ -201,6 +201,8 @@ def _cmd_color(args, stdin_text, out) -> int:
             bound = norm_floor(g, args.tol)
         elif args.threshold is None:
             raise UsageError("--algorithm mindeg needs --threshold")
+        elif args.threshold > g.n:  # no graph needs more colours than vertices
+            raise UsageError(f"--threshold {args.threshold!r} exceeds the {g.n} vertices")
         else:
             bound = args.threshold
         coloring = min_degree_peel_color(g, bound)
@@ -222,7 +224,7 @@ def _cmd_bipartite(args, stdin_text, out) -> int:
         "minus_d_in_spectrum": v.minus_d_in_spectrum,
         "bipartition": ([_mask_list(v.bipartition[0]), _mask_list(v.bipartition[1])]
                         if v.bipartition else None),
-        "defect": _mask_list(v.defect),
+        "defect": [],  # no vertex is undecided in a printed bipartition
         "regular": v.regular,
         "note": v.note,
         "bfs_bipartite": oracle is not None,
@@ -260,6 +262,8 @@ def _cmd_limit(args, stdin_text, out) -> int:
         raise UsageError(f"bad interval {args.interval!r}; want LO,HI") from exc
     if not math.isfinite(hi - lo):  # false for an infinite or NaN end, too
         raise UsageError(f"bad interval {args.interval!r}; LO, HI and HI - LO must be finite")
+    if not lo < hi:
+        raise UsageError(f"bad interval {args.interval!r}; want LO < HI")
     _check_dense(args.max_n)  # fail before any solve: a cycle's index is its order
     acc = accumulate_spectra(family, args.max_n, args.tol)
     gaps = gap_persistence(acc)

@@ -28,7 +28,7 @@ from .generators import (complete, complete_bipartite, cycle, cycle_family,
 from .graphs import (Graph, dump_edge_list, is_connected, load_edge_list, mask_of,
                      neighborhood)
 from .limits import accumulate_spectra, max_gap
-from .matching import brouwer_haemers_test, tutte_scan, two_set_inequality
+from .matching import tutte_scan, two_set_inequality
 from .spectral import (adjacency_spectrum, block_extremes, bounds, laplacian_spectrum,
                        multiset_close)
 
@@ -221,7 +221,7 @@ def _matching(item):
     # deleting one vertex of a connected even-order graph leaves an odd component
     _require(rep.c_star >= 1.0 - 1e-12 and not rep.strict_holds, "c_star >= 1")
     if g.is_regular:
-        bh = brouwer_haemers_test(g)
+        bh = rep.bh_condition
         _require(matched or not bh, "2*mL >= ML forces a perfect matching")
         _require(fixture is None or (bh, matched) == (fixture, True),
                  "2*mL >= ML and the matching match the named graph")

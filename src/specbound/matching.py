@@ -12,7 +12,7 @@ components directly.  ``c_star`` is the worst ratio (odd components of G-A) /
   to fail at finite scale -- deleting one vertex of an even-order graph always
   leaves an odd component, so c_star >= 1.  It is reported, never relied on.
 
-``brouwer_haemers_test`` checks the spectral sufficient condition
+``bh_condition`` of the report is the spectral sufficient condition
 ``2*mL >= ML`` on the mean-zero Laplacian extremes; ``two_set_inequality``
 checks the measure inequality that a pair of sets with no edges between them
 must satisfy; both are validated against the exhaustive oracles in the tests.
@@ -301,15 +301,6 @@ def _doubled_gap_holds(g: Graph, tol: float) -> bool:
     """2*mL >= ML on the mean-zero Laplacian extremes of a connected graph."""
     m_l, big_l = mean_zero_extremes(g, tol)
     return bool(2.0 * m_l >= big_l - tol)
-
-
-def brouwer_haemers_test(g: Graph, tol: float = TOL) -> bool:
-    """Spectral matching condition 2*mL >= ML for connected regular graphs."""
-    if not g.is_regular:
-        raise ValueError("spectral matching condition needs a regular graph")
-    if not is_connected(g):
-        raise ValueError("spectral matching condition needs a connected graph")
-    return _doubled_gap_holds(g, tol)
 
 
 @dataclass(frozen=True)

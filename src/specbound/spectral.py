@@ -13,13 +13,13 @@ the matching criteria.  The antidiagonal operator ``[[0, T], [T, 0]]`` of the
 bipartite double cover is not built: on a finite graph it is ``sigma_x (x) T``,
 so its spectrum is ``spec T u -spec T`` by algebra.
 
-All eigensolves are dense symmetric (numpy ``eigvalsh``/``eigh``), as are
-the Cholesky factorization and the linear solve of the certificates below.
-All are capped at matrix order 4096, which is checked before any matrix is
-allocated; at that scale the solvers are exact to far better than the 1e-9
-tolerance used throughout.  ``bounds`` and ``spectral_report`` solve
-the adjacency and the Laplacian spectrum once each and derive every quantity
-from those two.
+All eigensolves are dense symmetric (numpy ``eigvalsh``), as are the
+Cholesky factorization of ``norm_floor`` and the linear solve of
+``bipartite``.  All are capped at matrix order 4096, which is checked before
+any matrix is allocated; at that scale the solvers are exact to far better
+than the 1e-9 tolerance used throughout.  ``bounds`` and ``spectral_report``
+solve the adjacency and the Laplacian spectrum once each and derive every
+quantity from those two.
 
 Tolerance policy, stated once for the whole package:
 
@@ -31,8 +31,8 @@ Tolerance policy, stated once for the whole package:
 - the CLI rounds every real it prints to 12 significant digits, so output is
   byte-identical across runs and platforms whose solvers agree that far;
 - ``margin(g) = 8 n (d + 1) eps`` (``eta``; d the maximum degree, eps the
-  double-precision machine epsilon) bounds how far a dense solve's eigenvalue
-  or eigenvector, or a factorization's backward error, may stray on ``g``:
+  double-precision machine epsilon) bounds how far a dense solve's
+  eigenvalue, or a factorization's backward error, may stray on ``g``:
   each is a small multiple of ``n eps ||A||``, and ``||A|| <= d``.  A
   certificate below settles an answer only if it is the answer for every
   value within ``eta`` of the quantity it brackets, so the dense solve it
@@ -40,7 +40,11 @@ Tolerance policy, stated once for the whole package:
   dense graphs) nothing near a snap boundary is certified;
 - the solves' own sanity checks (adjacency eigenvalues within [-d, d], the
   Laplacian's nonnegative) allow the larger of ``tol`` and ``eta``, so a
-  ``tol`` finer than the solver's precision is not an internal fault.
+  ``tol`` finer than the solver's precision is not an internal fault;
+- after those checks every eigenvalue with ``|x| <= max(TOL, eta)`` is set
+  to 0.0: such digits are solver noise (the Laplacian kernel's, for one)
+  and moved with the BLAS thread count.  The rule uses ``TOL``, not
+  ``tol``, so ``--tol`` never changes a printed spectrum.
 
 Which answers are certified and which go dense:
 
@@ -50,9 +54,10 @@ Which answers are certified and which go dense:
   on regular graphs, where they meet), else by one Cholesky factorization
   of ``(t + 1 - TOL - eta) I - A`` for the lower end's t; when that fails it
   takes the dense spectrum;
-- the -d eigenvector of ``bipartite`` is certified by one shifted solve with
-  a Davis-Kahan residual bound (``bipartite.spectral_bipartite_test``), else
-  taken from ``eigh``;
+- the bipartition of ``bipartite`` is the sign pattern of one shifted solve
+  for the -d eigenvector, printed only when every edge joins its two sides
+  (``bipartite.spectral_bipartite_test``): an exact O(m) check, so no bound
+  on the vector's error is needed;
 - every real-valued output (``spectrum``, ``bounds``, ``limit``, the Tutte
   scan's doubled-gap flag) comes from a dense solve: no certificate is
   cheaper than ``eigvalsh`` there at n <= 4096.
@@ -144,7 +149,8 @@ def adjacency_spectrum(g: Graph, tol: float = TOL) -> Spectrum:
     if len(vals) and (vals[0] < -slack or vals[-1] > slack):
         raise InternalError("adjacency eigenvalue escaped the degree bound; "
                             "eigensolve is untrustworthy here")
-    return Spectrum(tuple(vals), tol)
+    noise = max(TOL, margin(g))  # see the tolerance policy
+    return Spectrum(tuple(0.0 if abs(v) <= noise else v for v in vals.tolist()), tol)
 
 
 def laplacian_spectrum(g: Graph, tol: float = TOL) -> Spectrum:
@@ -154,7 +160,8 @@ def laplacian_spectrum(g: Graph, tol: float = TOL) -> Spectrum:
     if len(vals) and vals[0] < -max(tol, margin(g)):
         raise InternalError("negative Laplacian eigenvalue; eigensolve is "
                             "untrustworthy here")
-    return Spectrum(tuple(vals), tol)
+    noise = max(TOL, margin(g))  # see the tolerance policy
+    return Spectrum(tuple(0.0 if abs(v) <= noise else v for v in vals.tolist()), tol)
 
 
 def margin(g: Graph) -> float:

@@ -42,7 +42,6 @@ def test_even_cycle_verdict():
     v = spectral_bipartite_test(cycle(6))
     assert v.symmetric_spectrum and v.minus_d_in_spectrum
     assert v.regular
-    assert v.defect == 0
     assert _sides_as_sets(v.bipartition) == {frozenset({0, 2, 4}), frozenset({1, 3, 5})}
 
 
@@ -187,12 +186,13 @@ def test_bipartiteness_agrees_with_networkx():
 
 
 # ---------------------------------------------------------------------------
-# the certified -d vector against the eigh extraction it replaces
+# the edge-checked -d vector against eigh's sign pattern and the BFS sides
 # ---------------------------------------------------------------------------
 
 def _eigh_sides(g):
-    """Sides and defect from the sign pattern of eigh's least eigenvector,
-    canonically ordered: the extraction before the certified solve."""
+    """Sides and undecided vertices from the sign pattern of eigh's least
+    eigenvector, canonically ordered: an extraction independent of the
+    shifted solve."""
     vec = np.linalg.eigh(adjacency_matrix(g))[1][:, 0]
     pos = mask_of(v for v in range(g.n) if vec[v] > SIGN_EPS)
     neg = mask_of(v for v in range(g.n) if vec[v] < -SIGN_EPS)
@@ -200,6 +200,12 @@ def _eigh_sides(g):
     if lo & neg:
         pos, neg = neg, pos
     return (pos, neg), g.full_mask & ~(pos | neg)
+
+
+def _bipartite_output(g, tol):
+    out = io.StringIO()
+    assert run(["bipartite", "--tol", repr(tol)], stdin_text=dump_edge_list(g), out=out) == 0
+    return out.getvalue()
 
 
 def _bipartite_cubic(n, seed):
@@ -221,38 +227,41 @@ def _bipartite_cubic(n, seed):
 
 @pytest.mark.parametrize("tol", [1e-9, 0.5, 1.0])
 def test_extraction_matches_eigh_on_every_regular_class_up_to_8(tol):
-    # tol = 0.5 and 1.0 let -d "match" other least eigenvalues, multiple ones
-    # included, so the uncertified fallback runs and must agree too
+    # tol = 0.5 and 1.0 let -d "match" the least eigenvalue of non-bipartite
+    # graphs, multiple ones included: the edge check must print no sides there
     extracted = 0
     for n in range(2, 9):
         for g in enumerate_graphs(n, connected=True):
             if not g.is_regular:
                 continue
-            v = spectral_bipartite_test(g, tol)
-            if v.bipartition is not None:
+            p = json.loads(_bipartite_output(g, tol))["payload"]
+            oracle = bfs_bipartition_oracle(g)
+            assert (p["bipartition"] is not None) == (oracle is not None), g.edges()
+            if oracle is not None:
                 extracted += 1
-                assert (v.bipartition, v.defect) == _eigh_sides(g), g.edges()
-    assert extracted >= 7  # K2, C4, C6, C8, K33, K44 and the cube at tol 1e-9
+                assert p["bipartition"] == [list(bits(oracle[0])), list(bits(oracle[1]))]
+                assert p["defect"] == []
+                assert _eigh_sides(g) == (oracle, 0), g.edges()
+            else:  # a note exactly when -d matched the spectrum at this tol
+                assert bool(p["note"]) == p["minus_d_in_spectrum"], g.edges()
+    assert extracted == 7  # K2, C4, C6, C8, K33, K44 and the cube
 
 
 @pytest.mark.parametrize("n, seed", [(20, 1), (100, 2), (250, 3), (500, 4), (1000, 5)])
 def test_extraction_is_certified_on_bipartite_cubic_graphs(eigensolves, n, seed):
     g = _bipartite_cubic(n, seed)
     v = spectral_bipartite_test(g)
-    assert eigensolves == ["eigvalsh"]  # the -d vector came from one certified solve
-    assert v.defect == 0
-    assert (v.bipartition, v.defect) == _eigh_sides(g)
+    assert eigensolves == ["eigvalsh"]  # the -d vector came from one shifted solve
+    assert _eigh_sides(g) == (v.bipartition, 0)
     assert _sides_as_sets(v.bipartition) == _sides_as_sets(bfs_bipartition_oracle(g))
 
 
-def test_petersen_with_wide_tolerance_falls_back_to_eigh(eigensolves):
-    # --tol 1.0 lets -3 "match" the fourfold least eigenvalue -2: no gap, no
-    # certificate, so eigh's sign pattern is reported exactly as before
-    out = io.StringIO()
-    assert run(["bipartite", "--tol", "1.0"], stdin_text=dump_edge_list(petersen()), out=out) == 0
-    assert eigensolves == ["eigvalsh", "eigh"]
-    p = json.loads(out.getvalue())["payload"]
-    (a, b), defect = _eigh_sides(petersen())
-    assert p["minus_d_in_spectrum"] is True
-    assert p["bipartition"] == [list(bits(a)), list(bits(b))]
-    assert p["defect"] == list(bits(defect))
+@pytest.mark.parametrize("tol", [1.0, 5.0])
+def test_petersen_with_wide_tolerance_prints_no_bipartition(eigensolves, tol):
+    # a wide --tol lets -3 "match" the fourfold least eigenvalue -2; no sign
+    # pattern of a non-bipartite graph passes the edge check
+    p = json.loads(_bipartite_output(petersen(), tol))["payload"]
+    assert eigensolves == ["eigvalsh"]
+    assert p["minus_d_in_spectrum"] is True and p["bfs_bipartite"] is False
+    assert p["bipartition"] is None and p["defect"] == []
+    assert "no sign pattern is a bipartition" in p["note"]

@@ -301,7 +301,7 @@ def test_peeling_stuck_error_is_bounded():
     (petersen(), ["bounds"], 2),
     (petersen(), ["color", "--algorithm", "wilf"], 0),  # regular: floor(M) = d, certified
     (petersen(), ["bipartite"], 1),
-    (complete_bipartite(4, 4), ["bipartite"], 1),  # -d vector: a certified solve, no eigh
+    (complete_bipartite(4, 4), ["bipartite"], 1),  # -d vector: one shifted solve, no eigh
     (None, ["limit", "--max-n", "16"], 14),  # cycles 3..16, one solve each
 ], ids=["spectrum", "bounds", "wilf", "bipartite", "bipartite-regular", "limit"])
 def test_each_spectrum_is_solved_once(eigensolves, graph, argv, solves):
@@ -343,6 +343,20 @@ def test_console_script_pipes():
     assert doc["payload"]["M"] == 3.0
     again = _spawn(["spectrum"], input=gen.stdout, text=True, check=True)
     assert first.stdout == again.stdout
+
+
+def test_spectrum_bytes_do_not_depend_on_the_blas_thread_count():
+    # the zero Laplacian eigenvalue of this graph printed as -4.49277354776e-16
+    # on one BLAS thread and as 2.10423560208e-15 on two
+    gen = _spawn(["gen", "--random-regular", "1000", "3", "--seed", "1"], text=True, check=True)
+    outputs = set()
+    for threads in ("1", "2"):
+        env = {**_ENV, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads}
+        r = subprocess.run(_CLI + ["spectrum"], input=gen.stdout, capture_output=True,
+                           text=True, env=env, check=True)
+        outputs.add(r.stdout)
+    assert len(outputs) == 1
 
 
 def test_console_script_exit_codes():
@@ -408,6 +422,16 @@ def test_limit_interval_must_be_finite(interval):
     assert err["code"] == "usage" and interval in err["message"]
 
 
+@pytest.mark.parametrize("interval", ["2,1", "1,1"])
+def test_limit_reversed_interval_fails_before_any_solve(eigensolves, interval):
+    # it was rejected as bad input only after every cycle's spectrum was solved
+    code, out = _run(["limit", "--max-n", "300", f"--interval={interval}"])
+    assert code == 2
+    assert eigensolves == []
+    err = json.loads(out)["error"]
+    assert err["code"] == "usage" and interval in err["message"]
+
+
 def test_directed_duplicate_arc_rejected():
     code, text = _run(["color", "--algorithm", "function"], stdin_text="3 3\n0 1\n0 1\n1 2")
     assert code == 2
@@ -452,6 +476,20 @@ def test_bad_numeric_arguments_are_usage_errors(argv, graph, named):
     assert out.count("\n") == 1
     err = json.loads(out)["error"]
     assert err["code"] == "usage" and named in err["message"]
+
+
+def test_mindeg_threshold_above_the_order_is_a_usage_error():
+    # --threshold 1e308 printed a 309-digit palette_bound; no graph needs more
+    # colours than it has vertices, so n is the largest threshold accepted
+    text = dump_edge_list(petersen())
+    code, out = _run(["color", "--algorithm", "mindeg", "--threshold", "1e308"], stdin_text=text)
+    assert code == 2
+    assert out.count("\n") == 1 and len(out.encode()) < 512
+    err = json.loads(out)["error"]
+    assert err["code"] == "usage" and "--threshold" in err["message"]
+    assert _run(["color", "--algorithm", "mindeg", "--threshold", "10.5"], stdin_text=text)[0] == 2
+    p = _doc(["color", "--algorithm", "mindeg", "--threshold", "10"], stdin_text=text)["payload"]
+    assert p["palette_bound"] == 11
 
 
 def test_tolerance_below_the_solver_error_is_not_an_internal_fault():

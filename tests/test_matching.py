@@ -19,7 +19,6 @@ from specbound.graphs import (CapExceeded, Graph, bits, components_within,
                               is_connected, mask_of, neighborhood, popcount)
 from specbound import matching
 from specbound.matching import (
-    brouwer_haemers_test,
     perfect_matching_oracle,
     tutte_scan,
     two_set_inequality,
@@ -239,26 +238,19 @@ def test_tutte_exhaustive_cap():
 
 
 def test_brouwer_haemers_positive_cases():
-    assert brouwer_haemers_test(complete(4))
-    assert brouwer_haemers_test(cycle(4))
-    assert brouwer_haemers_test(complete_bipartite(3, 3))
-    for g in (complete(4), cycle(4), complete_bipartite(3, 3), petersen()):
-        assert tutte_scan(g).bh_condition == brouwer_haemers_test(g)
+    for g in (complete(4), cycle(4), complete_bipartite(3, 3)):
+        assert tutte_scan(g).bh_condition is True
 
 
 def test_brouwer_haemers_petersen_fails_antecedent():
     # Laplacian extremes 2 and 5: doubling the gap does not reach the top
-    assert not brouwer_haemers_test(petersen())
+    assert tutte_scan(petersen()).bh_condition is False
     # ...and indeed the conclusion still holds here (a matching exists),
     # the condition is only sufficient
     assert perfect_matching_oracle(petersen()) is not None
 
 
 def test_brouwer_haemers_preconditions():
-    with pytest.raises(ValueError):
-        brouwer_haemers_test(path(4))
-    with pytest.raises(ValueError):
-        brouwer_haemers_test(Graph(6, [(0, 1), (2, 3), (4, 5)]))
     # the scan reports the condition on every connected graph, regular or not
     assert tutte_scan(path(4)).bh_condition is False  # Laplacian 2 - sqrt 2 and 2 + sqrt 2
     assert tutte_scan(Graph(6, [(0, 1), (2, 3), (4, 5)])).bh_condition is None
