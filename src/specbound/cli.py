@@ -31,16 +31,16 @@ from typing import Any, Dict, List, Optional
 
 from . import __version__, invariants
 from .bipartite import bfs_bipartition_oracle, spectral_bipartite_test
-from .coloring import (brute_force_chromatic, function_graph_color,
+from .coloring import (_check_brute, brute_force_chromatic, function_graph_color,
                        min_degree_peel_color)
-from .generators import (complete, complete_bipartite, cycle, cycle_family,
+from .generators import (complete, complete_bipartite, cycle,
                          function_graph, paley_tournament, path, petersen,
                          random_regular, subdivide)
 from .graphs import (CapExceeded, Graph, bits, canonical_digest,
                      dump_directed_edge_list, dump_edge_list,
                      load_directed_edge_list, load_edge_list)
-from .limits import accumulate_spectra, gap_persistence, max_gap
-from .matching import tutte_scan
+from .limits import accumulate_spectra, max_gap
+from .matching import _check_exhaustive, tutte_scan
 from .spectral import (TOL, _check_dense, bounds, norm_floor, snapped_floor,
                        spectral_report)
 
@@ -108,10 +108,10 @@ def _read_text(args, stdin_text: Optional[str]) -> str:
     return sys.stdin.read()
 
 
-def _load_graph(args, stdin_text: Optional[str], dense: bool = False) -> Graph:
-    """The input graph; ``dense`` commands check the dense cap on the parsed
-    header, before the graph is built."""
-    return load_edge_list(_read_text(args, stdin_text), _check_dense if dense else None)
+def _load_graph(args, stdin_text: Optional[str], check_n=None) -> Graph:
+    """The input graph; ``check_n``, a command's size cap, sees the parsed
+    header's n before the graph is built."""
+    return load_edge_list(_read_text(args, stdin_text), check_n)
 
 
 def _mask_list(mask: int) -> List[int]:
@@ -163,13 +163,13 @@ def _cmd_gen(args, stdin_text, out) -> int:
 
 
 def _cmd_spectrum(args, stdin_text, out) -> int:
-    g = _load_graph(args, stdin_text, dense=True)
+    g = _load_graph(args, stdin_text, _check_dense)
     out.write(_report("spectrum", canonical_digest(g), spectral_report(g, args.tol)))
     return 0
 
 
 def _cmd_bounds(args, stdin_text, out) -> int:
-    g = _load_graph(args, stdin_text, dense=True)
+    g = _load_graph(args, stdin_text, _check_dense)
     b = bounds(g, args.tol)
     payload = {"n": g.n, "d": g.max_degree, "M": b.M, "m": b.m, "wilf": b.wilf,
                "hoffman": b.hoffman, "gap": b.gap, "mL": b.mL, "ML": b.ML,
@@ -192,13 +192,13 @@ def _cmd_color(args, stdin_text, out) -> int:
                    "proper": coloring.proper(g)}
         out.write(_report("color", digest, payload))
         return 0
-    g = _load_graph(args, stdin_text, dense=algo == "wilf")
+    g = _load_graph(args, stdin_text, {"wilf": _check_dense, "brute": _check_brute}.get(algo))
     digest = canonical_digest(g)
     if algo == "brute":
         payload = {"algorithm": algo, "chromatic": brute_force_chromatic(g)}
     else:  # mindeg or wilf: argparse allows no other choice
         if algo == "wilf":
-            bound = norm_floor(g, args.tol)
+            bound = norm_floor(g)
         elif args.threshold is None:
             raise UsageError("--algorithm mindeg needs --threshold")
         elif args.threshold > g.n:  # no graph needs more colours than vertices
@@ -216,7 +216,7 @@ def _cmd_color(args, stdin_text, out) -> int:
 
 
 def _cmd_bipartite(args, stdin_text, out) -> int:
-    g = _load_graph(args, stdin_text, dense=True)
+    g = _load_graph(args, stdin_text, _check_dense)
     v = spectral_bipartite_test(g, args.tol)
     oracle = bfs_bipartition_oracle(g)
     payload = {
@@ -234,7 +234,7 @@ def _cmd_bipartite(args, stdin_text, out) -> int:
 
 
 def _cmd_tutte(args, stdin_text, out) -> int:
-    g = _load_graph(args, stdin_text)
+    g = _load_graph(args, stdin_text, {"exhaustive": _check_exhaustive}.get(args.mode))
     r = tutte_scan(g, mode=args.mode, seed=args.seed, samples=args.samples,
                    tol=args.tol)
     payload = {
@@ -254,7 +254,6 @@ def _cmd_tutte(args, stdin_text, out) -> int:
 def _cmd_limit(args, stdin_text, out) -> int:
     if args.family != "cycle":
         raise UsageError(f"unknown family {args.family!r}")
-    family = cycle_family()
     try:
         lo_s, hi_s = args.interval.split(",")
         lo, hi = float(lo_s), float(hi_s)
@@ -264,9 +263,8 @@ def _cmd_limit(args, stdin_text, out) -> int:
         raise UsageError(f"bad interval {args.interval!r}; LO, HI and HI - LO must be finite")
     if not lo < hi:
         raise UsageError(f"bad interval {args.interval!r}; want LO < HI")
-    _check_dense(args.max_n)  # fail before any solve: a cycle's index is its order
-    acc = accumulate_spectra(family, args.max_n, args.tol)
-    gaps = gap_persistence(acc)
+    _check_dense(args.max_n)  # caps the total work: about max_n^2 / 2 eigenvalues
+    acc = accumulate_spectra(args.max_n, args.tol)
     payload = {
         "family": args.family,
         "max_index": args.max_n,
@@ -275,7 +273,7 @@ def _cmd_limit(args, stdin_text, out) -> int:
         "points": list(acc.points) if len(acc.points) <= 512 else None,
         "max_gap": max_gap(acc, (lo, hi)),
         "gaps": [{"index": e.index, "gap": e.gap, "error": e.error}
-                 for e in gaps],
+                 for e in acc.gaps],
     }
     digest_src = f"family={args.family};max_n={args.max_n};interval={lo},{hi}"
     out.write(_report("limit", hashlib.sha256(digest_src.encode()).hexdigest(), payload))
@@ -337,7 +335,7 @@ def _build_parser() -> _Parser:
     sp.set_defaults(fn=_cmd_bounds)
 
     sp = sub.add_parser("color", help="peeling-based colorings and the brute oracle")
-    add_common(sp)
+    sp.add_argument("--input", help="edge-list file (default: stdin)")
     sp.add_argument("--algorithm", choices=["wilf", "function", "mindeg", "brute"],
                     default="wilf")
     sp.add_argument("--threshold", type=threshold,

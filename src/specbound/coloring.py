@@ -224,10 +224,15 @@ def _greedy_clique(g: Graph) -> int:
     return best
 
 
+def _check_brute(n: int) -> None:
+    """The chromatic search's cap; the CLI checks it on the parsed header."""
+    if n > 16:
+        raise CapExceeded("brute-force chromatic number capped at n=16")
+
+
 def brute_force_chromatic(g: Graph) -> int:
     """Exact chromatic number by branch and bound; capped at n = 16."""
-    if g.n > 16:
-        raise CapExceeded("brute-force chromatic number capped at n=16")
+    _check_brute(g.n)
     if g.m == 0:
         return 1
     order = sorted(range(g.n), key=lambda v: (-g.degrees[v], v))

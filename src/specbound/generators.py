@@ -1,6 +1,6 @@
 """Constructors for the graphs the test-beds are built from.
 
-Classical families (cycles, paths, complete and complete bipartite graphs,
+Classical graphs (cycles, paths, complete and complete bipartite graphs,
 Petersen), edge subdivision of regular graphs, function graphs generated by
 finitely many self-maps, the mod-7 quadratic-residue tournament, and
 pairing-model random regular graphs with a deterministic seed.
@@ -9,8 +9,7 @@ pairing-model random regular graphs with a deterministic seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .graphs import DirectedGraph, Graph
 
@@ -142,21 +141,3 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
                      f"vertices in 1000 attempts; degree d={d} is too large "
                      f"for it (about exp(-(d^2-1)/4) of pairings are simple)")
 
-
-@dataclass(frozen=True)
-class GraphFamily:
-    """An indexed family of graphs, e.g. all cycles, for limit studies."""
-
-    name: str
-    build: Callable[[int], Graph]
-    index_set: Sequence[int]
-
-    def members(self, max_index: int):
-        for k in self.index_set:
-            if k > max_index:
-                break
-            yield k, self.build(k)
-
-
-def cycle_family() -> GraphFamily:
-    return GraphFamily("cycles", cycle, range(3, 1 << 30))

@@ -22,12 +22,12 @@ from .bipartite import (bfs_bipartition_oracle, rotation_two_coloring,
 from .coloring import (brute_force_chromatic, brute_force_independence,
                        function_graph_color, min_degree_peel_color)
 from .enumeration import enumerate_graphs
-from .generators import (complete, complete_bipartite, cycle, cycle_family,
+from .generators import (complete, complete_bipartite, cycle,
                          function_graph, paley_tournament, petersen,
                          random_regular, subdivide)
 from .graphs import (Graph, dump_edge_list, is_connected, load_edge_list, mask_of,
                      neighborhood)
-from .limits import accumulate_spectra, max_gap
+from .limits import accumulate_spectra, cycle_spectrum, max_gap
 from .matching import tutte_scan, two_set_inequality
 from .spectral import (adjacency_spectrum, block_extremes, bounds, laplacian_spectrum,
                        multiset_close)
@@ -105,12 +105,11 @@ def _round_trip(g):
     _require(back == g and dump_edge_list(back) == text, "load(dump(G)) == G")
 
 
-@_invariant("cycle-spectra", "cycle spectra match 2cos(2*pi*k/n) to 1e-9, n = 3..64",
-            lambda tier: range(3, _tier(tier, 33, 65)))
+@_invariant("cycle-spectra", "limit's closed-form cycle spectra match the dense solve "
+            "to 1e-9, n = 3..256", lambda tier: range(3, _tier(tier, 33, 257)))
 def _cycle_spectra(n):
-    want = sorted(2 * math.cos(2 * math.pi * k / n) for k in range(n))
-    _require(multiset_close(adjacency_spectrum(cycle(n)).values, want, 1e-9),
-             "spec C_n == 2cos(2 pi k/n)")
+    _require(multiset_close(adjacency_spectrum(cycle(n)).values, cycle_spectrum(n).values,
+                            1e-9), "spec C_n == 2cos(2 pi k/n)")
 
 
 def _norms_corpus(tier):
@@ -300,7 +299,7 @@ def _function_coloring(item):
             lambda tier: [_tier(tier, (64, 0.2), (256, 0.05))])
 def _limit(item):
     n, bound = item
-    gap = max_gap(accumulate_spectra(cycle_family(), n), (-2.0, 2.0))
+    gap = max_gap(accumulate_spectra(n), (-2.0, 2.0))
     _require(gap < bound, f"max gap at N = {n} < {bound}")
 
 

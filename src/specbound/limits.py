@@ -1,24 +1,23 @@
-"""Accumulated spectra along graph families, and what survives in the limit.
+"""Accumulated cycle spectra, and what survives in the limit.
 
 When graphs converge locally-globally their spectra converge too, so
 eigenvalue accumulation points and spectral gaps are limit objects worth
 tracking.
 
-``accumulate_spectra`` unions the spectra of a family's members up to an
-index bound, merging duplicates at tolerance, and records each member's
-spectral gap (or why it has none) while the member is at hand, so no member
-is built twice and none is kept; ``max_gap`` measures how densely the
-accumulated points fill an interval; ``gap_persistence`` lists the recorded
-gaps, per-member failures included rather than aborting.
+``accumulate_spectra`` unions the spectra of the cycles C_3..C_N, whose
+closed form ``cycle_spectrum`` takes (so no graph is built and no matrix
+solved), merging duplicates at tolerance, and records each cycle's spectral
+gap (or why it has none); ``max_gap`` measures how densely the accumulated
+points fill an interval.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .generators import GraphFamily
-from .spectral import TOL, _check_gap_domain, _gap, adjacency_spectrum
+from .spectral import TOL, Spectrum, _gap
 
 
 @dataclass(frozen=True)
@@ -43,20 +42,26 @@ def _merge(values: List[float], tol: float) -> Tuple[float, ...]:
     return tuple(out)
 
 
-def accumulate_spectra(family: GraphFamily, max_index: int,
-                       tol: float = TOL) -> SpectrumAccumulation:
+def cycle_spectrum(n: int, tol: float = TOL) -> Spectrum:
+    """Adjacency spectrum of C_n, sorted; values with ``|x| <= TOL`` are 0.0,
+    as the tolerance policy sets a dense solve's noise."""
+    vals = sorted(2 * math.cos(2 * math.pi * k / n) for k in range(n))
+    return Spectrum(tuple(0.0 if abs(v) <= TOL else v for v in vals), tol)
+
+
+def accumulate_spectra(max_n: int, tol: float = TOL) -> SpectrumAccumulation:
+    """The spectra of C_3..C_max_n merged at ``tol``, and each cycle's gap."""
+    if max_n < 3:
+        raise ValueError(f"family 'cycles' has no members at index <= {max_n}")
     gaps: List[GapEntry] = []
     values: List[float] = []
-    for k, g in family.members(max_index):
-        spec = adjacency_spectrum(g, tol)
-        try:  # irregular or disconnected members have no gap
-            _check_gap_domain(g)
-            gaps.append(GapEntry(k, _gap(spec, g.max_degree)))
+    for n in range(3, max_n + 1):
+        spec = cycle_spectrum(n, tol)
+        try:  # a --tol near 4 or above leaves no eigenvalue below the degree
+            gaps.append(GapEntry(n, _gap(spec, 2)))
         except ValueError as exc:
-            gaps.append(GapEntry(k, None, str(exc)))
+            gaps.append(GapEntry(n, None, str(exc)))
         values.extend(spec.values)
-    if not gaps:
-        raise ValueError(f"family {family.name!r} has no members at index <= {max_index}")
     return SpectrumAccumulation(points=_merge(values, tol), gaps=tuple(gaps))
 
 
@@ -72,10 +77,3 @@ def max_gap(acc: SpectrumAccumulation, interval: Tuple[float, float]) -> float:
     inside = [p for p in acc.points if lo <= p <= hi]
     anchors = [lo] + inside + [hi]
     return max(b - a for a, b in zip(anchors, anchors[1:]))
-
-
-def gap_persistence(acc: SpectrumAccumulation) -> List[GapEntry]:
-    """Spectral gap of each member ``accumulate_spectra`` collected into
-    ``acc``, in index order; per-member errors (irregular or disconnected
-    members) are recorded, never raised."""
-    return list(acc.gaps)

@@ -255,6 +255,12 @@ def _random_subsets(g: Graph, seed: int, samples: int):
             yield a
 
 
+def _check_exhaustive(n: int) -> None:
+    """The exhaustive scan's cap; the CLI checks it on the parsed header."""
+    if n > 22:
+        raise CapExceeded("exhaustive Tutte scan capped at n=22")
+
+
 def tutte_scan(g: Graph, mode: str = "exhaustive", seed: int = 0,
                samples: int = 2000, tol: float = TOL) -> TutteReport:
     """Scan subsets A for the worst odd-component ratio.
@@ -274,8 +280,7 @@ def tutte_scan(g: Graph, mode: str = "exhaustive", seed: int = 0,
     other scan in ``_scan``; both give the same report.
     """
     if mode == "exhaustive":
-        if g.n > 22:
-            raise CapExceeded("exhaustive Tutte scan capped at n=22")
+        _check_exhaustive(g.n)
     elif mode != "randomized":
         raise ValueError(f"unknown scan mode {mode!r}")
     bh = _doubled_gap_holds(g, tol) if g.n >= 2 and is_connected(g) else None

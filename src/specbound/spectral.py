@@ -58,9 +58,10 @@ Which answers are certified and which go dense:
   for the -d eigenvector, printed only when every edge joins its two sides
   (``bipartite.spectral_bipartite_test``): an exact O(m) check, so no bound
   on the vector's error is needed;
-- every real-valued output (``spectrum``, ``bounds``, ``limit``, the Tutte
-  scan's doubled-gap flag) comes from a dense solve: no certificate is
-  cheaper than ``eigvalsh`` there at n <= 4096.
+- every real-valued output (``spectrum``, ``bounds``, the Tutte scan's
+  doubled-gap flag) but ``limit``'s comes from a dense solve: no certificate
+  is cheaper than ``eigvalsh`` there at n <= 4096.  ``limit`` takes each
+  cycle's spectrum from its closed form (``limits.cycle_spectrum``).
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ def margin(g: Graph) -> float:
     return 8.0 * g.n * (g.max_degree + 1) * EPS
 
 
-def norm_floor(g: Graph, tol: float = TOL) -> int:
+def norm_floor(g: Graph) -> int:
     """``snapped_floor(M)``, certified without an eigensolve when it can be.
 
     Hofmeister's bound ``M^2 >= sum d_v^2 / n`` (Rayleigh quotient of ``A^2``
@@ -179,8 +180,7 @@ def norm_floor(g: Graph, tol: float = TOL) -> int:
     ``eta`` of M snaps to d (always so on regular graphs, where the ends
     meet).  Otherwise a Cholesky factorization of ``(t + 1 - TOL - eta) I - A``
     proves ``M + eta < t + 1 - TOL``, so t is the answer.  If it fails the
-    dense spectrum decides, exactly as ``adjacency_spectrum(g, tol).max``
-    would.
+    dense spectrum decides, exactly as ``adjacency_spectrum(g).max`` would.
     """
     _check_dense(g.n)
     eta = margin(g)
@@ -194,14 +194,7 @@ def norm_floor(g: Graph, tol: float = TOL) -> int:
         np.linalg.cholesky(shifted)
         return t
     except np.linalg.LinAlgError:
-        return snapped_floor(adjacency_spectrum(g, tol).max)
-
-
-def _check_gap_domain(g: Graph) -> None:
-    if not g.is_regular:
-        raise ValueError("spectral gap is defined for regular graphs")
-    if not is_connected(g):
-        raise ValueError("spectral gap needs a connected graph")
+        return snapped_floor(adjacency_spectrum(g).max)
 
 
 def _gap(adj: Spectrum, d: int) -> float:

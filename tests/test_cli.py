@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specbound
-from specbound import generators, graphs, invariants, matching, spectral
+from specbound import graphs, invariants, matching, spectral
 from specbound.cli import run
 from specbound.generators import complete_bipartite, cycle, petersen
 from specbound.graphs import canonical_digest, dump_edge_list
@@ -204,6 +204,18 @@ def test_dense_cap_is_checked_while_parsing(graphs_built, argv):
     assert graphs_built == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["tutte", "--mode", "exhaustive"], "exhaustive Tutte scan capped at n=22"),
+    (["color", "--algorithm", "brute"], "brute-force chromatic number capped at n=16"),
+], ids=["tutte-exhaustive", "color-brute"])
+def test_scan_caps_are_checked_while_parsing(graphs_built, argv, message):
+    # a 40000-vertex path's masks took peak RSS from 36 MB to 156 MB before the cap
+    code, out = _run(argv, stdin_text="40000 1\n0 1\n")
+    assert code == 3
+    assert json.loads(out)["error"] == {"code": "cap-exceeded", "message": message}
+    assert graphs_built == []
+
+
 @_DENSE_COMMANDS
 @pytest.mark.parametrize("text, named", [
     ("3000000 1\n0 x\n", "bad edge line '0 x'"),
@@ -302,7 +314,7 @@ def test_peeling_stuck_error_is_bounded():
     (petersen(), ["color", "--algorithm", "wilf"], 0),  # regular: floor(M) = d, certified
     (petersen(), ["bipartite"], 1),
     (complete_bipartite(4, 4), ["bipartite"], 1),  # -d vector: one shifted solve, no eigh
-    (None, ["limit", "--max-n", "16"], 14),  # cycles 3..16, one solve each
+    (None, ["limit", "--max-n", "16"], 0),  # cycle spectra from their closed form
 ], ids=["spectrum", "bounds", "wilf", "bipartite", "bipartite-regular", "limit"])
 def test_each_spectrum_is_solved_once(eigensolves, graph, argv, solves):
     code, text = _run(argv, stdin_text=dump_edge_list(graph) if graph else None)
@@ -522,13 +534,18 @@ def test_disconnected_tutte_input_above_the_dense_cap_is_scanned(monkeypatch):
     assert capped == uncapped and capped["payload"]["bh_condition"] is None
 
 
-def test_limit_builds_each_cycle_once(monkeypatch):
-    built = []
-    real = generators.cycle
-    monkeypatch.setattr(generators, "cycle", lambda n: built.append(n) or real(n))
-    doc = _doc(["limit", "--max-n", "20"])
-    assert built == list(range(3, 21))
-    assert [e["index"] for e in doc["payload"]["gaps"]] == built
+def test_limit_builds_no_graph_and_solves_nothing(graphs_built, eigensolves):
+    doc = _doc(["limit", "--max-n", "256"])
+    assert graphs_built == [] and eigensolves == []
+    assert [e["index"] for e in doc["payload"]["gaps"]] == list(range(3, 257))
+
+
+def test_color_takes_no_tolerance():
+    # --tol reached only the dense fallback of the Wilf floor, where it could
+    # only widen a sanity check's slack, so the flag is gone
+    code, out = _run(["color", "--tol", "1e-3"], stdin_text=dump_edge_list(petersen()))
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "usage"
 
 
 # --- the CLI boundary under arbitrary arguments and corrupted edge lists ---

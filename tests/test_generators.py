@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 
 from conftest import isomorphic
 from specbound.generators import (
-    GraphFamily,
     complete,
     complete_bipartite,
     cycle,
-    cycle_family,
     function_graph,
     paley_tournament,
     path,
@@ -125,14 +123,3 @@ def test_random_regular_large_degree_is_an_input_error():
     with pytest.raises(ValueError, match="d=8 is too large"):
         random_regular(40, 8, seed=0)
 
-
-def test_family_members_iterates_index_set():
-    fam = cycle_family()
-    assert [(k, g.n) for k, g in fam.members(6)] == [(3, 3), (4, 4), (5, 5), (6, 6)]
-    assert fam.name == "cycles"
-
-
-def test_custom_family():
-    fam = GraphFamily("paths", path, range(1, 100))
-    got = [g.m for _, g in fam.members(4)]
-    assert got == [0, 1, 2, 3]

@@ -1,33 +1,31 @@
-"""Spectra along graph families: accumulation, coverage gaps, gap persistence."""
+"""Cycle spectra: accumulation, coverage gaps, gap persistence."""
 
 import math
 
 import pytest
 
-from specbound.generators import GraphFamily, complete, cycle_family, path
+from specbound.generators import cycle
 from specbound.limits import (
     GapEntry,
     SpectrumAccumulation,
     _merge,
     accumulate_spectra,
-    gap_persistence,
+    cycle_spectrum,
     max_gap,
 )
-
-# the single edge at every index 1, 2, ...
-SINGLE_EDGE = GraphFamily("constant", lambda _k: complete(2), range(1, 100))
+from specbound.spectral import adjacency_spectrum
 
 
-def test_accumulate_constant_family():
-    acc = accumulate_spectra(SINGLE_EDGE, 5)
-    assert acc.points == (-1.0, 1.0)
-    assert [e.index for e in acc.gaps] == [1, 2, 3, 4, 5]
+def test_accumulate_small_cycles():
+    # C_3 = {2, -1, -1}, C_4 = {2, 0, 0, -2}: -1 is 2cos(2 pi/3) to within an ulp
+    acc = accumulate_spectra(4)
+    assert acc.points == pytest.approx((-2.0, -1.0, 0.0, 2.0), abs=1e-15)
+    assert [e.index for e in acc.gaps] == [3, 4]
 
 
 def test_accumulate_requires_members():
-    fam = GraphFamily("empty", lambda n: complete(2), range(3, 3))
-    with pytest.raises(ValueError):
-        accumulate_spectra(fam, 10)
+    with pytest.raises(ValueError, match="no members at index <= 2"):
+        accumulate_spectra(2)
 
 
 def test_merge_collapses_near_duplicates_keeping_smaller():
@@ -38,16 +36,17 @@ def test_merge_collapses_near_duplicates_keeping_smaller():
 
 
 def test_max_gap_single_edge():
-    acc = accumulate_spectra(SINGLE_EDGE, 3)
+    acc = SpectrumAccumulation(points=(-1.0, 1.0), gaps=())
     assert max_gap(acc, (-1.0, 1.0)) == pytest.approx(2.0)
     assert max_gap(acc, (-2.0, 2.0)) == pytest.approx(2.0)  # end gaps are 1 each
+    assert max_gap(acc, (0.0, 3.0)) == pytest.approx(2.0)  # 1 -> 3, the point at -1 is outside
     with pytest.raises(ValueError):
         max_gap(acc, (1.0, -1.0))
 
 
 def test_cycle_accumulation_fills_band():
-    acc64 = accumulate_spectra(cycle_family(), 64)
-    acc32 = accumulate_spectra(cycle_family(), 32)
+    acc64 = accumulate_spectra(64)
+    acc32 = accumulate_spectra(32)
     assert max_gap(acc64, (-2.0, 2.0)) <= max_gap(acc32, (-2.0, 2.0))
     assert max_gap(acc64, (-2.0, 2.0)) < 0.2
     # refinement: every accumulated point persists under a larger sweep
@@ -56,8 +55,7 @@ def test_cycle_accumulation_fills_band():
 
 
 def test_gap_persistence_cycles():
-    fam = cycle_family()
-    entries = gap_persistence(accumulate_spectra(fam, 12))
+    entries = accumulate_spectra(12).gaps
     assert [e.index for e in entries] == list(range(3, 13))
     for e in entries:
         assert e.error is None
@@ -68,25 +66,25 @@ def test_gap_persistence_cycles():
 
 
 def test_gap_persistence_records_errors():
-    fam = GraphFamily("paths", path, range(1, 100))
-    entries = gap_persistence(accumulate_spectra(fam, 5))
-    # paths are not regular (endpoints differ), so most entries report a failure
-    failing = [e for e in entries if e.error is not None]
-    assert len(failing) >= 3
-    for e in failing:
-        assert e.gap is None
+    # at --tol 5 every eigenvalue lies within tol of the degree 2, so no cycle
+    # has a gap; each failure is recorded and the sweep goes on
+    acc = accumulate_spectra(8, tol=5)
     # the CLI prints these strings, so they are pinned byte for byte
-    assert {e.index: e.error for e in failing} == {
-        1: "no eigenvalue below the degree; gap undefined",
-        3: "spectral gap is defined for regular graphs",
-        4: "spectral gap is defined for regular graphs",
-        5: "spectral gap is defined for regular graphs"}
-    # ...but the single-edge path is 1-regular, and its gap is 2
-    ok = {e.index: e.gap for e in entries if e.error is None}
-    assert ok == {2: pytest.approx(2.0)}
+    assert acc.gaps == tuple(GapEntry(n, None, "no eigenvalue below the degree; gap undefined")
+                             for n in range(3, 9))
+    assert acc.points == (-2.0,)  # every point merges into the smallest
 
 
 def test_accumulation_record_fields():
-    acc = accumulate_spectra(SINGLE_EDGE, 2)
+    acc = accumulate_spectra(4)
     assert isinstance(acc, SpectrumAccumulation)
-    assert acc.gaps == (GapEntry(1, pytest.approx(2.0)), GapEntry(2, pytest.approx(2.0)))
+    assert acc.gaps == (GapEntry(3, pytest.approx(3.0)), GapEntry(4, pytest.approx(2.0)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 12, 50, 256])
+def test_cycle_spectrum_zeros_follow_the_noise_rule(n):
+    # 2cos(pi/2) is 1.2e-16, not 0: like the dense solve's noise, it prints as 0.0
+    closed = cycle_spectrum(n)
+    assert list(closed.values) == sorted(closed.values)
+    zeros = closed.values.count(0.0)
+    assert zeros == adjacency_spectrum(cycle(n)).values.count(0.0) == (2 if n % 4 == 0 else 0)
