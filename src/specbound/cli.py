@@ -29,7 +29,7 @@ import math
 import sys
 from typing import Any, Dict, List, Optional
 
-from . import __version__, invariants
+from . import __version__, invariants, spectral
 from .bipartite import bfs_bipartition_oracle, spectral_bipartite_test
 from .coloring import (_check_brute, brute_force_chromatic, function_graph_color,
                        min_degree_peel_color)
@@ -122,6 +122,14 @@ def _mask_list(mask: int) -> List[int]:
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
+def _gen_order(n: int) -> int:
+    """``n``, the order of the graph ``gen`` is about to build, once it is
+    within the dense cap, the largest graph the spectral commands read."""
+    if n > spectral.MAX_DENSE_N:
+        raise CapExceeded(f"gen capped at n={spectral.MAX_DENSE_N}, the dense cap")
+    return n
+
+
 def _cmd_gen(args, stdin_text, out) -> int:
     picked = [name for name in ("cycle", "path", "complete", "complete_bipartite",
                                 "petersen", "paley", "random_regular",
@@ -131,21 +139,24 @@ def _cmd_gen(args, stdin_text, out) -> int:
         raise UsageError("gen needs exactly one constructor flag")
     name = picked[0]
     if name == "cycle":
-        g = cycle(args.cycle)
+        g = cycle(_gen_order(args.cycle))
     elif name == "path":
-        g = path(args.path)
+        g = path(_gen_order(args.path))
     elif name == "complete":
-        g = complete(args.complete)
+        g = complete(_gen_order(args.complete))
     elif name == "complete_bipartite":
         a, b = args.complete_bipartite
+        _gen_order(a + b)
         g = complete_bipartite(a, b)
     elif name == "petersen":
         g = petersen()
     elif name == "random_regular":
         n, d = args.random_regular
-        g = random_regular(n, d, args.seed)
+        g = random_regular(_gen_order(n), d, args.seed)
     elif name == "subdivide":
-        g = subdivide(_load_graph(args, stdin_text))
+        g = _load_graph(args, stdin_text, _gen_order)
+        _gen_order(g.n + g.m)
+        g = subdivide(g)
     elif name == "paley":
         out.write(dump_directed_edge_list(paley_tournament()))
         return 0

@@ -29,8 +29,7 @@ from .graphs import (Graph, dump_edge_list, is_connected, load_edge_list, mask_o
                      neighborhood)
 from .limits import accumulate_spectra, cycle_spectrum, max_gap
 from .matching import tutte_scan, two_set_inequality
-from .spectral import (adjacency_spectrum, block_extremes, bounds, laplacian_spectrum,
-                       multiset_close)
+from .spectral import adjacency_spectrum, block_extremes, bounds, multiset_close
 
 
 class InvariantViolation(AssertionError):
@@ -183,12 +182,11 @@ def _bipartite(g):
             "<= 1 - delta/ML, n<=8", lambda tier: _connected(range(1, _tier(tier, 7, 9))))
 def _independence(g):
     ratio = brute_force_independence(g)[0] / g.n
-    if g.is_regular and g.m > 0:
-        m, d = adjacency_spectrum(g).min, g.max_degree
-        _require(ratio <= -m / (d - m) + 1e-9, "alpha/n <= -m/(d-m)")
-    if g.m > 0:
-        _require(ratio <= 1 - g.min_degree / laplacian_spectrum(g).max + 1e-9,
-                 "alpha/n <= 1 - delta/ML")
+    b = bounds(g)
+    if b.independence_bound is not None:
+        _require(ratio <= b.independence_bound + 1e-9, "alpha/n <= -m/(d-m)")
+    if b.mindeg_independence_bound is not None:
+        _require(ratio <= b.mindeg_independence_bound + 1e-9, "alpha/n <= 1 - delta/ML")
 
 
 def _matching_corpus(tier):

@@ -18,8 +18,9 @@ Cholesky factorization of ``norm_floor`` and the linear solve of
 ``bipartite``.  All are capped at matrix order 4096, which is checked before
 any matrix is allocated; at that scale the solvers are exact to far better
 than the 1e-9 tolerance used throughout.  ``bounds`` and ``spectral_report``
-solve the adjacency and the Laplacian spectrum once each and derive every
-quantity from those two.
+derive every quantity from one adjacency and one Laplacian spectrum.  On an
+irregular graph each is one solve; on a d-regular graph, where ``T = dI - L``,
+one Laplacian solve gives both (``_spectra``).
 
 Tolerance policy, stated once for the whole package:
 
@@ -29,7 +30,15 @@ Tolerance policy, stated once for the whole package:
   2.9999999999 floors to 3 (``snapped_floor``) and 2.0000000001 ceils to 2
   (``snapped_ceil``);
 - the CLI rounds every real it prints to 12 significant digits, so output is
-  byte-identical across runs and platforms whose solvers agree that far;
+  byte-identical across runs and platforms whose solvers agree that far.
+  That is not a guarantee across BLAS thread counts: a solve's eigenvalues
+  move between them within its absolute error, about ``n eps d`` (7e-13 at
+  n = 1000, d = 3).  A 12th digit next to a rounding boundary can flip, and
+  a value below about ``1e11 n eps d`` in magnitude prints digits finer than
+  that error: the path on 1000 vertices prints its smallest nonzero
+  Laplacian eigenvalue as 9.8695962823e-06 on one thread and
+  9.86959628246e-06 on two, and a spectrum symmetric by algebra can print
+  a pair ``+-x`` with different last digits;
 - ``margin(g) = 8 n (d + 1) eps`` (``eta``; d the maximum degree, eps the
   double-precision machine epsilon) bounds how far a dense solve's
   eigenvalue, or a factorization's backward error, may stray on ``g``:
@@ -59,8 +68,9 @@ Which answers are certified and which go dense:
   (``bipartite.spectral_bipartite_test``): an exact O(m) check, so no bound
   on the vector's error is needed;
 - every real-valued output (``spectrum``, ``bounds``, the Tutte scan's
-  doubled-gap flag) but ``limit``'s comes from a dense solve: no certificate
-  is cheaper than ``eigvalsh`` there at n <= 4096.  ``limit`` takes each
+  doubled-gap flag) but ``limit``'s comes from a dense solve, or on a
+  regular graph from the Laplacian's as ``d - lambda``: no certificate is
+  cheaper than ``eigvalsh`` there at n <= 4096.  ``limit`` takes each
   cycle's spectrum from its closed form (``limits.cycle_spectrum``).
 """
 
@@ -142,6 +152,12 @@ def laplacian_matrix(g: Graph) -> np.ndarray:
     return lap
 
 
+def _denoised(vals: List[float], g: Graph, tol: float) -> Spectrum:
+    """The noise rule of the tolerance policy: ``|x| <= max(TOL, eta)`` is 0.0."""
+    noise = max(TOL, margin(g))
+    return Spectrum(tuple(0.0 if abs(v) <= noise else v for v in vals), tol)
+
+
 def adjacency_spectrum(g: Graph, tol: float = TOL) -> Spectrum:
     """Eigenvalues of the adjacency operator; always within [-d, d], up to
     the larger of ``tol`` and the solver's own error ``margin(g)``."""
@@ -150,19 +166,42 @@ def adjacency_spectrum(g: Graph, tol: float = TOL) -> Spectrum:
     if len(vals) and (vals[0] < -slack or vals[-1] > slack):
         raise InternalError("adjacency eigenvalue escaped the degree bound; "
                             "eigensolve is untrustworthy here")
-    noise = max(TOL, margin(g))  # see the tolerance policy
-    return Spectrum(tuple(0.0 if abs(v) <= noise else v for v in vals.tolist()), tol)
+    return _denoised(vals.tolist(), g, tol)
+
+
+def _laplacian_eigenvalues(g: Graph, tol: float) -> np.ndarray:
+    vals = np.linalg.eigvalsh(laplacian_matrix(g))
+    if len(vals) and vals[0] < -max(tol, margin(g)):
+        raise InternalError("negative Laplacian eigenvalue; eigensolve is "
+                            "untrustworthy here")
+    return vals
 
 
 def laplacian_spectrum(g: Graph, tol: float = TOL) -> Spectrum:
     """Eigenvalues of L = D - T; nonnegative (up to the larger of ``tol`` and
     ``margin(g)``), kernel dim = #components."""
-    vals = np.linalg.eigvalsh(laplacian_matrix(g))
-    if len(vals) and vals[0] < -max(tol, margin(g)):
-        raise InternalError("negative Laplacian eigenvalue; eigensolve is "
-                            "untrustworthy here")
-    noise = max(TOL, margin(g))  # see the tolerance policy
-    return Spectrum(tuple(0.0 if abs(v) <= noise else v for v in vals.tolist()), tol)
+    return _denoised(_laplacian_eigenvalues(g, tol).tolist(), g, tol)
+
+
+def _spectra(g: Graph, tol: float) -> Tuple[Spectrum, Spectrum]:
+    """The adjacency and the Laplacian spectrum of ``g``.
+
+    On a d-regular graph ``T = dI - L``, so one Laplacian solve gives both:
+    the adjacency eigenvalues are ``d - lambda`` in reverse order.  The
+    Laplacian is the one solved, so its values are exactly
+    ``laplacian_spectrum``'s (a derived one can round across a printed digit
+    with the BLAS thread count).  ``lambda <= 2d`` bounds the derived lower
+    end; the upper end, ``d - lambda_min <= d``, is the nonnegativity check.
+    """
+    if not g.is_regular:
+        return adjacency_spectrum(g, tol), laplacian_spectrum(g, tol)
+    d = g.max_degree
+    lap = _laplacian_eigenvalues(g, tol)
+    adj = (d - lap[::-1]).tolist()
+    if adj and adj[0] < -d - max(tol, margin(g)):
+        raise InternalError("Laplacian eigenvalue above twice the degree; "
+                            "eigensolve is untrustworthy here")
+    return _denoised(adj, g, tol), _denoised(lap.tolist(), g, tol)
 
 
 def margin(g: Graph) -> float:
@@ -292,12 +331,12 @@ def _bounds_from(g: Graph, adj: Spectrum, lap: Spectrum) -> SpectralBounds:
 
 
 def bounds(g: Graph, tol: float = TOL) -> SpectralBounds:
-    return _bounds_from(g, adjacency_spectrum(g, tol), laplacian_spectrum(g, tol))
+    return _bounds_from(g, *_spectra(g, tol))
 
 
 def spectral_report(g: Graph, tol: float = TOL) -> dict:
     """The flat report emitted by the CLI ``spectrum`` subcommand."""
-    adj, lap = adjacency_spectrum(g, tol), laplacian_spectrum(g, tol)
+    adj, lap = _spectra(g, tol)
     b = _bounds_from(g, adj, lap)
     return {
         "n": g.n,

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 import specbound
 from specbound import graphs, invariants, matching, spectral
 from specbound.cli import run
-from specbound.generators import complete_bipartite, cycle, petersen
-from specbound.graphs import canonical_digest, dump_edge_list
+from specbound.generators import complete_bipartite, cycle, petersen, subdivide
+from specbound.graphs import (canonical_digest, dump_edge_list, load_directed_edge_list,
+                              load_edge_list)
 
 
 def _run(argv, stdin_text=None):
@@ -309,13 +310,16 @@ def test_peeling_stuck_error_is_bounded():
 
 
 @pytest.mark.parametrize("graph, argv, solves", [
-    (petersen(), ["spectrum"], 2),
-    (petersen(), ["bounds"], 2),
+    (petersen(), ["spectrum"], 1),  # regular: the adjacency spectrum is d - lambda(L)
+    (petersen(), ["bounds"], 1),
+    (subdivide(petersen()), ["spectrum"], 2),  # irregular: one solve per operator
+    (subdivide(petersen()), ["bounds"], 2),
     (petersen(), ["color", "--algorithm", "wilf"], 0),  # regular: floor(M) = d, certified
     (petersen(), ["bipartite"], 1),
     (complete_bipartite(4, 4), ["bipartite"], 1),  # -d vector: one shifted solve, no eigh
     (None, ["limit", "--max-n", "16"], 0),  # cycle spectra from their closed form
-], ids=["spectrum", "bounds", "wilf", "bipartite", "bipartite-regular", "limit"])
+], ids=["spectrum", "bounds", "spectrum-irregular", "bounds-irregular", "wilf", "bipartite",
+        "bipartite-regular", "limit"])
 def test_each_spectrum_is_solved_once(eigensolves, graph, argv, solves):
     code, text = _run(argv, stdin_text=dump_edge_list(graph) if graph else None)
     assert code == 0, text
@@ -328,6 +332,36 @@ def test_gen_subdivide_pipeline():
     assert code == 0
     p = _doc(["bounds"], stdin_text=sub)["payload"]
     assert p["M"] == 2.0
+
+
+@pytest.mark.parametrize("flag, at_cap, above", [
+    ("--cycle", ["12"], ["13"]),
+    ("--path", ["12"], ["13"]),
+    ("--complete", ["12"], ["13"]),
+    ("--complete-bipartite", ["5", "7"], ["6", "7"]),
+    ("--random-regular", ["12", "3"], ["14", "3"]),
+], ids=["cycle", "path", "complete", "complete-bipartite", "random-regular"])
+def test_gen_is_capped_before_it_builds(monkeypatch, graphs_built, flag, at_cap, above):
+    monkeypatch.setattr(spectral, "MAX_DENSE_N", 12)
+    assert _run(["gen", flag] + at_cap)[0] == 0
+    graphs_built.clear()
+    code, out = _run(["gen", flag] + above)
+    assert code == 3
+    assert json.loads(out)["error"] == {"code": "cap-exceeded",
+                                        "message": "gen capped at n=12, the dense cap"}
+    assert graphs_built == []
+
+
+def test_gen_subdivide_is_capped_by_the_order_of_its_output(monkeypatch, graphs_built):
+    monkeypatch.setattr(spectral, "MAX_DENSE_N", 12)
+    assert _run(["gen", "--subdivide"], stdin_text=dump_edge_list(cycle(6)))[0] == 0
+    c7 = dump_edge_list(cycle(7))
+    graphs_built.clear()
+    assert _run(["gen", "--subdivide"], stdin_text=c7)[0] == 3
+    assert graphs_built == [7]  # the input, not its 14-vertex subdivision
+    graphs_built.clear()
+    assert _run(["gen", "--subdivide"], stdin_text="3000000 1\n0 1\n")[0] == 3
+    assert graphs_built == []
 
 
 def test_gen_random_regular_seeded():
@@ -589,12 +623,42 @@ def _edge_list_texts(draw):
     return text
 
 
+_FUZZ_CAP = 32  # the dense cap during the fuzz, so gen's drawn sizes cross it
+
+# integers listed twice, so that most draws parse and reach the generators
+_SIZES = st.one_of(st.integers(-3, _FUZZ_CAP + 8).map(str),
+                   st.integers(-3, _FUZZ_CAP + 8).map(str), _REALS)
+
+# gen's constructor flags and how many numbers each takes
+_GEN_FLAGS = {"--cycle": 1, "--path": 1, "--complete": 1, "--complete-bipartite": 2,
+              "--random-regular": 2, "--petersen": 0, "--paley": 0, "--subdivide": 0,
+              "--function-graph": 0}
+
+
+@st.composite
+def _gen_args(draw):
+    """One of gen's constructor flags, now and then two (a usage error)."""
+    flags = [draw(st.sampled_from(sorted(_GEN_FLAGS)))]
+    if draw(st.integers(0, 9)) == 0:
+        flags.append(draw(st.sampled_from(sorted(_GEN_FLAGS))))
+    argv = []
+    for flag in flags:
+        argv.append(flag)
+        argv.extend(draw(_SIZES) for _ in range(_GEN_FLAGS[flag]))
+        if flag == "--function-graph":
+            argv.append(draw(st.text(alphabet="0123,;-x", max_size=12)))
+    if draw(st.booleans()):
+        argv.append(f"--seed={draw(_SIZES)}")
+    return argv
+
+
 @st.composite
 def _cli_calls(draw):
-    # gen is left out: its sizes have no cap, so a draw could allocate without bound
     command = draw(st.sampled_from(["spectrum", "bounds", "color", "bipartite", "tutte",
-                                    "limit"]))
+                                    "limit", "gen"]))
     argv = [command]
+    if command == "gen":
+        return argv + draw(_gen_args())
     if draw(st.booleans()):
         argv.append(f"--tol={draw(_REALS)}")
     if command == "color":
@@ -618,8 +682,16 @@ def _cli_calls(draw):
 @given(_cli_calls(), _edge_list_texts())
 @settings(max_examples=300, deadline=None)
 def test_cli_boundary_fuzz(argv, text):
-    code, out = _run(argv, stdin_text=text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "MAX_DENSE_N", _FUZZ_CAP)
+        code, out = _run(argv, stdin_text=text)
     assert code in (0, 2, 3), out
+    if argv[0] == "gen" and code == 0:  # an edge list, not a report
+        if "--paley" in argv or "--function-graph" in argv:
+            load_directed_edge_list(out)
+        else:
+            assert load_edge_list(out).n <= _FUZZ_CAP
+        return
     assert out.endswith("\n") and out.count("\n") == 1
     doc = _strict_json(out)
     assert ("payload" in doc) == (code == 0)

@@ -102,6 +102,31 @@ def test_regular_laplacian_is_degree_shift(seed):
     assert multiset_close(lap, shifted, 1e-9)
 
 
+def _assert_derived_adjacency_matches_the_dense_solve(g):
+    adj, lap = spectral._spectra(g, spectral.TOL)
+    dense = adjacency_spectrum(g).values
+    # each solve strays by at most margin(g), and the noise rule may zero
+    # either side of a pair that straddles its threshold
+    slack = max(spectral.TOL, margin(g)) + 2 * margin(g)
+    assert len(adj.values) == len(dense)
+    assert all(abs(x - y) <= slack for x, y in zip(adj.values, dense))  # in order
+    assert lap == laplacian_spectrum(g)  # the very solve laplacian_spectrum makes
+
+
+def test_derived_adjacency_spectrum_on_every_regular_class_up_to_8():
+    # edgeless, disconnected and complete graphs and n = 1 are all among them
+    regular = [g for n in range(1, 9) for g in enumerate_graphs(n) if g.is_regular]
+    assert len(regular) == 48  # 1 + 2 + 2 + 4 + 3 + 8 + 6 + 22, OEIS A005176
+    for g in regular:
+        _assert_derived_adjacency_matches_the_dense_solve(g)
+
+
+@pytest.mark.parametrize("n", [50, 250, 1000])
+@pytest.mark.parametrize("d", [3, 4])
+def test_derived_adjacency_spectrum_on_random_regular_graphs(n, d):
+    _assert_derived_adjacency_matches_the_dense_solve(random_regular(n, d, seed=n + d))
+
+
 def test_regular_norm_equals_degree():
     for seed in range(10):
         g = random_regular(14, 4, seed=seed)
