@@ -21,19 +21,18 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .graphs import Graph, InternalError, Mask, is_connected, mask_of
-from .spectral import TOL, Spectrum, adjacency_matrix, adjacency_spectrum, multiset_close
+from .spectral import TOL, adjacency_matrix, adjacency_spectrum, multiset_close
 
 SIGN_EPS = 1e-9  # eigenvector entries closer to 0 than this are undecided
 
 
-def is_symmetric_spectrum(spectrum: Spectrum, tol: float = TOL) -> bool:
-    vals = list(spectrum.values)
-    return multiset_close(vals, [-v for v in vals], tol)
+def is_symmetric_spectrum(spectrum: Sequence[float], tol: float = TOL) -> bool:
+    return multiset_close(spectrum, [-v for v in spectrum], tol)
 
 
 @dataclass
@@ -54,11 +53,11 @@ def spectral_bipartite_test(g: Graph, tol: float = TOL) -> BipartiteVerdict:
     """
     if not is_connected(g):
         raise ValueError("spectral bipartiteness test needs a connected graph")
-    spec = adjacency_spectrum(g, tol)
+    spec = adjacency_spectrum(g)
     regular = g.is_regular
-    ref = g.max_degree if regular else spec.max
+    ref = g.max_degree if regular else spec[-1]
     symmetric = is_symmetric_spectrum(spec, tol)
-    minus_d_in = spec.contains(-ref)
+    minus_d_in = any(abs(v + ref) <= tol for v in spec)
 
     bipartition = None
     note = ""
@@ -73,7 +72,7 @@ def spectral_bipartite_test(g: Graph, tol: float = TOL) -> BipartiteVerdict:
                             bipartition=bipartition, regular=regular, note=note)
 
 
-def _sign_sides(g: Graph, spec: Spectrum) -> Optional[Tuple[Mask, Mask]]:
+def _sign_sides(g: Graph, spec: Sequence[float]) -> Optional[Tuple[Mask, Mask]]:
     """The sides of the least eigenvector's sign pattern, vertex 0's first;
     None when some entry lies within ``SIGN_EPS`` of 0 or some edge has both
     ends on one side.
@@ -86,7 +85,7 @@ def _sign_sides(g: Graph, spec: Spectrum) -> Optional[Tuple[Mask, Mask]]:
     pattern passes the edge check, whatever the solve returns.
     """
     mat = adjacency_matrix(g)
-    l0, l1 = spec.values[0], spec.values[1]
+    l0, l1 = spec[0], spec[1]
     mat[np.diag_indices(g.n)] = 1e-8 * (l1 - l0) - l0  # A has a zero diagonal
     try:
         x = np.linalg.solve(mat, np.sin(np.arange(1.0, g.n + 1.0)))

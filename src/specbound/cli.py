@@ -134,7 +134,7 @@ def _cmd_gen(args, stdin_text, out) -> int:
     picked = [name for name in ("cycle", "path", "complete", "complete_bipartite",
                                 "petersen", "paley", "random_regular",
                                 "function_graph", "subdivide")
-              if getattr(args, name) not in (None, False)]
+              if getattr(args, name) is not None]
     if len(picked) != 1:
         raise UsageError("gen needs exactly one constructor flag")
     name = picked[0]
@@ -325,13 +325,15 @@ def _build_parser() -> _Parser:
     sp.add_argument("--complete", type=int)
     sp.add_argument("--complete-bipartite", dest="complete_bipartite",
                     type=int, nargs=2, metavar=("A", "B"))
-    sp.add_argument("--petersen", action="store_true")
-    sp.add_argument("--paley", action="store_true")
+    # the flags default to None, not False, so that an unset flag and a
+    # number flag given 0 (an error of its generator's own) stay apart
+    sp.add_argument("--petersen", action="store_true", default=None)
+    sp.add_argument("--paley", action="store_true", default=None)
     sp.add_argument("--random-regular", dest="random_regular", type=int,
                     nargs=2, metavar=("N", "D"))
     sp.add_argument("--function-graph", dest="function_graph",
                     help="semicolon-separated maps, e.g. '1,2,0;2,0,1'")
-    sp.add_argument("--subdivide", action="store_true",
+    sp.add_argument("--subdivide", action="store_true", default=None,
                     help="subdivide the input graph (reads --input/stdin)")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--input", help="edge-list file (for --subdivide)")

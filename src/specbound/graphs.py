@@ -69,10 +69,13 @@ class Graph:
 
     Edges are validated on construction: endpoints in range, no loops, no
     duplicates.  Neighbor lists are kept sorted and the adjacency is also
-    cached as one bitmask per vertex.
+    cached as one bitmask per vertex.  The two spectrum slots are filled on
+    first request by ``spectral.adjacency_spectrum`` and
+    ``spectral.laplacian_spectrum``, so each operator is solved at most once.
     """
 
-    __slots__ = ("n", "adj", "adj_masks", "degrees", "_edges")
+    __slots__ = ("n", "adj", "adj_masks", "degrees", "_edges",
+                 "_adj_spectrum", "_lap_spectrum")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]):
         if n < 1:
@@ -98,6 +101,7 @@ class Graph:
         self.adj_masks = tuple(mask_of(lst) for lst in adj)
         self.degrees = tuple(len(lst) for lst in adj)
         self._edges = tuple(sorted(seen))
+        self._adj_spectrum = self._lap_spectrum = None
 
     # -- basic accessors ----------------------------------------------------
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .spectral import TOL, Spectrum, _gap
+from .spectral import TOL, _gap
 
 
 @dataclass(frozen=True)
@@ -42,11 +42,11 @@ def _merge(values: List[float], tol: float) -> Tuple[float, ...]:
     return tuple(out)
 
 
-def cycle_spectrum(n: int, tol: float = TOL) -> Spectrum:
+def cycle_spectrum(n: int) -> Tuple[float, ...]:
     """Adjacency spectrum of C_n, sorted; values with ``|x| <= TOL`` are 0.0,
     as the tolerance policy sets a dense solve's noise."""
     vals = sorted(2 * math.cos(2 * math.pi * k / n) for k in range(n))
-    return Spectrum(tuple(0.0 if abs(v) <= TOL else v for v in vals), tol)
+    return tuple(0.0 if abs(v) <= TOL else v for v in vals)
 
 
 def accumulate_spectra(max_n: int, tol: float = TOL) -> SpectrumAccumulation:
@@ -56,12 +56,12 @@ def accumulate_spectra(max_n: int, tol: float = TOL) -> SpectrumAccumulation:
     gaps: List[GapEntry] = []
     values: List[float] = []
     for n in range(3, max_n + 1):
-        spec = cycle_spectrum(n, tol)
+        spec = cycle_spectrum(n)
         try:  # a --tol near 4 or above leaves no eigenvalue below the degree
-            gaps.append(GapEntry(n, _gap(spec, 2)))
+            gaps.append(GapEntry(n, _gap(spec, 2, tol)))
         except ValueError as exc:
             gaps.append(GapEntry(n, None, str(exc)))
-        values.extend(spec.values)
+        values.extend(spec)
     return SpectrumAccumulation(points=_merge(values, tol), gaps=tuple(gaps))
 
 

@@ -304,7 +304,7 @@ def tutte_scan(g: Graph, mode: str = "exhaustive", seed: int = 0,
 
 def _doubled_gap_holds(g: Graph, tol: float) -> bool:
     """2*mL >= ML on the mean-zero Laplacian extremes of a connected graph."""
-    m_l, big_l = mean_zero_extremes(g, tol)
+    m_l, big_l = mean_zero_extremes(g)
     return bool(2.0 * m_l >= big_l - tol)
 
 
@@ -337,7 +337,7 @@ def two_set_inequality(g: Graph, y: Mask, z: Mask, tol: float = TOL) -> TwoSetRe
     if not is_connected(g):
         raise ValueError("two-set inequality needs a connected graph")
     mu_y, mu_z = g.mu(y), g.mu(z)
-    m_l, big_l = mean_zero_extremes(g, tol)
+    m_l, big_l = mean_zero_extremes(g)
     lhs = (mu_y * mu_z) / ((1.0 - mu_y) * (1.0 - mu_z))
     rhs = ((big_l - m_l) / (big_l + m_l)) ** 2
     return TwoSetReport(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + tol),

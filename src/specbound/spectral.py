@@ -17,15 +17,20 @@ All eigensolves are dense symmetric (numpy ``eigvalsh``), as are the
 Cholesky factorization of ``norm_floor`` and the linear solve of
 ``bipartite``.  All are capped at matrix order 4096, which is checked before
 any matrix is allocated; at that scale the solvers are exact to far better
-than the 1e-9 tolerance used throughout.  ``bounds`` and ``spectral_report``
-derive every quantity from one adjacency and one Laplacian spectrum.  On an
-irregular graph each is one solve; on a d-regular graph, where ``T = dI - L``,
-one Laplacian solve gives both (``_spectra``).
+than the 1e-9 tolerance used throughout.  Each ``Graph`` is solved at most
+once per operator: ``laplacian_spectrum`` and ``adjacency_spectrum`` keep
+their results on the graph, and every caller (``bounds``, the dense fallback
+of ``norm_floor``, ``bipartite``, the Tutte scan's flag) reads them there.
+On a d-regular graph, where ``T = dI - L``, the adjacency spectrum is taken
+from the Laplacian's solve, so one solve gives both.
 
 Tolerance policy, stated once for the whole package:
 
 - ``TOL = 1e-9`` is the default tolerance of every comparison between
-  computed eigenvalues (and the ``--tol`` default of the CLI);
+  computed eigenvalues (and the ``--tol`` default of the CLI).  ``--tol``
+  reaches only those comparisons (the spectral gap, the bipartite
+  indicators, the doubled-gap and two-set flags, ``limit``'s merge), never
+  a solve, so it never changes a printed spectrum;
 - integer-valued bounds snap by ``TOL`` before rounding, so a computed
   2.9999999999 floors to 3 (``snapped_floor``) and 2.0000000001 ceils to 2
   (``snapped_ceil``);
@@ -47,13 +52,12 @@ Tolerance policy, stated once for the whole package:
   value within ``eta`` of the quantity it brackets, so the dense solve it
   replaces would print the same bytes.  Where ``eta`` exceeds ``TOL`` (large
   dense graphs) nothing near a snap boundary is certified;
-- the solves' own sanity checks (adjacency eigenvalues within [-d, d], the
-  Laplacian's nonnegative) allow the larger of ``tol`` and ``eta``, so a
-  ``tol`` finer than the solver's precision is not an internal fault;
-- after those checks every eigenvalue with ``|x| <= max(TOL, eta)`` is set
-  to 0.0: such digits are solver noise (the Laplacian kernel's, for one)
-  and moved with the BLAS thread count.  The rule uses ``TOL``, not
-  ``tol``, so ``--tol`` never changes a printed spectrum.
+- one noise level, ``max(TOL, eta)``, serves both the solves' sanity
+  checks (adjacency eigenvalues within [-d, d], the Laplacian's
+  nonnegative, each up to that level) and the zeroing rule: after the
+  checks every eigenvalue with ``|x| <= max(TOL, eta)`` is set to 0.0, as
+  such digits are solver noise (the Laplacian kernel's, for one) and moved
+  with the BLAS thread count.
 
 Which answers are certified and which go dense:
 
@@ -62,7 +66,7 @@ Which answers are certified and which go dense:
   ``sqrt(sum d_v^2 / n) <= M <= d`` alone when both ends snap alike (always
   on regular graphs, where they meet), else by one Cholesky factorization
   of ``(t + 1 - TOL - eta) I - A`` for the lower end's t; when that fails it
-  takes the dense spectrum;
+  takes the graph's adjacency spectrum;
 - the bipartition of ``bipartite`` is the sign pattern of one shifted solve
   for the -d eigenvector, printed only when every edge joins its two sides
   (``bipartite.spectral_bipartite_test``): an exact O(m) check, so no bound
@@ -98,31 +102,6 @@ def snapped_ceil(x: float) -> int:
     return math.ceil(x - TOL)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalue multiset, sorted ascending, with a comparison tolerance."""
-
-    values: Tuple[float, ...]
-    tol: float = TOL
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-
-    def __iter__(self):
-        return iter(self.values)
-
-    @property
-    def min(self) -> float:
-        return self.values[0]
-
-    @property
-    def max(self) -> float:
-        return self.values[-1]
-
-    def contains(self, x: float) -> bool:
-        return any(abs(v - x) <= self.tol for v in self.values)
-
-
 def multiset_close(a: Sequence[float], b: Sequence[float], tol: float = TOL) -> bool:
     """Multiset equality by greedy pairing of the two sorted lists."""
     if len(a) != len(b):
@@ -147,61 +126,55 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 
 def laplacian_matrix(g: Graph) -> np.ndarray:
-    lap = -adjacency_matrix(g)
+    lap = adjacency_matrix(g)
+    np.negative(lap, out=lap)
     lap[np.diag_indices(g.n)] = g.degrees
     return lap
 
 
-def _denoised(vals: List[float], g: Graph, tol: float) -> Spectrum:
-    """The noise rule of the tolerance policy: ``|x| <= max(TOL, eta)`` is 0.0."""
-    noise = max(TOL, margin(g))
-    return Spectrum(tuple(0.0 if abs(v) <= noise else v for v in vals), tol)
+def _noise(g: Graph) -> float:
+    """The one noise level of the tolerance policy, ``max(TOL, eta)``."""
+    return max(TOL, margin(g))
 
 
-def adjacency_spectrum(g: Graph, tol: float = TOL) -> Spectrum:
-    """Eigenvalues of the adjacency operator; always within [-d, d], up to
-    the larger of ``tol`` and the solver's own error ``margin(g)``."""
-    vals = np.linalg.eigvalsh(adjacency_matrix(g))
-    slack = g.max_degree + max(tol, margin(g))
-    if len(vals) and (vals[0] < -slack or vals[-1] > slack):
-        raise InternalError("adjacency eigenvalue escaped the degree bound; "
-                            "eigensolve is untrustworthy here")
-    return _denoised(vals.tolist(), g, tol)
+def _denoised(vals: List[float], noise: float) -> Tuple[float, ...]:
+    """The zeroing rule of the tolerance policy: ``|x| <= noise`` is 0.0."""
+    return tuple(0.0 if abs(v) <= noise else v for v in vals)
 
 
-def _laplacian_eigenvalues(g: Graph, tol: float) -> np.ndarray:
-    vals = np.linalg.eigvalsh(laplacian_matrix(g))
-    if len(vals) and vals[0] < -max(tol, margin(g)):
-        raise InternalError("negative Laplacian eigenvalue; eigensolve is "
-                            "untrustworthy here")
-    return vals
+def laplacian_spectrum(g: Graph) -> Tuple[float, ...]:
+    """Eigenvalues of L = D - T, sorted; nonnegative up to the noise level,
+    kernel dim = #components.  Solved once per graph and kept on it."""
+    if g._lap_spectrum is None:
+        vals = np.linalg.eigvalsh(laplacian_matrix(g))
+        noise = _noise(g)
+        if len(vals) and vals[0] < -noise:
+            raise InternalError("negative Laplacian eigenvalue; eigensolve is "
+                                "untrustworthy here")
+        g._lap_spectrum = _denoised(vals.tolist(), noise)
+    return g._lap_spectrum
 
 
-def laplacian_spectrum(g: Graph, tol: float = TOL) -> Spectrum:
-    """Eigenvalues of L = D - T; nonnegative (up to the larger of ``tol`` and
-    ``margin(g)``), kernel dim = #components."""
-    return _denoised(_laplacian_eigenvalues(g, tol).tolist(), g, tol)
+def adjacency_spectrum(g: Graph) -> Tuple[float, ...]:
+    """Eigenvalues of the adjacency operator, sorted; within [-d, d] up to
+    the noise level.  Kept on the graph once computed.
 
-
-def _spectra(g: Graph, tol: float) -> Tuple[Spectrum, Spectrum]:
-    """The adjacency and the Laplacian spectrum of ``g``.
-
-    On a d-regular graph ``T = dI - L``, so one Laplacian solve gives both:
-    the adjacency eigenvalues are ``d - lambda`` in reverse order.  The
-    Laplacian is the one solved, so its values are exactly
-    ``laplacian_spectrum``'s (a derived one can round across a printed digit
-    with the BLAS thread count).  ``lambda <= 2d`` bounds the derived lower
-    end; the upper end, ``d - lambda_min <= d``, is the nonnegativity check.
+    On a d-regular graph ``T = dI - L``, so the values are ``d - lambda``,
+    in reverse order, from ``laplacian_spectrum``'s one solve; the Laplacian
+    is the operator solved, so its own values are never derived ones.
     """
-    if not g.is_regular:
-        return adjacency_spectrum(g, tol), laplacian_spectrum(g, tol)
-    d = g.max_degree
-    lap = _laplacian_eigenvalues(g, tol)
-    adj = (d - lap[::-1]).tolist()
-    if adj and adj[0] < -d - max(tol, margin(g)):
-        raise InternalError("Laplacian eigenvalue above twice the degree; "
-                            "eigensolve is untrustworthy here")
-    return _denoised(adj, g, tol), _denoised(lap.tolist(), g, tol)
+    if g._adj_spectrum is None:
+        d = g.max_degree
+        if g.is_regular:
+            vals = [d - x for x in reversed(laplacian_spectrum(g))]
+        else:
+            vals = np.linalg.eigvalsh(adjacency_matrix(g)).tolist()
+        noise = _noise(g)
+        if vals and (vals[0] < -d - noise or vals[-1] > d + noise):
+            raise InternalError("adjacency eigenvalue escaped the degree bound; "
+                                "eigensolve is untrustworthy here")
+        g._adj_spectrum = _denoised(vals, noise)
+    return g._adj_spectrum
 
 
 def margin(g: Graph) -> float:
@@ -219,7 +192,7 @@ def norm_floor(g: Graph) -> int:
     ``eta`` of M snaps to d (always so on regular graphs, where the ends
     meet).  Otherwise a Cholesky factorization of ``(t + 1 - TOL - eta) I - A``
     proves ``M + eta < t + 1 - TOL``, so t is the answer.  If it fails the
-    dense spectrum decides, exactly as ``adjacency_spectrum(g).max`` would.
+    graph's adjacency spectrum decides.
     """
     _check_dense(g.n)
     eta = margin(g)
@@ -233,23 +206,23 @@ def norm_floor(g: Graph) -> int:
         np.linalg.cholesky(shifted)
         return t
     except np.linalg.LinAlgError:
-        return snapped_floor(adjacency_spectrum(g).max)
+        return snapped_floor(adjacency_spectrum(g)[-1])
 
 
-def _gap(adj: Spectrum, d: int) -> float:
+def _gap(adj: Sequence[float], d: int, tol: float) -> float:
     """Gap below the degree eigenvalue d of a connected d-regular graph."""
-    below = [v for v in adj if v < d - adj.tol]
+    below = [v for v in adj if v < d - tol]
     if not below:
         raise ValueError("no eigenvalue below the degree; gap undefined")
     return d - max(below)
 
 
-def _mean_zero(lap: Spectrum) -> Tuple[float, float]:
+def _mean_zero(lap: Sequence[float]) -> Tuple[float, float]:
     """Second-smallest and largest Laplacian eigenvalue of a connected graph."""
-    return lap.values[1], lap.values[-1]
+    return lap[1], lap[-1]
 
 
-def mean_zero_extremes(g: Graph, tol: float = TOL) -> Tuple[float, float]:
+def mean_zero_extremes(g: Graph) -> Tuple[float, float]:
     """Rayleigh extremes of the Laplacian restricted to mean-zero functions.
 
     For a connected graph these are the second-smallest and the largest
@@ -259,7 +232,7 @@ def mean_zero_extremes(g: Graph, tol: float = TOL) -> Tuple[float, float]:
         raise ValueError("mean-zero extremes need a connected graph")
     if g.n < 2:
         raise ValueError("mean-zero extremes need at least two vertices")
-    return _mean_zero(laplacian_spectrum(g, tol))
+    return _mean_zero(laplacian_spectrum(g))
 
 
 @dataclass(frozen=True)
@@ -268,7 +241,7 @@ class BlockExtremes:
     M: float
 
 
-def block_extremes(g: Graph, parts: Sequence[Mask], tol: float = TOL) -> List[BlockExtremes]:
+def block_extremes(g: Graph, parts: Sequence[Mask]) -> List[BlockExtremes]:
     """Rayleigh extremes of the diagonal blocks of T under a vertex partition.
 
     The diagonal block for a part is the adjacency operator of the induced
@@ -314,9 +287,11 @@ class SpectralBounds:
     mindeg_independence_bound: Optional[float]
 
 
-def _bounds_from(g: Graph, adj: Spectrum, lap: Spectrum) -> SpectralBounds:
-    """Every bound of ``g`` from its adjacency and Laplacian spectra."""
-    m_t, big_m = adj.min, adj.max
+def bounds(g: Graph, tol: float = TOL) -> SpectralBounds:
+    """Every bound of ``g`` from its adjacency and Laplacian spectra; ``tol``
+    is the gap's comparison tolerance."""
+    adj, lap = adjacency_spectrum(g), laplacian_spectrum(g)
+    m_t, big_m = adj[0], adj[-1]
     d = g.max_degree
     connected = g.n >= 2 and is_connected(g)
     m_l, big_l = _mean_zero(lap) if connected else (None, None)
@@ -324,25 +299,20 @@ def _bounds_from(g: Graph, adj: Spectrum, lap: Spectrum) -> SpectralBounds:
     return SpectralBounds(
         M=big_m, m=m_t, wilf=snapped_floor(big_m) + 1,
         hoffman=snapped_ceil(1.0 - big_m / m_t) if has_edge else None,
-        gap=_gap(adj, d) if connected and g.is_regular else None,
+        gap=_gap(adj, d, tol) if connected and g.is_regular else None,
         mL=m_l, ML=big_l,
         independence_bound=-m_t / (d - m_t) if has_edge and g.is_regular else None,
-        mindeg_independence_bound=1.0 - g.min_degree / lap.max if has_edge else None)
-
-
-def bounds(g: Graph, tol: float = TOL) -> SpectralBounds:
-    return _bounds_from(g, *_spectra(g, tol))
+        mindeg_independence_bound=1.0 - g.min_degree / lap[-1] if has_edge else None)
 
 
 def spectral_report(g: Graph, tol: float = TOL) -> dict:
     """The flat report emitted by the CLI ``spectrum`` subcommand."""
-    adj, lap = _spectra(g, tol)
-    b = _bounds_from(g, adj, lap)
+    b = bounds(g, tol)
     return {
         "n": g.n,
         "d": g.max_degree,
-        "spectrum_adj": list(adj.values),
-        "spectrum_lap": list(lap.values),
+        "spectrum_adj": list(adjacency_spectrum(g)),
+        "spectrum_lap": list(laplacian_spectrum(g)),
         "M": b.M,
         "m": b.m,
         "wilf": b.wilf,

@@ -8,21 +8,6 @@ from conftest import ACCEPTANCE
 from specbound.generators import paley_tournament, petersen
 from specbound.invariants import INVARIANTS
 
-# Test names that predate the registry; later entries are named after their check.
-_TEST_NAMES = {
-    "cycle-spectra": "test_cycle_spectra_closed_form",
-    "biregular-and-subdivision-norms": "test_biregular_and_subdivision_norms",
-    "block-inequality": "test_block_inequality_sweep",
-    "chromatic-sandwich": "test_chromatic_sandwich",
-    "bipartite-equivalence": "test_bipartite_equivalences",
-    "independence-bounds": "test_independence_bounds",
-    "tutte-equivalence": "test_matching_conditions",
-    "two-set-inequality": "test_two_set_sweep",
-    "rotation-coloring": "test_rotation_two_coloring_sweep",
-    "function-graph-coloring": "test_function_system_coloring_sweep",
-    "limit-accumulation": "test_limit_accumulation",
-}
-
 
 def _acceptance_test(label, run):
     def test():
@@ -37,9 +22,8 @@ def _acceptance_test(label, run):
 
 
 for _i, _inv in enumerate(INVARIANTS, 1):
-    _name = _TEST_NAMES.get(_inv.name, "test_" + _inv.name.replace("-", "_"))
-    globals()[_name] = _acceptance_test(f"{_i:02d} {_inv.label}",
-                                        lambda inv=_inv: inv.sweep("full"))
+    globals()["test_" + _inv.name.replace("-", "_")] = _acceptance_test(
+        f"{_i:02d} {_inv.label}", lambda inv=_inv: inv.sweep("full"))
 
 
 def _paley_tight():

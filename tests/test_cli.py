@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specbound
-from specbound import graphs, invariants, matching, spectral
+from specbound import enumeration, graphs, invariants, matching, spectral
 from specbound.cli import run
 from specbound.generators import complete_bipartite, cycle, petersen, subdivide
 from specbound.graphs import (canonical_digest, dump_edge_list, load_directed_edge_list,
@@ -41,12 +41,24 @@ def test_gen_cycle_emits_edge_list():
 
 
 def test_gen_requires_exactly_one_family():
-    code, text = _run(["gen"])
+    for argv in (["gen"], ["gen", "--cycle", "4", "--petersen"],
+                 ["gen", "--cycle", "0", "--path", "0"]):
+        code, text = _run(argv)
+        assert code == 2
+        assert json.loads(text)["error"] == {"code": "usage",
+                                             "message": "gen needs exactly one constructor flag"}
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--cycle", "cycle needs n >= 3"),
+    ("--path", "path needs n >= 1"),
+    ("--complete", "complete graph needs n >= 1"),
+], ids=["cycle", "path", "complete"])
+def test_gen_size_zero_reports_the_generators_own_error(flag, message):
+    # 0 == False, so the constructor must be picked by identity with None
+    code, text = _run(["gen", flag, "0"])
     assert code == 2
-    err = json.loads(text)
-    assert err["error"]["code"] == "usage"
-    code, _ = _run(["gen", "--cycle", "4", "--petersen"])
-    assert code == 2
+    assert json.loads(text)["error"] == {"code": "input", "message": message}
 
 
 def test_spectrum_report_shape():
@@ -539,11 +551,23 @@ def test_mindeg_threshold_above_the_order_is_a_usage_error():
 
 
 def test_tolerance_below_the_solver_error_is_not_an_internal_fault():
-    # the eigensolves' sanity checks allow the solver's own error margin, so a
-    # tiny --tol is the caller's choice, not a failed consistency check
+    # --tol reaches no solve, only comparisons, so a tiny one is the caller's
+    # choice, not a failed consistency check, and no --tol moves a spectrum
+    text = dump_edge_list(petersen())
     for argv in (["spectrum"], ["bounds"], ["bipartite"], ["tutte"]):
-        code, out = _run(argv + ["--tol", "1e-300"], stdin_text=dump_edge_list(petersen()))
+        code, out = _run(argv + ["--tol", "1e-300"], stdin_text=text)
         assert code == 0, out
+    spectra = [{k: v for k, v in _doc(["spectrum", "--tol", tol], stdin_text=text)["payload"]
+                .items() if k.startswith("spectrum_")} for tol in ("1e-300", "1e-9", "0.5")]
+    assert spectra[0] == spectra[1] == spectra[2]
+
+
+def test_cold_verify_solves_each_graph_at_most_once_per_operator(monkeypatch, eigensolves):
+    # an empty memo of enumerated graphs, so verify builds and solves them
+    # afresh, as a one-shot ``specbound verify`` does
+    monkeypatch.setattr(enumeration, "_GRAPHS", {})
+    assert _doc(["verify"])["payload"]["ok"] is True
+    assert len(eigensolves) <= 450
 
 
 def test_tutte_above_the_dense_cap_fails_before_the_scan(monkeypatch):

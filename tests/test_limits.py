@@ -85,6 +85,6 @@ def test_accumulation_record_fields():
 def test_cycle_spectrum_zeros_follow_the_noise_rule(n):
     # 2cos(pi/2) is 1.2e-16, not 0: like the dense solve's noise, it prints as 0.0
     closed = cycle_spectrum(n)
-    assert list(closed.values) == sorted(closed.values)
-    zeros = closed.values.count(0.0)
-    assert zeros == adjacency_spectrum(cycle(n)).values.count(0.0) == (2 if n % 4 == 0 else 0)
+    assert list(closed) == sorted(closed)
+    zeros = closed.count(0.0)
+    assert zeros == adjacency_spectrum(cycle(n)).count(0.0) == (2 if n % 4 == 0 else 0)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import graphs
 from specbound import spectral
+from specbound.bipartite import spectral_bipartite_test
 from specbound.enumeration import enumerate_graphs
 from specbound.generators import (
     complete,
@@ -18,8 +19,10 @@ from specbound.generators import (
     path,
     petersen,
     random_regular,
+    subdivide,
 )
 from specbound.graphs import CapExceeded, Graph, mask_of
+from specbound.matching import tutte_scan
 from specbound.spectral import (
     adjacency_matrix,
     adjacency_spectrum,
@@ -42,48 +45,46 @@ GOLDEN = (1 + math.sqrt(5)) / 2
 def test_path_four_spectrum():
     s = adjacency_spectrum(path(4))
     want = sorted(2 * math.cos(k * math.pi / 5) for k in (1, 2, 3, 4))
-    assert multiset_close(s.values, want, 1e-9)
-    assert s.max == pytest.approx(GOLDEN, abs=1e-9)
+    assert multiset_close(s, want, 1e-9)
+    assert s[-1] == pytest.approx(GOLDEN, abs=1e-9)
 
 
 def test_cycle_spectra_match_cosines():
     for n in (3, 4, 5, 6, 12):
         s = adjacency_spectrum(cycle(n))
         want = sorted(2 * math.cos(2 * math.pi * k / n) for k in range(n))
-        assert multiset_close(s.values, want, 1e-9)
+        assert multiset_close(s, want, 1e-9)
 
 
 def test_complete_graph_laplacian():
     s = laplacian_spectrum(complete(4))
-    assert multiset_close(s.values, [0, 4, 4, 4], 1e-9)
+    assert multiset_close(s, [0, 4, 4, 4], 1e-9)
 
 
 def test_petersen_frozen_spectra():
     p = petersen()
     s = adjacency_spectrum(p)
-    assert multiset_close(s.values, [-2] * 4 + [1] * 5 + [3], 1e-9)
+    assert multiset_close(s, [-2] * 4 + [1] * 5 + [3], 1e-9)
     ls = laplacian_spectrum(p)
-    assert multiset_close(ls.values, [0] + [2] * 5 + [5] * 4, 1e-9)
+    assert multiset_close(ls, [0] + [2] * 5 + [5] * 4, 1e-9)
 
 
 def test_spectrum_contains():
-    s = adjacency_spectrum(cycle(6))
-    assert s.contains(2.0)
-    assert s.contains(-2.0)
-    assert not s.contains(1.5)
+    s = adjacency_spectrum(cycle(6))  # a sorted tuple: 2cos(2 pi k / 6)
+    for x, inside in ((2.0, True), (-2.0, True), (1.0, True), (1.5, False)):
+        assert any(abs(v - x) <= 1e-9 for v in s) == inside
 
 
 def test_laplacian_kernel_counts_components():
     g = Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (5, 6)])
-    ls = laplacian_spectrum(g)
-    assert sum(1 for v in ls.values if abs(v) <= ls.tol) == 3
+    assert laplacian_spectrum(g).count(0.0) == 3  # the kernel's noise is zeroed
 
 
 @given(graphs(min_n=2, max_n=10))
 @settings(max_examples=60, deadline=None)
 def test_extremes_bracket_average_degree(g):
     spec = adjacency_spectrum(g)
-    m, M = spec.min, spec.max
+    m, M = spec[0], spec[-1]
     avg = 2 * g.m / g.n
     assert m - 1e-9 <= avg <= M + 1e-9
     assert M <= g.max_degree + 1e-9
@@ -96,21 +97,20 @@ def test_extremes_bracket_average_degree(g):
 @settings(max_examples=40, deadline=None)
 def test_regular_laplacian_is_degree_shift(seed):
     g = random_regular(10, 3, seed=seed)
-    adj = adjacency_spectrum(g).values
-    lap = laplacian_spectrum(g).values
+    adj = np.linalg.eigvalsh(adjacency_matrix(g))  # a solve of its own, not derived from L
+    lap = laplacian_spectrum(g)
     shifted = sorted(3 - x for x in adj)
     assert multiset_close(lap, shifted, 1e-9)
 
 
 def _assert_derived_adjacency_matches_the_dense_solve(g):
-    adj, lap = spectral._spectra(g, spectral.TOL)
-    dense = adjacency_spectrum(g).values
+    adj = adjacency_spectrum(g)
+    dense = np.linalg.eigvalsh(adjacency_matrix(g)).tolist()  # not derived from L
     # each solve strays by at most margin(g), and the noise rule may zero
     # either side of a pair that straddles its threshold
     slack = max(spectral.TOL, margin(g)) + 2 * margin(g)
-    assert len(adj.values) == len(dense)
-    assert all(abs(x - y) <= slack for x, y in zip(adj.values, dense))  # in order
-    assert lap == laplacian_spectrum(g)  # the very solve laplacian_spectrum makes
+    assert len(adj) == len(dense)
+    assert all(abs(x - y) <= slack for x, y in zip(adj, dense))  # in order
 
 
 def test_derived_adjacency_spectrum_on_every_regular_class_up_to_8():
@@ -127,10 +127,25 @@ def test_derived_adjacency_spectrum_on_random_regular_graphs(n, d):
     _assert_derived_adjacency_matches_the_dense_solve(random_regular(n, d, seed=n + d))
 
 
+@pytest.mark.parametrize("g, solves", [
+    (petersen(), ["eigvalsh"]),  # the Laplacian's; the adjacency's is d - lambda
+    (path(12), ["eigvalsh"] * 2),
+    (subdivide(petersen()), ["eigvalsh"] * 2),
+], ids=["petersen", "path-12", "subdivided-petersen"])
+def test_each_operator_is_solved_once_per_graph(eigensolves, g, solves):
+    # bounds, the Wilf floor, the bipartite test and the Tutte scan's flag
+    # all read the spectra kept on the graph
+    bounds(g)
+    norm_floor(g)
+    spectral_bipartite_test(g)
+    tutte_scan(g, mode="randomized", samples=100)  # 25 vertices exceed the exhaustive cap
+    assert eigensolves == solves
+
+
 def test_regular_norm_equals_degree():
     for seed in range(10):
         g = random_regular(14, 4, seed=seed)
-        M = adjacency_spectrum(g).max
+        M = adjacency_spectrum(g)[-1]
         assert M == pytest.approx(4.0, abs=1e-9)  # constants are always eigenvectors
 
 
@@ -199,7 +214,7 @@ def test_block_inequality_examples():
         labels = [rng.randrange(k) for _ in range(n)]
         parts = [mask_of([v for v in range(n) if labels[v] == i]) for i in range(k)]
         spec = adjacency_spectrum(g)
-        m, M = spec.min, spec.max
+        m, M = spec[0], spec[-1]
         rhs = sum(b.M for b in block_extremes(g, parts))
         assert (k - 1) * m + M <= rhs + 1e-9
 
@@ -285,7 +300,7 @@ def test_dense_cap_is_checked_before_any_allocation(monkeypatch):
         with pytest.raises(CapExceeded):
             solve(big)
     assert allocated == []
-    assert len(adjacency_spectrum(cycle(5)).values) == 5  # the spy still counts
+    assert len(adjacency_spectrum(cycle(5))) == 5  # the spy still counts
     assert allocated
 
 
@@ -368,7 +383,9 @@ def test_no_certificate_within_the_margin_of_a_snap_boundary(eigensolves, monkey
     # neither the degree bracket nor the Cholesky shift may settle it; the
     # machine epsilon is inflated to put M that close
     monkeypatch.setattr(spectral, "EPS", eps)
-    assert abs(boundary - spectral.TOL - adjacency_spectrum(g).max) < margin(g)
+    # the precondition is read off a copy, so the fallback solve on g counts
+    copy = Graph(g.n, g.edges())
+    assert abs(boundary - spectral.TOL - adjacency_spectrum(copy)[-1]) < margin(g)
     eigensolves.clear()
     assert norm_floor(g) == want
     assert eigensolves == ["eigvalsh"]
