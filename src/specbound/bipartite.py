@@ -3,10 +3,16 @@
 For a connected d-regular graph three statements coincide: the graph is
 bipartite, the adjacency spectrum is symmetric about 0, and -d is an
 eigenvalue, whose eigenvector is then the +-1 side vector s: ``A s = -d s``
-holds exactly when every edge joins the two sides.  The test below reports
-the two spectral indicators and, in the regular case, takes the sides from
-the signs of one shifted linear solve, reporting them only when that exact
-O(m) edge check passes.  A plain BFS 2-coloring is the independent oracle.
+holds exactly when every edge joins the two sides.  On any connected graph
+the same s spans the kernel of the signless Laplacian ``D + A`` exactly
+when the graph is bipartite.  The test below reports the two spectral
+indicators and, in the regular case, takes the sides from the signs of one
+shifted linear solve for that kernel, reporting them only when the exact
+O(m) edge check passes.  The indicators need no eigensolve when a
+certificate settles them: one Cholesky factorization proves both false, or
+that same solve's edge check proves the graph bipartite and both true; the
+adjacency spectrum decides only when neither closes.  A plain BFS
+2-coloring is the independent oracle.
 
 ``rotation_two_coloring`` is the odd one out: it builds the classical
 2-coloring of an irrational-rotation orbit graph off a small interval
@@ -26,7 +32,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .graphs import Graph, InternalError, Mask, is_connected, mask_of
-from .spectral import TOL, adjacency_matrix, adjacency_spectrum, multiset_close
+from .spectral import (TOL, adjacency_matrix, adjacency_spectrum, hofmeister, margin,
+                       multiset_close, positive_definite)
 
 SIGN_EPS = 1e-9  # eigenvector entries closer to 0 than this are undecided
 
@@ -44,17 +51,52 @@ class BipartiteVerdict:
     note: str = ""
 
 
+_NOT_REGULAR = "graph is not regular: indicator uses -M in place of -d, extraction skipped"
+
+
 def spectral_bipartite_test(g: Graph, tol: float = TOL) -> BipartiteVerdict:
     """Spectral bipartiteness indicators, plus extraction when regular.
 
     Connected graphs only.  For non-regular graphs the -d indicator is
     computed against -M (M = ||T||) and extraction is skipped, flagged in
     ``note``; -M is an eigenvalue of a connected graph iff it is bipartite.
+
+    Unless ``g`` already carries its adjacency spectrum, two certificates
+    with margin ``eta`` are tried first, when n >= 2 and ``tol > 4 eta``;
+    each settles the verdict the dense path prints, and that path runs only
+    when neither closes:
+
+    - not bipartite: one Cholesky factorization of ``A + (h - tol - 3 eta) I``,
+      with h = d on a d-regular graph and ``hofmeister(g) - eta <= M``
+      otherwise, proves ``l_min > -M + tol + 2 eta``, so no computed
+      eigenvalue lies within ``tol`` of ``-M`` and the spectrum's ends do not
+      pair: both indicators are false;
+    - bipartite: the signs of ``_sign_sides``' solve pass the edge check, so
+      the graph is exactly bipartite, its spectrum is exactly symmetric with
+      ``-M`` in it, and a dense solve, within ``eta`` of each eigenvalue, pairs
+      them within ``2 eta < tol``: both indicators are true.  (The zeroing
+      rule can split a pair ``+-x`` only when x lies within ``eta`` of the
+      noise level, where the dense verdict itself hangs on rounding.)
     """
     if not is_connected(g):
         raise ValueError("spectral bipartiteness test needs a connected graph")
-    spec = adjacency_spectrum(g)
     regular = g.is_regular
+    eta = margin(g)
+    certify = g._adj_spectrum is None and g.n >= 2 and tol > 4 * eta
+    if certify:
+        note = "" if regular else _NOT_REGULAR
+        mat = adjacency_matrix(g)
+        h = g.max_degree if regular else hofmeister(g) - eta
+        mat[np.diag_indices(g.n)] = h - tol - 3 * eta
+        if positive_definite(mat):
+            return BipartiteVerdict(symmetric_spectrum=False, minus_d_in_spectrum=False,
+                                    bipartition=None, regular=regular, note=note)
+        sides = _sign_sides(g, mat)
+        if sides is not None:
+            return BipartiteVerdict(symmetric_spectrum=True, minus_d_in_spectrum=True,
+                                    bipartition=sides if regular else None,
+                                    regular=regular, note=note)
+    spec = adjacency_spectrum(g)
     ref = g.max_degree if regular else spec[-1]
     symmetric = is_symmetric_spectrum(spec, tol)
     minus_d_in = any(abs(v + ref) <= tol for v in spec)
@@ -62,34 +104,35 @@ def spectral_bipartite_test(g: Graph, tol: float = TOL) -> BipartiteVerdict:
     bipartition = None
     note = ""
     if regular and minus_d_in and g.n >= 2:
-        bipartition = _sign_sides(g, spec)
+        # a certificate's solve, when one ran, is this one and found no sides
+        if not certify:
+            bipartition = _sign_sides(g, adjacency_matrix(g))
         if bipartition is None:
             note = "-d lies within tol of the spectrum, but no sign pattern is a bipartition"
     elif not regular:
-        note = "graph is not regular: indicator uses -M in place of -d, extraction skipped"
+        note = _NOT_REGULAR
     return BipartiteVerdict(symmetric_spectrum=symmetric,
                             minus_d_in_spectrum=minus_d_in,
                             bipartition=bipartition, regular=regular, note=note)
 
 
-def _sign_sides(g: Graph, spec: Sequence[float]) -> Optional[Tuple[Mask, Mask]]:
-    """The sides of the least eigenvector's sign pattern, vertex 0's first;
-    None when some entry lies within ``SIGN_EPS`` of 0 or some edge has both
-    ends on one side.
+def _sign_sides(g: Graph, mat: np.ndarray) -> Optional[Tuple[Mask, Mask]]:
+    """The sides of a near-kernel vector of the signless Laplacian ``D + A``,
+    vertex 0's first; None when some entry lies within ``SIGN_EPS`` of 0 or
+    some edge has both ends on one side.
 
-    The vector is one step of inverse iteration: solve ``(A - (l0 - delta) I)
-    x = b`` for a fixed b, l0 and l1 the two least computed eigenvalues and
-    delta = 1e-8 (l1 - l0), then scale x to unit length.  On a connected
-    regular bipartite graph -d is a simple eigenvalue and x is the side
-    vector up to scale, so every check passes; on any other graph no sign
-    pattern passes the edge check, whatever the solve returns.
+    ``mat`` is g's adjacency matrix off the diagonal, which is overwritten.
+    The vector is one step of inverse iteration: solve
+    ``(D + A + 4 eta I) x = b`` for a fixed b, then scale x to unit length.
+    ``D + A`` is positive semidefinite, and on a connected bipartite graph
+    its kernel is spanned by the +-1 side vector alone, so x is that vector
+    up to scale and every check passes; on any other graph no sign pattern
+    passes the edge check, whatever the solve returns.
     """
-    mat = adjacency_matrix(g)
-    l0, l1 = spec[0], spec[1]
-    mat[np.diag_indices(g.n)] = 1e-8 * (l1 - l0) - l0  # A has a zero diagonal
+    mat[np.diag_indices(g.n)] = np.add(g.degrees, 4 * margin(g))
     try:
         x = np.linalg.solve(mat, np.sin(np.arange(1.0, g.n + 1.0)))
-    except np.linalg.LinAlgError:  # an exactly singular shift
+    except np.linalg.LinAlgError:  # an exactly singular pivot
         return None
     x /= np.linalg.norm(x)
     pos = (x > SIGN_EPS).tolist()

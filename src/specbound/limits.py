@@ -14,8 +14,11 @@ points fill an interval.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .spectral import TOL, _gap
 
@@ -33,12 +36,30 @@ class SpectrumAccumulation:
     gaps: Tuple[GapEntry, ...]
 
 
-def _merge(values: List[float], tol: float) -> Tuple[float, ...]:
+# A merge of at least _ARRAY_SORT_MIN values sorts them as one float64 array
+# and reads it back _MERGE_CHUNK values at a time, so at most one chunk of
+# them is ever a Python float: ``limit --max-n 2048`` (2.1 million values)
+# peaked at 137 MB as one list and 95 MB so.  A smaller merge sorts a Python
+# list, a transient megabyte at ``limit --max-n 256``: numpy's sort would map
+# about 0.4 MB of its code on first use and keep it resident, which raised
+# the peak RSS of the spectral-large benchmark by that much.
+_ARRAY_SORT_MIN = 1 << 20
+_MERGE_CHUNK = 1 << 16
+
+
+def _merge(values: Sequence[float], tol: float) -> Tuple[float, ...]:
     """Sort and collapse near-duplicates, keeping the smaller of each pair."""
+    if len(values) < _ARRAY_SORT_MIN:
+        chunks = [sorted(values)]
+    else:
+        ordered = np.sort(np.asarray(values, dtype=float))
+        chunks = (ordered[i:i + _MERGE_CHUNK].tolist()
+                  for i in range(0, ordered.size, _MERGE_CHUNK))
     out: List[float] = []
-    for v in sorted(values):
-        if not out or v - out[-1] > tol:
-            out.append(v)
+    for chunk in chunks:
+        for v in chunk:
+            if not out or v - out[-1] > tol:
+                out.append(v)
     return tuple(out)
 
 
@@ -54,7 +75,7 @@ def accumulate_spectra(max_n: int, tol: float = TOL) -> SpectrumAccumulation:
     if max_n < 3:
         raise ValueError(f"family 'cycles' has no members at index <= {max_n}")
     gaps: List[GapEntry] = []
-    values: List[float] = []
+    values = array("d")  # about max_n^2 / 2 of them, 8 bytes each
     for n in range(3, max_n + 1):
         spec = cycle_spectrum(n)
         try:  # a --tol near 4 or above leaves no eigenvalue below the degree

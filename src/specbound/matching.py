@@ -13,9 +13,11 @@ components directly.  ``c_star`` is the worst ratio (odd components of G-A) /
   leaves an odd component, so c_star >= 1.  It is reported, never relied on.
 
 ``bh_condition`` of the report is the spectral sufficient condition
-``2*mL >= ML`` on the mean-zero Laplacian extremes; ``two_set_inequality``
-checks the measure inequality that a pair of sets with no edges between them
-must satisfy; both are validated against the exhaustive oracles in the tests.
+``2*mL >= ML`` on the mean-zero Laplacian extremes, certified False without
+an eigensolve where two integer Rayleigh quotients separate them;
+``two_set_inequality`` checks the measure inequality that a pair of sets with
+no edges between them must satisfy; both are validated against the
+exhaustive oracles in the tests.
 ``perfect_matching_oracle`` is the exact search the Tutte flags are checked
 against.
 
@@ -38,7 +40,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .graphs import CapExceeded, Graph, Mask, bits, is_connected
-from .spectral import TOL, mean_zero_extremes
+from .spectral import TOL, _check_dense, margin, mean_zero_extremes
 
 
 @dataclass
@@ -274,10 +276,12 @@ def tutte_scan(g: Graph, mode: str = "exhaustive", seed: int = 0,
     best of its earlier blocks); ``scanned`` counts every subset decided, so
     an exhaustive scan reports 2^n - 1.
 
-    The doubled-gap flag, the only dense solve, comes first, so a connected
-    graph past the dense cap fails before any subset is scanned.  Exhaustive
-    scans of at least _VECTOR_MIN_N vertices run in ``_scan_blocks``, every
-    other scan in ``_scan``; both give the same report.
+    The doubled-gap flag comes first and checks the dense cap before its
+    certificate, so a connected graph past the cap fails before any subset
+    is scanned; it solves the Laplacian, the scan's only dense solve, only
+    when the certificate does not close.  Exhaustive scans of at least
+    _VECTOR_MIN_N vertices run in ``_scan_blocks``, every other scan in
+    ``_scan``; both give the same report.
     """
     if mode == "exhaustive":
         _check_exhaustive(g.n)
@@ -303,9 +307,48 @@ def tutte_scan(g: Graph, mode: str = "exhaustive", seed: int = 0,
 
 
 def _doubled_gap_holds(g: Graph, tol: float) -> bool:
-    """2*mL >= ML on the mean-zero Laplacian extremes of a connected graph."""
+    """2*mL >= ML on the mean-zero Laplacian extremes of a connected graph.
+
+    Unless ``g`` already carries its Laplacian spectrum, a certificate with
+    margin ``eta`` is tried first: ``2 U < Lo - tol - 4 eta`` for an upper
+    bound U on mL and a lower bound Lo on ML makes the flag False for every
+    pair of computed eigenvalues within ``eta`` of them, so the dense solve
+    runs only when it does not close.  U is the Rayleigh quotient of the
+    centred BFS distances from vertex 0, ``y = n dist - sum(dist)``, which is
+    mean-zero; every edge joins equal or adjacent levels, so
+    ``y^T L y = n^2 c`` for the c edges between levels, and
+    ``|y|^2 = n (n sum(dist^2) - sum(dist)^2)``.  The Rayleigh quotient of
+    ``Delta e_v - 1_N(v)``, v of maximum degree Delta, is Delta + 1 plus a
+    nonnegative term for the other edges at N(v), so Lo = Delta + 1.  U is
+    an exact integer ratio, and int / int rounds correctly, far inside
+    ``eta``.
+    """
+    _check_dense(g.n)
+    if g._lap_spectrum is None:
+        dist = _bfs_distances(g)
+        s = sum(dist)
+        cross = sum(dist[u] != dist[v] for u, v in g.edges())
+        upper = g.n * cross / (g.n * sum(x * x for x in dist) - s * s)
+        if 2 * upper < g.max_degree + 1 - tol - 4 * margin(g):
+            return False
     m_l, big_l = mean_zero_extremes(g)
     return bool(2.0 * m_l >= big_l - tol)
+
+
+def _bfs_distances(g: Graph) -> List[int]:
+    """Distances from vertex 0 of a connected graph."""
+    dist = [-1] * g.n
+    dist[0] = 0
+    level = [0]
+    while level:
+        nxt = []
+        for v in level:
+            for u in g.adj[v]:
+                if dist[u] < 0:
+                    dist[u] = dist[v] + 1
+                    nxt.append(u)
+        level = nxt
+    return dist
 
 
 @dataclass(frozen=True)

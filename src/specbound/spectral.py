@@ -14,13 +14,14 @@ bipartite double cover is not built: on a finite graph it is ``sigma_x (x) T``,
 so its spectrum is ``spec T u -spec T`` by algebra.
 
 All eigensolves are dense symmetric (numpy ``eigvalsh``), as are the
-Cholesky factorization of ``norm_floor`` and the linear solve of
-``bipartite``.  All are capped at matrix order 4096, which is checked before
-any matrix is allocated; at that scale the solvers are exact to far better
-than the 1e-9 tolerance used throughout.  Each ``Graph`` is solved at most
-once per operator: ``laplacian_spectrum`` and ``adjacency_spectrum`` keep
-their results on the graph, and every caller (``bounds``, the dense fallback
-of ``norm_floor``, ``bipartite``, the Tutte scan's flag) reads them there.
+Cholesky factorizations of ``norm_floor`` and ``bipartite`` and the linear
+solve of ``bipartite``.  All are capped at matrix order 4096, which is
+checked before any matrix is allocated; at that scale the solvers are exact
+to far better than the 1e-9 tolerance used throughout.  Each ``Graph`` is
+solved at most once per operator: ``laplacian_spectrum`` and
+``adjacency_spectrum`` keep their results on the graph, and every caller
+(``bounds``, the dense fallbacks of ``norm_floor``, ``bipartite`` and the
+Tutte scan's flag) reads them there.
 On a d-regular graph, where ``T = dI - L``, the adjacency spectrum is taken
 from the Laplacian's solve, so one solve gives both.
 
@@ -30,7 +31,9 @@ Tolerance policy, stated once for the whole package:
   computed eigenvalues (and the ``--tol`` default of the CLI).  ``--tol``
   reaches only those comparisons (the spectral gap, the bipartite
   indicators, the doubled-gap and two-set flags, ``limit``'s merge), never
-  a solve, so it never changes a printed spectrum;
+  an eigensolve, so it never changes a printed spectrum (the certificates
+  of the bipartite indicators and the doubled-gap flag shift by it, to
+  settle those same comparisons);
 - integer-valued bounds snap by ``TOL`` before rounding, so a computed
   2.9999999999 floors to 3 (``snapped_floor``) and 2.0000000001 ceils to 2
   (``snapped_ceil``);
@@ -63,19 +66,30 @@ Which answers are certified and which go dense:
 
 - ``norm_floor`` (the ``floor(M)`` behind ``color --algorithm wilf`` and
   ``coloring.wilf_color``) is certified by the bracket
-  ``sqrt(sum d_v^2 / n) <= M <= d`` alone when both ends snap alike (always
-  on regular graphs, where they meet), else by one Cholesky factorization
-  of ``(t + 1 - TOL - eta) I - A`` for the lower end's t; when that fails it
+  ``hofmeister(g) <= M <= d`` alone when both ends snap alike (always on
+  regular graphs, where they meet), else by one Cholesky factorization of
+  ``(t + 1 - TOL - 2 eta) I - A`` for the lower end's t; when that fails it
   takes the graph's adjacency spectrum;
-- the bipartition of ``bipartite`` is the sign pattern of one shifted solve
-  for the -d eigenvector, printed only when every edge joins its two sides
-  (``bipartite.spectral_bipartite_test``): an exact O(m) check, so no bound
-  on the vector's error is needed;
-- every real-valued output (``spectrum``, ``bounds``, the Tutte scan's
-  doubled-gap flag) but ``limit``'s comes from a dense solve, or on a
-  regular graph from the Laplacian's as ``d - lambda``: no certificate is
-  cheaper than ``eigvalsh`` there at n <= 4096.  ``limit`` takes each
-  cycle's spectrum from its closed form (``limits.cycle_spectrum``).
+- the two indicators of ``bipartite`` are certified false by one Cholesky
+  factorization of ``A + (h - tol - 3 eta) I`` (h = d on regular graphs,
+  else ``hofmeister(g) - eta``), or certified true by one shifted solve for
+  the kernel vector of the signless Laplacian ``D + A`` whose sign pattern
+  passes the exact O(m) edge check, so the graph is bipartite; the printed
+  bipartition of a regular graph is that pattern.  Both need
+  ``tol > 4 eta``; when neither closes the adjacency spectrum decides
+  (``bipartite.spectral_bipartite_test``);
+- the Tutte scan's doubled-gap flag ``2 mL >= ML`` is certified false when
+  ``2 U < Lo - tol - 4 eta`` for two exact integer ratios, a Rayleigh
+  quotient ``U >= mL`` and ``Lo = Delta + 1 <= ML``; otherwise the
+  Laplacian spectrum decides (``matching._doubled_gap_holds``);
+- those two run only on a graph that does not yet carry the spectrum they
+  would replace, so a caller that has solved it (``bounds`` before them,
+  as in ``verify``) reads it instead;
+- every real-valued output (``spectrum``, ``bounds``) but ``limit``'s
+  comes from a dense solve, or on a regular graph from the Laplacian's as
+  ``d - lambda``: no certificate is cheaper than ``eigvalsh`` there at
+  n <= 4096.  ``limit`` takes each cycle's spectrum from its closed form
+  (``limits.cycle_spectrum``).
 """
 
 from __future__ import annotations
@@ -186,27 +200,41 @@ def margin(g: Graph) -> float:
 def norm_floor(g: Graph) -> int:
     """``snapped_floor(M)``, certified without an eigensolve when it can be.
 
-    Hofmeister's bound ``M^2 >= sum d_v^2 / n`` (Rayleigh quotient of ``A^2``
-    at the constant vector) and ``M <= d`` bracket M.  Let t be the snapped
-    floor of the lower end less ``eta``.  If t = d, every value within
-    ``eta`` of M snaps to d (always so on regular graphs, where the ends
-    meet).  Otherwise a Cholesky factorization of ``(t + 1 - TOL - eta) I - A``
-    proves ``M + eta < t + 1 - TOL``, so t is the answer.  If it fails the
-    graph's adjacency spectrum decides.
+    Hofmeister's bound (``hofmeister``) and ``M <= d`` bracket M.  Let t be
+    the snapped floor of the lower end less ``eta``.  If t = d, every value
+    within ``eta`` of M snaps to d (always so on regular graphs, where the
+    ends meet).  Otherwise a Cholesky factorization of
+    ``(t + 1 - TOL - 2 eta) I - A`` proves ``M + eta < t + 1 - TOL``, so t is
+    the answer.  If it fails the graph's adjacency spectrum decides.
     """
     _check_dense(g.n)
     eta = margin(g)
-    t = snapped_floor(math.sqrt(sum(d * d for d in g.degrees) / g.n) - eta)
+    t = snapped_floor(hofmeister(g) - eta)
     if t == g.max_degree:
         return t
     shifted = adjacency_matrix(g)
     np.negative(shifted, out=shifted)
-    shifted[np.diag_indices(g.n)] = t + 1 - TOL - eta
-    try:
-        np.linalg.cholesky(shifted)
+    shifted[np.diag_indices(g.n)] = t + 1 - TOL - 2 * eta
+    if positive_definite(shifted):
         return t
+    return snapped_floor(adjacency_spectrum(g)[-1])
+
+
+def hofmeister(g: Graph) -> float:
+    """``sqrt(sum d_v^2 / n)``, a lower bound on M: the Rayleigh quotient of
+    ``A^2`` at the constant vector is ``sum d_v^2 / n``."""
+    return math.sqrt(sum(d * d for d in g.degrees) / g.n)
+
+
+def positive_definite(mat: np.ndarray) -> bool:
+    """Whether one Cholesky factorization of ``mat`` succeeds.  It succeeds
+    on a matrix within ``eta`` (its backward error) of a positive definite
+    one, so success proves every eigenvalue of ``mat`` exceeds ``-eta``."""
+    try:
+        np.linalg.cholesky(mat)
+        return True
     except np.linalg.LinAlgError:
-        return snapped_floor(adjacency_spectrum(g)[-1])
+        return False
 
 
 def _gap(adj: Sequence[float], d: int, tol: float) -> float:

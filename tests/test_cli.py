@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import specbound
 from specbound import enumeration, graphs, invariants, matching, spectral
 from specbound.cli import run
-from specbound.generators import complete_bipartite, cycle, petersen, subdivide
+from specbound.generators import complete_bipartite, cycle, petersen, random_regular, subdivide
 from specbound.graphs import (canonical_digest, dump_edge_list, load_directed_edge_list,
                               load_edge_list)
 
@@ -327,11 +327,13 @@ def test_peeling_stuck_error_is_bounded():
     (subdivide(petersen()), ["spectrum"], 2),  # irregular: one solve per operator
     (subdivide(petersen()), ["bounds"], 2),
     (petersen(), ["color", "--algorithm", "wilf"], 0),  # regular: floor(M) = d, certified
-    (petersen(), ["bipartite"], 1),
-    (complete_bipartite(4, 4), ["bipartite"], 1),  # -d vector: one shifted solve, no eigh
+    (petersen(), ["bipartite"], 0),  # not bipartite: one Cholesky factorization
+    (complete_bipartite(4, 4), ["bipartite"], 0),  # -d vector: one shifted solve
+    (subdivide(petersen()), ["bipartite"], 0),  # irregular and bipartite: one shifted solve
+    (random_regular(500, 3, 1), ["tutte", "--mode", "randomized"], 0),  # 2U < Delta + 1
     (None, ["limit", "--max-n", "16"], 0),  # cycle spectra from their closed form
 ], ids=["spectrum", "bounds", "spectrum-irregular", "bounds-irregular", "wilf", "bipartite",
-        "bipartite-regular", "limit"])
+        "bipartite-regular", "bipartite-irregular", "tutte-randomized", "limit"])
 def test_each_spectrum_is_solved_once(eigensolves, graph, argv, solves):
     code, text = _run(argv, stdin_text=dump_edge_list(graph) if graph else None)
     assert code == 0, text

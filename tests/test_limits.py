@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from specbound import limits
 from specbound.generators import cycle
 from specbound.limits import (
     GapEntry,
@@ -33,6 +34,35 @@ def test_merge_collapses_near_duplicates_keeping_smaller():
     assert out == (1.0, 2.0)
     out = _merge([1.0, 1.0 + 2e-9], tol=1e-9)
     assert out == (1.0, 1.0 + 2e-9)
+
+
+def _list_merge(values, tol):
+    """The merge as it was written for one Python list of every value."""
+    out = []
+    for v in sorted(values):
+        if not out or v - out[-1] > tol:
+            out.append(v)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("array_sort_min", [1 << 20, 0], ids=["list", "array"])
+@pytest.mark.parametrize("tol", [1e-9, 1e-3, 3.99, 4.0])
+def test_accumulated_points_match_the_list_merge(monkeypatch, tol, array_sort_min):
+    monkeypatch.setattr(limits, "_ARRAY_SORT_MIN", array_sort_min)
+    for max_n in range(3, 65):
+        points = accumulate_spectra(max_n, tol).points
+        values = [v for n in range(3, max_n + 1) for v in cycle_spectrum(n)]
+        assert points == _list_merge(values, tol), max_n
+        assert all(type(p) is float for p in points)
+
+
+def test_merge_carries_its_last_point_across_chunks(monkeypatch):
+    # runs of near-duplicates straddle the chunk boundaries
+    monkeypatch.setattr(limits, "_ARRAY_SORT_MIN", 0)
+    monkeypatch.setattr(limits, "_MERGE_CHUNK", 5)
+    values = [0.25 * (k % 7) + 4e-10 * (k // 7) for k in range(63)]
+    assert _merge(values, 1e-9) == _list_merge(values, 1e-9)
+    assert len(_merge(values, 1e-9)) == 21  # keeps 0, 1.2e-9 and 2.4e-9 above each 0.25 j
 
 
 def test_max_gap_single_edge():
