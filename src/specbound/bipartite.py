@@ -9,10 +9,12 @@ when the graph is bipartite.  The test below reports the two spectral
 indicators and, in the regular case, takes the sides from the signs of one
 shifted linear solve for that kernel, reporting them only when the exact
 O(m) edge check passes.  The indicators need no eigensolve when a
-certificate settles them: one Cholesky factorization proves both false, or
-that same solve's edge check proves the graph bipartite and both true; the
-adjacency spectrum decides only when neither closes.  A plain BFS
-2-coloring is the independent oracle.
+certificate settles them, and a BFS parity check picks the one that can
+close: on a graph with an odd cycle one Cholesky factorization shows both
+false; on a bipartite one that same solve's passing edge check proves the
+graph bipartite and both true.  The adjacency spectrum decides only when
+the certificate tried does not close.  A plain BFS 2-coloring is the
+independent oracle.
 
 ``rotation_two_coloring`` is the odd one out: it builds the classical
 2-coloring of an irrational-rotation orbit graph off a small interval
@@ -61,22 +63,26 @@ def spectral_bipartite_test(g: Graph, tol: float = TOL) -> BipartiteVerdict:
     computed against -M (M = ||T||) and extraction is skipped, flagged in
     ``note``; -M is an eigenvalue of a connected graph iff it is bipartite.
 
-    Unless ``g`` already carries its adjacency spectrum, two certificates
-    with margin ``eta`` are tried first, when n >= 2 and ``tol > 4 eta``;
-    each settles the verdict the dense path prints, and that path runs only
-    when neither closes:
+    Unless ``g`` already carries its adjacency spectrum, a certificate is
+    tried first, when n >= 2 and ``tol > 4 eta``.  It settles the verdict
+    the dense path would print under the error model of ``margin`` (every
+    computed eigenvalue, and a factorization's backward error, within
+    ``eta``), and that path runs only when it does not close.  A BFS parity
+    check picks the one certificate that can close, as each is sure to fail
+    on the other kind of graph:
 
-    - not bipartite: one Cholesky factorization of ``A + (h - tol - 3 eta) I``,
-      with h = d on a d-regular graph and ``hofmeister(g) - eta <= M``
-      otherwise, proves ``l_min > -M + tol + 2 eta``, so no computed
-      eigenvalue lies within ``tol`` of ``-M`` and the spectrum's ends do not
-      pair: both indicators are false;
-    - bipartite: the signs of ``_sign_sides``' solve pass the edge check, so
-      the graph is exactly bipartite, its spectrum is exactly symmetric with
-      ``-M`` in it, and a dense solve, within ``eta`` of each eigenvalue, pairs
-      them within ``2 eta < tol``: both indicators are true.  (The zeroing
-      rule can split a pair ``+-x`` only when x lies within ``eta`` of the
-      noise level, where the dense verdict itself hangs on rounding.)
+    - with an odd cycle (not bipartite): one Cholesky factorization of
+      ``A + (h - tol - 3 eta) I``, with h = d on a d-regular graph and
+      ``hofmeister(g) - eta <= M`` otherwise, shows ``l_min > -M + tol +
+      2 eta``, so no computed eigenvalue lies within ``tol`` of ``-M`` and
+      the spectrum's ends do not pair: both indicators are false;
+    - bipartite: the signs of ``_sign_sides``' solve pass the exact edge
+      check, which proves the graph bipartite whatever the solve's error, so
+      its spectrum is exactly symmetric with ``-M`` in it, and a dense
+      solve, within ``eta`` of each eigenvalue, pairs them within
+      ``2 eta < tol``: both indicators are true.  (The zeroing rule can
+      split a pair ``+-x`` only when x lies within ``eta`` of the noise
+      level, where the dense verdict itself hangs on rounding.)
     """
     if not is_connected(g):
         raise ValueError("spectral bipartiteness test needs a connected graph")
@@ -86,16 +92,18 @@ def spectral_bipartite_test(g: Graph, tol: float = TOL) -> BipartiteVerdict:
     if certify:
         note = "" if regular else _NOT_REGULAR
         mat = adjacency_matrix(g)
-        h = g.max_degree if regular else hofmeister(g) - eta
-        mat[np.diag_indices(g.n)] = h - tol - 3 * eta
-        if positive_definite(mat):
-            return BipartiteVerdict(symmetric_spectrum=False, minus_d_in_spectrum=False,
-                                    bipartition=None, regular=regular, note=note)
-        sides = _sign_sides(g, mat)
-        if sides is not None:
-            return BipartiteVerdict(symmetric_spectrum=True, minus_d_in_spectrum=True,
-                                    bipartition=sides if regular else None,
-                                    regular=regular, note=note)
+        if _two_coloring(g) is None:
+            h = g.max_degree if regular else hofmeister(g) - eta
+            mat[np.diag_indices(g.n)] = h - tol - 3 * eta
+            if positive_definite(mat):
+                return BipartiteVerdict(symmetric_spectrum=False, minus_d_in_spectrum=False,
+                                        bipartition=None, regular=regular, note=note)
+        else:
+            sides = _sign_sides(g, mat)
+            if sides is not None:
+                return BipartiteVerdict(symmetric_spectrum=True, minus_d_in_spectrum=True,
+                                        bipartition=sides if regular else None,
+                                        regular=regular, note=note)
     spec = adjacency_spectrum(g)
     ref = g.max_degree if regular else spec[-1]
     symmetric = is_symmetric_spectrum(spec, tol)
@@ -104,7 +112,8 @@ def spectral_bipartite_test(g: Graph, tol: float = TOL) -> BipartiteVerdict:
     bipartition = None
     note = ""
     if regular and minus_d_in and g.n >= 2:
-        # a certificate's solve, when one ran, is this one and found no sides
+        # a certificate's solve, when one ran, is this one and found no sides;
+        # on a graph with an odd cycle no sign pattern passes the edge check
         if not certify:
             bipartition = _sign_sides(g, adjacency_matrix(g))
         if bipartition is None:
@@ -144,6 +153,16 @@ def _sign_sides(g: Graph, mat: np.ndarray) -> Optional[Tuple[Mask, Mask]]:
 
 def bfs_bipartition_oracle(g: Graph) -> Optional[Tuple[Mask, Mask]]:
     """BFS 2-coloring; None iff some component has an odd cycle."""
+    side = _two_coloring(g)
+    if side is None:
+        return None
+    a = mask_of(v for v in range(g.n) if side[v] == 0)
+    return a, g.full_mask & ~a
+
+
+def _two_coloring(g: Graph) -> Optional[List[int]]:
+    """Each vertex's side (0 or 1) in a BFS 2-coloring, each component's
+    least vertex on side 0; None iff some component has an odd cycle."""
     side = [-1] * g.n
     for s in range(g.n):
         if side[s] >= 0:
@@ -158,8 +177,7 @@ def bfs_bipartition_oracle(g: Graph) -> Optional[Tuple[Mask, Mask]]:
                     queue.append(u)
                 elif side[u] == side[v]:
                     return None
-    a = mask_of(v for v in range(g.n) if side[v] == 0)
-    return a, g.full_mask & ~a
+    return side
 
 
 @dataclass

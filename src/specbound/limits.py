@@ -36,28 +36,19 @@ class SpectrumAccumulation:
     gaps: Tuple[GapEntry, ...]
 
 
-# A merge of at least _ARRAY_SORT_MIN values sorts them as one float64 array
-# and reads it back _MERGE_CHUNK values at a time, so at most one chunk of
-# them is ever a Python float: ``limit --max-n 2048`` (2.1 million values)
-# peaked at 137 MB as one list and 95 MB so.  A smaller merge sorts a Python
-# list, a transient megabyte at ``limit --max-n 256``: numpy's sort would map
-# about 0.4 MB of its code on first use and keep it resident, which raised
-# the peak RSS of the spectral-large benchmark by that much.
-_ARRAY_SORT_MIN = 1 << 20
+# The merge sorts every value as one float64 array and reads it back
+# _MERGE_CHUNK values at a time, so at most one chunk of them is ever a
+# Python float: ``limit --max-n 2048`` (2.1 million values) peaked at 137 MB
+# as one list and 95 MB so.
 _MERGE_CHUNK = 1 << 16
 
 
 def _merge(values: Sequence[float], tol: float) -> Tuple[float, ...]:
     """Sort and collapse near-duplicates, keeping the smaller of each pair."""
-    if len(values) < _ARRAY_SORT_MIN:
-        chunks = [sorted(values)]
-    else:
-        ordered = np.sort(np.asarray(values, dtype=float))
-        chunks = (ordered[i:i + _MERGE_CHUNK].tolist()
-                  for i in range(0, ordered.size, _MERGE_CHUNK))
+    ordered = np.sort(np.asarray(values, dtype=float))
     out: List[float] = []
-    for chunk in chunks:
-        for v in chunk:
+    for i in range(0, ordered.size, _MERGE_CHUNK):
+        for v in ordered[i:i + _MERGE_CHUNK].tolist():
             if not out or v - out[-1] > tol:
                 out.append(v)
     return tuple(out)

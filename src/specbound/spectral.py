@@ -48,13 +48,18 @@ Tolerance policy, stated once for the whole package:
   9.86959628246e-06 on two, and a spectrum symmetric by algebra can print
   a pair ``+-x`` with different last digits;
 - ``margin(g) = 8 n (d + 1) eps`` (``eta``; d the maximum degree, eps the
-  double-precision machine epsilon) bounds how far a dense solve's
-  eigenvalue, or a factorization's backward error, may stray on ``g``:
-  each is a small multiple of ``n eps ||A||``, and ``||A|| <= d``.  A
+  double-precision machine epsilon) is the error model: the package takes
+  a dense solve's eigenvalues, and a factorization's backward error, to
+  stray on ``g`` by at most ``eta``, a small multiple of ``n eps ||A||``
+  with ``||A|| <= d``, the size these errors have in practice.  It is not
+  a proven bound: the worst-case backward error of Cholesky is of order
+  ``n^2 eps ||A||`` (Higham, *Accuracy and Stability of Numerical
+  Algorithms*, 2nd ed., Thm. 10.3), far above ``eta`` at n = 1000.  A
   certificate below settles an answer only if it is the answer for every
-  value within ``eta`` of the quantity it brackets, so the dense solve it
-  replaces would print the same bytes.  Where ``eta`` exceeds ``TOL`` (large
-  dense graphs) nothing near a snap boundary is certified;
+  value within ``eta`` of the quantity it brackets, so, under the model
+  that the dense path rests on too, the solve it replaces would print the
+  same bytes; "certified" means no more than that.  Where ``eta`` exceeds
+  ``TOL`` (large dense graphs) nothing near a snap boundary is certified;
 - one noise level, ``max(TOL, eta)``, serves both the solves' sanity
   checks (adjacency eigenvalues within [-d, d], the Laplacian's
   nonnegative, each up to that level) and the zeroing rule: after the
@@ -70,14 +75,16 @@ Which answers are certified and which go dense:
   regular graphs, where they meet), else by one Cholesky factorization of
   ``(t + 1 - TOL - 2 eta) I - A`` for the lower end's t; when that fails it
   takes the graph's adjacency spectrum;
-- the two indicators of ``bipartite`` are certified false by one Cholesky
-  factorization of ``A + (h - tol - 3 eta) I`` (h = d on regular graphs,
-  else ``hofmeister(g) - eta``), or certified true by one shifted solve for
-  the kernel vector of the signless Laplacian ``D + A`` whose sign pattern
-  passes the exact O(m) edge check, so the graph is bipartite; the printed
-  bipartition of a regular graph is that pattern.  Both need
-  ``tol > 4 eta``; when neither closes the adjacency spectrum decides
-  (``bipartite.spectral_bipartite_test``);
+- the two indicators of ``bipartite`` are certified false, on a graph
+  with an odd cycle, by one Cholesky factorization of
+  ``A + (h - tol - 3 eta) I`` (h = d on regular graphs, else
+  ``hofmeister(g) - eta``), or certified true, on a bipartite graph, by one
+  shifted solve for the kernel vector of the signless Laplacian ``D + A``
+  whose sign pattern passes the exact O(m) edge check, a proof that the
+  graph is bipartite; the printed bipartition of a regular graph is that
+  pattern.  A BFS parity check picks the one to try, as the other cannot
+  close.  Both need ``tol > 4 eta``; when the one tried does not close the
+  adjacency spectrum decides (``bipartite.spectral_bipartite_test``);
 - the Tutte scan's doubled-gap flag ``2 mL >= ML`` is certified false when
   ``2 U < Lo - tol - 4 eta`` for two exact integer ratios, a Rayleigh
   quotient ``U >= mL`` and ``Lo = Delta + 1 <= ML``; otherwise the
@@ -192,8 +199,9 @@ def adjacency_spectrum(g: Graph) -> Tuple[float, ...]:
 
 
 def margin(g: Graph) -> float:
-    """``eta`` of the tolerance policy: the largest error a dense solve or
-    a factorization may make on ``g``'s adjacency operator."""
+    """``eta`` of the tolerance policy: the error the package allows a dense
+    solve or a factorization on ``g``'s adjacency operator, the size such
+    errors have in practice (not a worst-case bound)."""
     return 8.0 * g.n * (g.max_degree + 1) * EPS
 
 
@@ -204,8 +212,8 @@ def norm_floor(g: Graph) -> int:
     the snapped floor of the lower end less ``eta``.  If t = d, every value
     within ``eta`` of M snaps to d (always so on regular graphs, where the
     ends meet).  Otherwise a Cholesky factorization of
-    ``(t + 1 - TOL - 2 eta) I - A`` proves ``M + eta < t + 1 - TOL``, so t is
-    the answer.  If it fails the graph's adjacency spectrum decides.
+    ``(t + 1 - TOL - 2 eta) I - A`` shows ``M + eta < t + 1 - TOL`` under the
+    error model of ``margin``, so t is the answer.  If it fails the graph's adjacency spectrum decides.
     """
     _check_dense(g.n)
     eta = margin(g)
@@ -227,9 +235,11 @@ def hofmeister(g: Graph) -> float:
 
 
 def positive_definite(mat: np.ndarray) -> bool:
-    """Whether one Cholesky factorization of ``mat`` succeeds.  It succeeds
-    on a matrix within ``eta`` (its backward error) of a positive definite
-    one, so success proves every eigenvalue of ``mat`` exceeds ``-eta``."""
+    """Whether one Cholesky factorization of ``mat`` succeeds.  Success
+    means ``mat + E`` is positive definite for the factorization's backward
+    error E, so every eigenvalue of ``mat`` exceeds ``-||E||``: above
+    ``-eta`` under the error model of ``margin``, which takes ``||E||`` at
+    the size it has in practice, not at its worst-case bound."""
     try:
         np.linalg.cholesky(mat)
         return True

@@ -7,6 +7,7 @@ certificates off; the BFS 2-coloring is the ground truth.  The hit rates are
 asserted too, so a certificate that never closes cannot pass unnoticed.
 """
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -133,3 +134,20 @@ def test_certified_verdicts_match_the_dense_path_on_random_graphs(g, tol, rng):
     picks = [rng.choice(list(bits(c))) for c in components(g)]
     g = Graph(g.n, set(g.edges()) | {tuple(sorted(p)) for p in zip(picks, picks[1:])})
     _check(g, (tol,))
+
+
+def test_each_graph_tries_only_the_certificate_that_can_close(monkeypatch):
+    # a bipartite graph never factors A + (h - tol - 3 eta) I, whose least
+    # eigenvalue is negative, and a graph with an odd cycle never solves for
+    # a sign pattern that no edge check can pass
+    calls = []
+    for name in ("cholesky", "solve"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+    for g, tol, tried in ((cycle(200), TOL, ["solve"]), (subdivide(petersen()), TOL, ["solve"]),
+                          (path(101), TOL, ["solve"]), (cycle(201), TOL, ["cholesky"]),
+                          (petersen(), TOL, ["cholesky"]), (petersen(), 5.0, ["cholesky"])):
+        calls.clear()
+        spectral_bipartite_test(_fresh(g), tol)
+        assert calls == tried, (g.edges(), tol)

@@ -45,10 +45,8 @@ def _list_merge(values, tol):
     return tuple(out)
 
 
-@pytest.mark.parametrize("array_sort_min", [1 << 20, 0], ids=["list", "array"])
 @pytest.mark.parametrize("tol", [1e-9, 1e-3, 3.99, 4.0])
-def test_accumulated_points_match_the_list_merge(monkeypatch, tol, array_sort_min):
-    monkeypatch.setattr(limits, "_ARRAY_SORT_MIN", array_sort_min)
+def test_accumulated_points_match_the_list_merge(tol):
     for max_n in range(3, 65):
         points = accumulate_spectra(max_n, tol).points
         values = [v for n in range(3, max_n + 1) for v in cycle_spectrum(n)]
@@ -58,7 +56,6 @@ def test_accumulated_points_match_the_list_merge(monkeypatch, tol, array_sort_mi
 
 def test_merge_carries_its_last_point_across_chunks(monkeypatch):
     # runs of near-duplicates straddle the chunk boundaries
-    monkeypatch.setattr(limits, "_ARRAY_SORT_MIN", 0)
     monkeypatch.setattr(limits, "_MERGE_CHUNK", 5)
     values = [0.25 * (k % 7) + 4e-10 * (k // 7) for k in range(63)]
     assert _merge(values, 1e-9) == _list_merge(values, 1e-9)
