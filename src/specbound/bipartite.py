@@ -27,13 +27,12 @@ measure gamma.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graphs import Graph, InternalError, Mask, is_connected, mask_of
+from .graphs import Graph, InternalError, Mask, _two_coloring, is_connected, mask_of
 from .spectral import (TOL, adjacency_matrix, adjacency_spectrum, hofmeister, margin,
                        multiset_close, positive_definite)
 
@@ -158,26 +157,6 @@ def bfs_bipartition_oracle(g: Graph) -> Optional[Tuple[Mask, Mask]]:
         return None
     a = mask_of(v for v in range(g.n) if side[v] == 0)
     return a, g.full_mask & ~a
-
-
-def _two_coloring(g: Graph) -> Optional[List[int]]:
-    """Each vertex's side (0 or 1) in a BFS 2-coloring, each component's
-    least vertex on side 0; None iff some component has an odd cycle."""
-    side = [-1] * g.n
-    for s in range(g.n):
-        if side[s] >= 0:
-            continue
-        side[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for u in g.adj[v]:
-                if side[u] < 0:
-                    side[u] = 1 - side[v]
-                    queue.append(u)
-                elif side[u] == side[v]:
-                    return None
-    return side
 
 
 @dataclass

@@ -193,7 +193,7 @@ def _cmd_bounds(args, stdin_text, out) -> int:
 def _cmd_color(args, stdin_text, out) -> int:
     algo = args.algorithm
     if algo == "function":
-        d = load_directed_edge_list(_read_text(args, stdin_text))
+        d = load_directed_edge_list(_read_text(args, stdin_text), _check_dense)
         digest = hashlib.sha256(dump_directed_edge_list(d).encode()).hexdigest()
         coloring = function_graph_color(d)
         g = d.underlying()
@@ -203,7 +203,7 @@ def _cmd_color(args, stdin_text, out) -> int:
                    "proper": coloring.proper(g)}
         out.write(_report("color", digest, payload))
         return 0
-    g = _load_graph(args, stdin_text, {"wilf": _check_dense, "brute": _check_brute}.get(algo))
+    g = _load_graph(args, stdin_text, _check_brute if algo == "brute" else _check_dense)
     digest = canonical_digest(g)
     if algo == "brute":
         payload = {"algorithm": algo, "chromatic": brute_force_chromatic(g)}
@@ -245,7 +245,8 @@ def _cmd_bipartite(args, stdin_text, out) -> int:
 
 
 def _cmd_tutte(args, stdin_text, out) -> int:
-    g = _load_graph(args, stdin_text, {"exhaustive": _check_exhaustive}.get(args.mode))
+    g = _load_graph(args, stdin_text,
+                    _check_exhaustive if args.mode == "exhaustive" else _check_dense)
     r = tutte_scan(g, mode=args.mode, seed=args.seed, samples=args.samples,
                    tol=args.tol)
     payload = {

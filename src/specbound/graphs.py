@@ -10,9 +10,10 @@ works on two small types defined here:
 * :class:`DirectedGraph` -- finite out-neighbor lists, optionally remembering
   how many generating functions it was built from.
 
-Around them sit the bitmask helpers, neighbourhoods and masked BFS components
-(``components_within`` works on raw adjacency masks), and the edge-list text
-format with its canonical digest.
+Around them sit the bitmask helpers, neighbourhoods, masked BFS components
+(``components_within`` works on raw adjacency masks), the BFS 2-coloring
+shared by ``spectral`` and ``bipartite``, and the edge-list text format with
+its canonical digest.
 
 The mass-transport principle needs no checker here: under the uniform measure
 on a finite graph, mass sent and mass received are one finite sum taken in two
@@ -22,6 +23,7 @@ orders, equal by algebra.
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Mask = int  # vertex subsets as bitmasks over 0..n-1
@@ -196,6 +198,26 @@ def is_connected(g: Graph) -> bool:
     return len(components(g)) == 1
 
 
+def _two_coloring(g: Graph) -> Optional[List[int]]:
+    """Each vertex's side (0 or 1) in a BFS 2-coloring, each component's
+    least vertex on side 0; None iff some component has an odd cycle."""
+    side = [-1] * g.n
+    for s in range(g.n):
+        if side[s] >= 0:
+            continue
+        side[s] = 0
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            for u in g.adj[v]:
+                if side[u] < 0:
+                    side[u] = 1 - side[v]
+                    queue.append(u)
+                elif side[u] == side[v]:
+                    return None
+    return side
+
+
 # ---------------------------------------------------------------------------
 # directed graphs / function graphs
 # ---------------------------------------------------------------------------
@@ -322,9 +344,17 @@ def dump_directed_edge_list(d: DirectedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_directed_edge_list(text: str) -> DirectedGraph:
-    """Parse the directed variant; malformed input raises ValueError."""
+def load_directed_edge_list(text: str,
+                            check_n: Optional[Callable[[int], None]] = None) -> DirectedGraph:
+    """Parse the directed variant; malformed input raises ValueError.
+
+    ``check_n`` sees n once every line has parsed as a pair of integers and
+    before the per-vertex arc sets are built; an arc out of range, a loop or
+    a duplicate is reported by ``DirectedGraph`` after it.
+    """
     n, arcs = _parse_pairs(text, "arc")
+    if check_n is not None:
+        check_n(n)
     return DirectedGraph(n, arcs)
 
 

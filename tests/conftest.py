@@ -25,7 +25,7 @@ def isomorphic(g, h):
 
 @pytest.fixture
 def eigensolves(monkeypatch):
-    """The names of the dense eigensolves (``numpy.linalg.eigvalsh``/``eigh``)
+    """The names of the dense solves (``numpy.linalg.eigvalsh``/``eigh``/``svd``)
     called while the test runs, in order."""
     calls = []
 
@@ -35,7 +35,7 @@ def eigensolves(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("eigvalsh", "eigh"):
+    for name in ("eigvalsh", "eigh", "svd"):
         monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
     return calls
 

@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 import specbound
 from specbound import enumeration, graphs, invariants, matching, spectral
 from specbound.cli import run
-from specbound.generators import complete_bipartite, cycle, petersen, random_regular, subdivide
-from specbound.graphs import (canonical_digest, dump_edge_list, load_directed_edge_list,
-                              load_edge_list)
+from specbound.generators import (complete_bipartite, cycle, function_graph, petersen,
+                                  random_regular, subdivide)
+from specbound.graphs import (canonical_digest, dump_directed_edge_list, dump_edge_list,
+                              load_directed_edge_list, load_edge_list)
 
 
 def _run(argv, stdin_text=None):
@@ -195,20 +196,28 @@ def test_dense_cap_is_exit_3_before_any_allocation(monkeypatch, argv):
 
 @pytest.fixture
 def graphs_built(monkeypatch):
-    """The orders of the ``Graph``s constructed while the test runs."""
+    """The orders of the ``Graph``s and ``DirectedGraph``s constructed while
+    the test runs."""
     built = []
-    real = graphs.Graph.__init__
 
-    def spy(self, n, edges):
-        built.append(n)
-        real(self, n, edges)
+    for cls in (graphs.Graph, graphs.DirectedGraph):
+        def spy(self, n, *args, real=cls.__init__):
+            built.append(n)
+            real(self, n, *args)
 
-    monkeypatch.setattr(graphs.Graph, "__init__", spy)
+        monkeypatch.setattr(cls, "__init__", spy)
     return built
 
 
-@_DENSE_COMMANDS
+@pytest.mark.parametrize("argv", [
+    ["spectrum"], ["bounds"], ["color"], ["bipartite"], ["tutte", "--mode", "randomized"],
+    ["color", "--algorithm", "mindeg", "--threshold", "2"], ["color", "--algorithm", "function"],
+], ids=["spectrum", "bounds", "wilf", "bipartite", "tutte-randomized", "mindeg", "function"])
 def test_dense_cap_is_checked_while_parsing(graphs_built, argv):
+    # no larger graph comes out of gen, so the commands that run no dense
+    # solve take the same cap: at 300000000 vertices mindeg and the
+    # randomized scan ran out of memory building the graph, and at 3000000
+    # the function colouring ran for over a minute
     # 3000000 per-vertex lists and masks took 3 s and 310 MB before the cap
     code, out = _run(argv, stdin_text="3000000 1\n0 1\n")
     assert code == 3
@@ -244,13 +253,14 @@ def test_bad_lines_are_reported_before_the_dense_cap(graphs_built, argv, text, n
     assert graphs_built == []
 
 
-def test_commands_without_a_dense_solve_build_large_graphs(graphs_built):
-    text = dump_edge_list(cycle(5000))
-    graphs_built.clear()
-    code, out = _run(["color", "--algorithm", "mindeg", "--threshold", "2"], stdin_text=text)
-    p = json.loads(out)["payload"]
-    assert code == 0 and p["proper"] and p["palette_bound"] == 3
-    assert graphs_built == [5000]
+def test_commands_without_a_dense_solve_read_graphs_up_to_the_dense_cap(monkeypatch):
+    text = dump_edge_list(cycle(12))
+    maps = dump_directed_edge_list(function_graph([[(i + 1) % 12 for i in range(12)]]))
+    monkeypatch.setattr(spectral, "MAX_DENSE_N", 12)
+    p = _doc(["color", "--algorithm", "mindeg", "--threshold", "2"], stdin_text=text)["payload"]
+    assert p["proper"] and p["palette_bound"] == 3
+    assert _doc(["color", "--algorithm", "function"], stdin_text=maps)["payload"]["proper"]
+    _doc(["tutte", "--mode", "randomized", "--samples", "50"], stdin_text=text)
 
 
 def test_limit_above_dense_cap_fails_before_any_solve(eigensolves):
@@ -583,15 +593,17 @@ def test_tutte_above_the_dense_cap_fails_before_the_scan(monkeypatch):
     assert scans == []
 
 
-def test_disconnected_tutte_input_above_the_dense_cap_is_scanned(monkeypatch):
-    # a disconnected graph needs no solve, so the cap does not apply to it
+def test_disconnected_tutte_input_above_the_dense_cap_fails_while_parsing(graphs_built,
+                                                                         monkeypatch):
+    # a disconnected graph needs no solve, but gen writes none this large, so
+    # the parsed header is capped as a connected graph's is
     text = dump_edge_list(graphs.Graph(24, [(i, i + 1) for i in range(23) if i != 11]))
-    argv = ["tutte", "--mode", "randomized", "--samples", "50"]
-    uncapped = _doc(argv, stdin_text=text)
+    graphs_built.clear()
     monkeypatch.setattr(spectral, "MAX_DENSE_N", 12)
-    assert _run(argv, stdin_text=dump_edge_list(cycle(24)))[0] == 3
-    capped = _doc(argv, stdin_text=text)
-    assert capped == uncapped and capped["payload"]["bh_condition"] is None
+    code, out = _run(["tutte", "--mode", "randomized", "--samples", "50"], stdin_text=text)
+    assert code == 3
+    assert json.loads(out)["error"]["code"] == "cap-exceeded"
+    assert graphs_built == []
 
 
 def test_limit_builds_no_graph_and_solves_nothing(graphs_built, eigensolves):

@@ -131,7 +131,8 @@ def test_derived_adjacency_spectrum_on_random_regular_graphs(n, d):
     (petersen(), ["eigvalsh"]),  # the Laplacian's; the adjacency's is d - lambda
     (path(12), ["eigvalsh"] * 2),
     (subdivide(petersen()), ["eigvalsh"] * 2),
-], ids=["petersen", "path-12", "subdivided-petersen"])
+    (path(40), ["svd", "eigvalsh"]),  # bipartite above the gate: the adjacency's is +-sigma(B)
+], ids=["petersen", "path-12", "subdivided-petersen", "path-40"])
 def test_each_operator_is_solved_once_per_graph(eigensolves, g, solves):
     # bounds, the Wilf floor, the bipartite test and the Tutte scan's flag
     # all read the spectra kept on the graph
@@ -289,19 +290,83 @@ def test_dense_cap():
 def test_dense_cap_is_checked_before_any_allocation(monkeypatch):
     allocated = []
 
-    def spy(name):
-        real = getattr(np, name)
-        return lambda *args, **kwargs: allocated.append(name) or real(*args, **kwargs)
+    def spy(real):
+        return lambda *args, **kwargs: allocated.append(real.__name__) or real(*args, **kwargs)
 
-    monkeypatch.setattr(np, "zeros", spy("zeros"))
-    big = cycle(4097)
+    monkeypatch.setattr(np, "zeros", spy(np.zeros))
+    monkeypatch.setattr(spectral, "_two_coloring", spy(spectral._two_coloring))
     for solve in (adjacency_spectrum, laplacian_spectrum, bounds, mean_zero_extremes,
                   norm_floor, lambda g: block_extremes(g, [g.full_mask])):
-        with pytest.raises(CapExceeded):
-            solve(big)
+        for big in (cycle(4097), path(4097)):  # regular, and bipartite above the SVD gate
+            with pytest.raises(CapExceeded):
+                solve(big)
     assert allocated == []
     assert len(adjacency_spectrum(cycle(5))) == 5  # the spy still counts
     assert allocated
+
+
+# ---------------------------------------------------------------------------
+# the adjacency spectrum of an irregular bipartite graph, from sigma(B)
+# ---------------------------------------------------------------------------
+
+def _union(*parts):
+    edges, base = [], 0
+    for g in parts:
+        edges += [(base + u, base + v) for u, v in g.edges()]
+        base += g.n
+    return Graph(base, edges)
+
+
+def _grid(a, b):
+    return Graph(a * b, [(i * b + j, i * b + j + 1) for i in range(a) for j in range(b - 1)]
+                 + [(i * b + j, (i + 1) * b + j) for i in range(a - 1) for j in range(b)])
+
+
+def _random_tree(n, seed):
+    rng = random.Random(seed)
+    return Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+def _random_bipartite(p, q, density, seed):
+    rng = random.Random(seed)
+    return Graph(p + q, [(u, v) for u in range(p) for v in range(p, p + q)
+                         if rng.random() < density])
+
+
+_BIPARTITE = {
+    "path-32": path(32), "path-33": path(33), "path-200": path(200),
+    "tree-50": _random_tree(50, 1), "tree-120": _random_tree(120, 2),
+    "grid-6x7": _grid(6, 7), "grid-20x25": _grid(20, 25),
+    "subdivided-K8": subdivide(complete(8)), "subdivided-rr20": subdivide(random_regular(20, 3, 1)),
+    "bipartite-10x45": _random_bipartite(10, 45, 0.3, 3),
+    "bipartite-40x12": _random_bipartite(40, 12, 0.2, 4),
+    "star-40": complete_bipartite(1, 40),  # B has rank 1
+    "disconnected": _union(path(10), complete_bipartite(1, 5), _grid(3, 4), Graph(6, [])),
+    "edgeless-40": Graph(40, []),  # 0-regular: the Laplacian's solve gives both
+}
+
+
+@pytest.mark.parametrize("g", _BIPARTITE.values(), ids=_BIPARTITE.keys())
+def test_bipartite_spectrum_from_sigma_matches_the_full_solve(eigensolves, g):
+    adj, lap = adjacency_spectrum(g), laplacian_spectrum(g)
+    assert eigensolves == (["eigvalsh"] if g.is_regular else ["svd", "eigvalsh"])
+    full = np.linalg.eigvalsh(adjacency_matrix(g)).tolist()
+    slack = max(spectral.TOL, margin(g)) + 2 * margin(g)
+    assert len(adj) == len(full)
+    assert all(abs(x - y) <= slack for x, y in zip(adj, full))  # in order
+    printed = [float(f"{x:.12g}") for x in adj]
+    assert printed == [-x for x in reversed(printed)]  # exact +-x pairs
+    dense_lap = np.linalg.eigvalsh(laplacian_matrix(g)).tolist()
+    assert lap == spectral._denoised(dense_lap, spectral._noise(g))
+
+
+@pytest.mark.parametrize("g, solve", [
+    (path(31), "eigvalsh"), (path(32), "svd"),
+    (Graph(40, [(i, i + 1) for i in range(39)] + [(0, 2)]), "eigvalsh"),  # a triangle
+], ids=["path-31", "path-32", "odd-cycle-40"])
+def test_svd_gate(eigensolves, g, solve):
+    adjacency_spectrum(g)
+    assert eigensolves == [solve]
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +375,6 @@ def test_dense_cap_is_checked_before_any_allocation(monkeypatch):
 
 def _dense_floor(g):
     return snapped_floor(float(np.linalg.eigvalsh(adjacency_matrix(g))[-1]))
-
-
-def _union(*parts):
-    edges, base = [], 0
-    for g in parts:
-        edges += [(base + u, base + v) for u, v in g.edges()]
-        base += g.n
-    return Graph(base, edges)
 
 
 def _friendship(k):
@@ -372,12 +429,12 @@ def test_margin_scales_with_order_and_degree():
         assert margin(g) >= g.n * max(g.max_degree, 1) * eps
 
 
-@pytest.mark.parametrize("g, eps, boundary, want", [
-    (petersen(), 1e-11, 3, 3),  # M = 3, margin 3.2e-9 > TOL
-    (path(200), 1e-6, 2, 1),  # M = 2 - 2.4e-4, margin 4.8e-3
+@pytest.mark.parametrize("g, eps, boundary, want, solves", [
+    (petersen(), 1e-11, 3, 3, ["eigvalsh"]),  # M = 3, margin 3.2e-9 > TOL
+    (path(200), 1e-6, 2, 1, ["svd"]),  # M = 2 - 2.4e-4, margin 4.8e-3
 ], ids=["petersen", "path-200"])
 def test_no_certificate_within_the_margin_of_a_snap_boundary(eigensolves, monkeypatch,
-                                                             g, eps, boundary, want):
+                                                             g, eps, boundary, want, solves):
     # a dense solve may stray by the margin, and within it of the snap
     # boundary (an integer minus TOL) the floor it snaps to could differ, so
     # neither the degree bracket nor the Cholesky shift may settle it; the
@@ -388,4 +445,4 @@ def test_no_certificate_within_the_margin_of_a_snap_boundary(eigensolves, monkey
     assert abs(boundary - spectral.TOL - adjacency_spectrum(copy)[-1]) < margin(g)
     eigensolves.clear()
     assert norm_floor(g) == want
-    assert eigensolves == ["eigvalsh"]
+    assert eigensolves == solves
