@@ -1,20 +1,17 @@
-"""Bipartiteness through spectral symmetry, with an explicit extraction.
+"""Bipartiteness through spectral symmetry, with the sides it implies.
 
-For a connected d-regular graph three statements coincide: the graph is
-bipartite, the adjacency spectrum is symmetric about 0, and -d is an
-eigenvalue, whose eigenvector is then the +-1 side vector s: ``A s = -d s``
-holds exactly when every edge joins the two sides.  On any connected graph
-the same s spans the kernel of the signless Laplacian ``D + A`` exactly
-when the graph is bipartite.  The test below reports the two spectral
-indicators and, in the regular case, takes the sides from the signs of one
-shifted linear solve for that kernel, reporting them only when the exact
-O(m) edge check passes.  The indicators need no eigensolve when a
-certificate settles them, and a BFS parity check picks the one that can
-close: on a graph with an odd cycle one Cholesky factorization shows both
-false; on a bipartite one that same solve's passing edge check proves the
-graph bipartite and both true.  The adjacency spectrum decides only when
-the certificate tried does not close.  A plain BFS 2-coloring is the
-independent oracle.
+For a connected graph three statements coincide: the graph is bipartite,
+the adjacency spectrum is symmetric about 0, and -M is an eigenvalue (M =
+||A||; Cvetkovic, Doob and Sachs, *Spectra of Graphs*, 1980).  On a
+d-regular graph M = d, and the -d eigenvector is the +-1 side vector s:
+``A s = -d s`` holds exactly when every edge joins the two sides, so the
+sign pattern of any -d eigenvector is the graph's one bipartition.  The
+test below reports the two spectral indicators and, in the regular case,
+those sides.  A BFS 2-coloring, whose every edge joins its two sides, is
+the exact O(m) proof of "bipartite" and gives the sides; on a graph it
+finds an odd cycle in, one Cholesky factorization certifies "not
+bipartite".  The adjacency spectrum decides only when that factorization
+does not close, or when the graph already carries its spectrum.
 
 ``rotation_two_coloring`` is the odd one out: it builds the classical
 2-coloring of an irrational-rotation orbit graph off a small interval
@@ -36,8 +33,6 @@ from .graphs import Graph, InternalError, Mask, _two_coloring, is_connected, mas
 from .spectral import (TOL, adjacency_matrix, adjacency_spectrum, hofmeister, margin,
                        multiset_close, positive_definite)
 
-SIGN_EPS = 1e-9  # eigenvector entries closer to 0 than this are undecided
-
 
 def is_symmetric_spectrum(spectrum: Sequence[float], tol: float = TOL) -> bool:
     return multiset_close(spectrum, [-v for v in spectrum], tol)
@@ -56,53 +51,54 @@ _NOT_REGULAR = "graph is not regular: indicator uses -M in place of -d, extracti
 
 
 def spectral_bipartite_test(g: Graph, tol: float = TOL) -> BipartiteVerdict:
-    """Spectral bipartiteness indicators, plus extraction when regular.
+    """Spectral bipartiteness indicators, plus the sides when regular.
 
     Connected graphs only.  For non-regular graphs the -d indicator is
-    computed against -M (M = ||T||) and extraction is skipped, flagged in
-    ``note``; -M is an eigenvalue of a connected graph iff it is bipartite.
+    computed against -M (M = ||T||) and the sides are not reported, flagged
+    in ``note``; -M is an eigenvalue of a connected graph iff it is
+    bipartite.
 
-    Unless ``g`` already carries its adjacency spectrum, a certificate is
-    tried first, when n >= 2 and ``tol > 4 eta``.  It settles the verdict
-    the dense path would print under the error model of ``margin`` (every
-    computed eigenvalue, and a factorization's backward error, within
-    ``eta``), and that path runs only when it does not close.  A BFS parity
-    check picks the one certificate that can close, as each is sure to fail
-    on the other kind of graph:
+    Unless ``g`` already carries its adjacency spectrum, the verdict is
+    certified when n >= 2 and ``tol > 4 eta``: it is the one the dense path
+    would print under the error model of ``margin`` (every computed
+    eigenvalue, and a factorization's backward error, within ``eta``), and
+    that path runs only when the certificate does not close.  A BFS
+    2-coloring decides which:
 
-    - with an odd cycle (not bipartite): one Cholesky factorization of
+    - bipartite: the coloring, whose every edge joins its two sides, proves
+      it, so the spectrum is exactly symmetric with ``-M`` in it, and a
+      dense solve, within ``eta`` of each eigenvalue, pairs them within
+      ``2 eta < tol``: both indicators are true, and no matrix is built.
+      (The zeroing rule can split a pair ``+-x`` only when x lies within
+      ``eta`` of the noise level, where the dense verdict itself hangs on
+      rounding.)
+    - with an odd cycle: one Cholesky factorization of
       ``A + (h - tol - 3 eta) I``, with h = d on a d-regular graph and
       ``hofmeister(g) - eta <= M`` otherwise, shows ``l_min > -M + tol +
       2 eta``, so no computed eigenvalue lies within ``tol`` of ``-M`` and
-      the spectrum's ends do not pair: both indicators are false;
-    - bipartite: the signs of ``_sign_sides``' solve pass the exact edge
-      check, which proves the graph bipartite whatever the solve's error, so
-      its spectrum is exactly symmetric with ``-M`` in it, and a dense
-      solve, within ``eta`` of each eigenvalue, pairs them within
-      ``2 eta < tol``: both indicators are true.  (The zeroing rule can
-      split a pair ``+-x`` only when x lies within ``eta`` of the noise
-      level, where the dense verdict itself hangs on rounding.)
+      the spectrum's ends do not pair: both indicators are false.
+
+    A connected graph has one bipartition, so the coloring's sides, vertex
+    0's first, are the printed ones wherever a regular graph's ``-d``
+    indicator holds.
     """
     if not is_connected(g):
         raise ValueError("spectral bipartiteness test needs a connected graph")
     regular = g.is_regular
+    sides = bfs_bipartition_oracle(g)
     eta = margin(g)
-    certify = g._adj_spectrum is None and g.n >= 2 and tol > 4 * eta
-    if certify:
+    if g._adj_spectrum is None and g.n >= 2 and tol > 4 * eta:
         note = "" if regular else _NOT_REGULAR
+        if sides is not None:
+            return BipartiteVerdict(symmetric_spectrum=True, minus_d_in_spectrum=True,
+                                    bipartition=sides if regular else None,
+                                    regular=regular, note=note)
         mat = adjacency_matrix(g)
-        if _two_coloring(g) is None:
-            h = g.max_degree if regular else hofmeister(g) - eta
-            mat[np.diag_indices(g.n)] = h - tol - 3 * eta
-            if positive_definite(mat):
-                return BipartiteVerdict(symmetric_spectrum=False, minus_d_in_spectrum=False,
-                                        bipartition=None, regular=regular, note=note)
-        else:
-            sides = _sign_sides(g, mat)
-            if sides is not None:
-                return BipartiteVerdict(symmetric_spectrum=True, minus_d_in_spectrum=True,
-                                        bipartition=sides if regular else None,
-                                        regular=regular, note=note)
+        h = g.max_degree if regular else hofmeister(g) - eta
+        mat[np.diag_indices(g.n)] = h - tol - 3 * eta
+        if positive_definite(mat):
+            return BipartiteVerdict(symmetric_spectrum=False, minus_d_in_spectrum=False,
+                                    bipartition=None, regular=regular, note=note)
     spec = adjacency_spectrum(g)
     ref = g.max_degree if regular else spec[-1]
     symmetric = is_symmetric_spectrum(spec, tol)
@@ -111,43 +107,14 @@ def spectral_bipartite_test(g: Graph, tol: float = TOL) -> BipartiteVerdict:
     bipartition = None
     note = ""
     if regular and minus_d_in and g.n >= 2:
-        # a certificate's solve, when one ran, is this one and found no sides;
-        # on a graph with an odd cycle no sign pattern passes the edge check
-        if not certify:
-            bipartition = _sign_sides(g, adjacency_matrix(g))
-        if bipartition is None:
+        bipartition = sides
+        if bipartition is None:  # an odd cycle: no +-1 vector has A s = -d s
             note = "-d lies within tol of the spectrum, but no sign pattern is a bipartition"
     elif not regular:
         note = _NOT_REGULAR
     return BipartiteVerdict(symmetric_spectrum=symmetric,
                             minus_d_in_spectrum=minus_d_in,
                             bipartition=bipartition, regular=regular, note=note)
-
-
-def _sign_sides(g: Graph, mat: np.ndarray) -> Optional[Tuple[Mask, Mask]]:
-    """The sides of a near-kernel vector of the signless Laplacian ``D + A``,
-    vertex 0's first; None when some entry lies within ``SIGN_EPS`` of 0 or
-    some edge has both ends on one side.
-
-    ``mat`` is g's adjacency matrix off the diagonal, which is overwritten.
-    The vector is one step of inverse iteration: solve
-    ``(D + A + 4 eta I) x = b`` for a fixed b, then scale x to unit length.
-    ``D + A`` is positive semidefinite, and on a connected bipartite graph
-    its kernel is spanned by the +-1 side vector alone, so x is that vector
-    up to scale and every check passes; on any other graph no sign pattern
-    passes the edge check, whatever the solve returns.
-    """
-    mat[np.diag_indices(g.n)] = np.add(g.degrees, 4 * margin(g))
-    try:
-        x = np.linalg.solve(mat, np.sin(np.arange(1.0, g.n + 1.0)))
-    except np.linalg.LinAlgError:  # an exactly singular pivot
-        return None
-    x /= np.linalg.norm(x)
-    pos = (x > SIGN_EPS).tolist()
-    if not (np.abs(x) > SIGN_EPS).all() or any(pos[u] == pos[v] for u, v in g.edges()):
-        return None
-    a = mask_of(v for v in range(g.n) if pos[v] == pos[0])
-    return a, g.full_mask & ~a
 
 
 def bfs_bipartition_oracle(g: Graph) -> Optional[Tuple[Mask, Mask]]:

@@ -21,10 +21,9 @@ The eigensolves are dense: numpy ``eigvalsh`` on the symmetric operator,
 except on an irregular bipartite graph of at least ``_SVD_MIN_N`` vertices,
 whose adjacency spectrum is read off B's singular values, from numpy's
 ``svd``.  The Cholesky factorizations of ``norm_floor`` and ``bipartite``
-and the linear solve of ``bipartite`` are dense too.  All are capped at
-matrix order 4096, which is checked before any matrix is allocated; at that
-scale the solvers are exact to far better than the 1e-9 tolerance used
-throughout.  Each ``Graph`` is solved at most once per operator:
+are dense too.  All are capped at matrix order 4096, which is checked
+before any matrix is allocated; at that scale the solvers are exact to far
+better than the 1e-9 tolerance used throughout.  Each ``Graph`` is solved at most once per operator:
 ``laplacian_spectrum`` and ``adjacency_spectrum`` keep their results on the
 graph, and every caller (``bounds``, the dense fallbacks of ``norm_floor``,
 ``bipartite`` and the Tutte scan's flag) reads them there.
@@ -45,15 +44,23 @@ Tolerance policy, stated once for the whole package:
   (``snapped_ceil``);
 - the CLI rounds every real it prints to 12 significant digits, so output is
   byte-identical across runs and platforms whose solvers agree that far.
-  That is not a guarantee across BLAS thread counts: a solve's eigenvalues
-  move between them within its absolute error, about ``n eps d`` (7e-13 at
-  n = 1000, d = 3).  A 12th digit next to a rounding boundary can flip, and
-  a value below about ``1e11 n eps d`` in magnitude prints digits finer than
-  that error: the path on 1000 vertices prints its smallest nonzero
-  Laplacian eigenvalue as 9.8695962823e-06 on one thread and
-  9.86959628246e-06 on two, and a spectrum symmetric by algebra can print
-  a pair ``+-x`` with different last digits, except where it is taken from
-  ``sigma(B)``: those pairs are exact negatives;
+  No rounding makes that hold across BLAS thread counts: a solve's
+  eigenvalues move between them within its absolute error, about
+  ``n eps d`` (7e-13 at n = 1000, d = 3), so a 12th digit next to a
+  rounding boundary can flip, and a value below about ``1e11 n eps d`` in
+  magnitude prints digits finer than that error (unpinned, the path on
+  1000 vertices printed its smallest nonzero Laplacian eigenvalue as
+  9.8695962823e-06 on one thread and 9.86959628246e-06 on two).  So
+  importing ``specbound`` sets ``OPENBLAS_NUM_THREADS=1`` before numpy
+  loads, which fixes the summation order: the bytes are those of one
+  thread whatever count the environment asks for.  The cost is
+  single-threaded solves on a multi-core host (one n = 1000 ``eigvalsh``,
+  best of 7 on a 2-core x86-64 host: 0.118 s on one thread, 0.055 s on
+  two).  The limit: a program that loaded numpy before ``specbound`` keeps
+  its own thread count, and nothing is claimed across CPUs or BLAS builds.
+  A spectrum symmetric by algebra can print a pair ``+-x`` with different
+  last digits, except where it is taken from ``sigma(B)``: those pairs are
+  exact negatives;
 - ``margin(g) = 8 n (d + 1) eps`` (``eta``; d the maximum degree, eps the
   double-precision machine epsilon) is the error model: the package takes
   a dense solve's eigenvalues, and a factorization's backward error, to
@@ -82,16 +89,15 @@ Which answers are certified and which go dense:
   regular graphs, where they meet), else by one Cholesky factorization of
   ``(t + 1 - TOL - 2 eta) I - A`` for the lower end's t; when that fails it
   takes the graph's adjacency spectrum;
-- the two indicators of ``bipartite`` are certified false, on a graph
-  with an odd cycle, by one Cholesky factorization of
-  ``A + (h - tol - 3 eta) I`` (h = d on regular graphs, else
-  ``hofmeister(g) - eta``), or certified true, on a bipartite graph, by one
-  shifted solve for the kernel vector of the signless Laplacian ``D + A``
-  whose sign pattern passes the exact O(m) edge check, a proof that the
-  graph is bipartite; the printed bipartition of a regular graph is that
-  pattern.  A BFS parity check picks the one to try, as the other cannot
-  close.  Both need ``tol > 4 eta``; when the one tried does not close the
-  adjacency spectrum decides (``bipartite.spectral_bipartite_test``);
+- the two indicators of ``bipartite`` are certified true, on a bipartite
+  graph, by a BFS 2-coloring whose every edge joins its two sides, an
+  exact O(m) proof that builds no matrix; the printed bipartition of a
+  regular graph is that coloring's sides, the graph's one bipartition.
+  They are certified false, on a graph the coloring finds an odd cycle in,
+  by one Cholesky factorization of ``A + (h - tol - 3 eta) I`` (h = d on
+  regular graphs, else ``hofmeister(g) - eta``).  Both need
+  ``tol > 4 eta``; when the factorization does not close the adjacency
+  spectrum decides (``bipartite.spectral_bipartite_test``);
 - the Tutte scan's doubled-gap flag ``2 mL >= ML`` is certified false when
   ``2 U < Lo - tol - 4 eta`` for two exact integer ratios, a Rayleigh
   quotient ``U >= mL`` and ``Lo = Delta + 1 <= ML``; otherwise the

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specbound.bipartite import (
-    SIGN_EPS,
     bfs_bipartition_oracle,
     is_symmetric_spectrum,
     rotation_two_coloring,
@@ -31,6 +30,7 @@ from specbound.graphs import Graph, bits, dump_edge_list, is_connected, mask_of
 from specbound.spectral import adjacency_matrix, adjacency_spectrum
 
 GOLDEN_CONJUGATE = (math.sqrt(5) - 1) / 2
+SIGN_EPS = 1e-9  # eigenvector entries closer to 0 than this are undecided
 
 
 def _sides_as_sets(pair):
@@ -186,13 +186,13 @@ def test_bipartiteness_agrees_with_networkx():
 
 
 # ---------------------------------------------------------------------------
-# the edge-checked -d vector against eigh's sign pattern and the BFS sides
+# the printed sides against eigh's sign pattern and the BFS sides
 # ---------------------------------------------------------------------------
 
 def _eigh_sides(g):
     """Sides and undecided vertices from the sign pattern of eigh's least
-    eigenvector, canonically ordered: an extraction independent of the
-    shifted solve."""
+    eigenvector, canonically ordered: the spectral extraction, independent
+    of the BFS 2-coloring that prints the sides."""
     vec = np.linalg.eigh(adjacency_matrix(g))[1][:, 0]
     pos = mask_of(v for v in range(g.n) if vec[v] > SIGN_EPS)
     neg = mask_of(v for v in range(g.n) if vec[v] < -SIGN_EPS)
@@ -251,7 +251,7 @@ def test_extraction_matches_eigh_on_every_regular_class_up_to_8(tol):
 def test_extraction_is_certified_on_bipartite_cubic_graphs(eigensolves, n, seed):
     g = _bipartite_cubic(n, seed)
     v = spectral_bipartite_test(g)
-    assert eigensolves == []  # the -d vector came from one shifted solve
+    assert eigensolves == []  # the BFS 2-coloring proved it and gave the sides
     assert _eigh_sides(g) == (v.bipartition, 0)
     assert _sides_as_sets(v.bipartition) == _sides_as_sets(bfs_bipartition_oracle(g))
 

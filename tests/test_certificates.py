@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
+from specbound import bipartite, spectral
 from specbound.bipartite import bfs_bipartition_oracle, spectral_bipartite_test
 from specbound.enumeration import enumerate_graphs
 from specbound.generators import complete, cycle, path, petersen, random_regular, subdivide
@@ -119,8 +120,7 @@ def test_certificates_close_on_random_cubic_graphs():
 
 
 def test_certificates_close_on_bipartite_and_subdivided_graphs():
-    # the signless Laplacian's kernel vector serves regular and irregular
-    # bipartite graphs alike
+    # the BFS 2-coloring proves regular and irregular bipartite graphs alike
     for g in (path(200), cycle(200), subdivide(petersen()),
               subdivide(random_regular(100, 3, 1))):
         assert _check(g, (TOL,))[0][0], g
@@ -136,18 +136,43 @@ def test_certified_verdicts_match_the_dense_path_on_random_graphs(g, tol, rng):
     _check(g, (tol,))
 
 
-def test_each_graph_tries_only_the_certificate_that_can_close(monkeypatch):
-    # a bipartite graph never factors A + (h - tol - 3 eta) I, whose least
-    # eigenvalue is negative, and a graph with an odd cycle never solves for
-    # a sign pattern that no edge check can pass
+def _count_calls(monkeypatch):
+    """The names of the numpy factorizations and solves, and of the dense
+    adjacency matrix builds, called from here on, in order."""
     calls = []
+
+    def counting(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or real(*a, **k))
+
     for name in ("cholesky", "solve"):
-        real = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name,
-                            lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
-    for g, tol, tried in ((cycle(200), TOL, ["solve"]), (subdivide(petersen()), TOL, ["solve"]),
-                          (path(101), TOL, ["solve"]), (cycle(201), TOL, ["cholesky"]),
+        counting(np.linalg, name)
+    for module in (spectral, bipartite):  # bipartite binds its own name
+        counting(module, "adjacency_matrix")
+    return calls
+
+
+def test_each_graph_tries_only_the_certificate_that_can_close(monkeypatch):
+    # a bipartite graph is proved so by its BFS 2-coloring, with no matrix
+    # built, and a graph with an odd cycle factors A + (h - tol - 3 eta) I
+    calls = _count_calls(monkeypatch)
+    for g, tol, tried in ((cycle(200), TOL, []), (subdivide(petersen()), TOL, []),
+                          (path(101), TOL, []), (cycle(201), TOL, ["cholesky"]),
                           (petersen(), TOL, ["cholesky"]), (petersen(), 5.0, ["cholesky"])):
         calls.clear()
         spectral_bipartite_test(_fresh(g), tol)
-        assert calls == tried, (g.edges(), tol)
+        assert [c for c in calls if c != "adjacency_matrix"] == tried, (g.edges(), tol)
+        if not tried:  # bipartite: not even a matrix is built
+            assert calls == [], g.edges()
+
+
+def test_a_regular_graph_carrying_its_spectrum_prints_the_bfs_sides(monkeypatch):
+    # the dense path, as verify takes it after bounds: the spectrum decides
+    # the indicators, the BFS 2-coloring gives the sides, and nothing solves
+    g = _solved(cycle(200))
+    calls = _count_calls(monkeypatch)
+    verdict = spectral_bipartite_test(g)
+    assert calls == []
+    assert verdict.symmetric_spectrum and verdict.minus_d_in_spectrum
+    assert verdict.bipartition == bfs_bipartition_oracle(g)
+    assert verdict.bipartition[0] & 1  # vertex 0's side first

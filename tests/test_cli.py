@@ -338,8 +338,8 @@ def test_peeling_stuck_error_is_bounded():
     (subdivide(petersen()), ["bounds"], 2),
     (petersen(), ["color", "--algorithm", "wilf"], 0),  # regular: floor(M) = d, certified
     (petersen(), ["bipartite"], 0),  # not bipartite: one Cholesky factorization
-    (complete_bipartite(4, 4), ["bipartite"], 0),  # -d vector: one shifted solve
-    (subdivide(petersen()), ["bipartite"], 0),  # irregular and bipartite: one shifted solve
+    (complete_bipartite(4, 4), ["bipartite"], 0),  # bipartite: the BFS 2-coloring proves it
+    (subdivide(petersen()), ["bipartite"], 0),  # irregular and bipartite: the same
     (random_regular(500, 3, 1), ["tutte", "--mode", "randomized"], 0),  # 2U < Delta + 1
     (None, ["limit", "--max-n", "16"], 0),  # cycle spectra from their closed form
 ], ids=["spectrum", "bounds", "spectrum-irregular", "bounds-irregular", "wilf", "bipartite",
@@ -416,17 +416,25 @@ def test_console_script_pipes():
 
 
 def test_spectrum_bytes_do_not_depend_on_the_blas_thread_count():
-    # the zero Laplacian eigenvalue of this graph printed as -4.49277354776e-16
-    # on one BLAS thread and as 2.10423560208e-15 on two
-    gen = _spawn(["gen", "--random-regular", "1000", "3", "--seed", "1"], text=True, check=True)
-    outputs = set()
-    for threads in ("1", "2"):
-        env = {**_ENV, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-               "MKL_NUM_THREADS": threads}
-        r = subprocess.run(_CLI + ["spectrum"], input=gen.stdout, capture_output=True,
-                           text=True, env=env, check=True)
-        outputs.add(r.stdout)
-    assert len(outputs) == 1
+    # specbound pins one BLAS thread itself, whatever the caller asks for.
+    # Unpinned, on one thread and then two: rr(250, 3) printed an eigenvalue
+    # as -1.54321335892 and -1.54321335891, and C1000 its gap and mL as
+    # 3.9478287726e-05 and 3.94782877253e-05 / 3.94782877254e-05.  The
+    # zero Laplacian eigenvalue of rr(1000, 3) printed as -4.49277354776e-16
+    # and 2.10423560208e-15 before the zeroing rule.
+    for gen, command in ((["--random-regular", "1000", "3", "--seed", "1"], "spectrum"),
+                         (["--random-regular", "250", "3", "--seed", "1"], "spectrum"),
+                         (["--cycle", "1000"], "spectrum"),
+                         (["--cycle", "1000"], "bounds")):
+        edges = _spawn(["gen"] + gen, text=True, check=True).stdout
+        outputs = set()
+        for threads in ("1", "2"):
+            env = {**_ENV, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "MKL_NUM_THREADS": threads}
+            r = subprocess.run(_CLI + [command], input=edges, capture_output=True,
+                               text=True, env=env, check=True)
+            outputs.add(r.stdout)
+        assert len(outputs) == 1, (gen, command)
 
 
 def test_console_script_exit_codes():
@@ -513,6 +521,23 @@ def test_verify_runs_clean():
     assert doc["payload"]["ok"] is True
     assert len(doc["payload"]["checks"]) == 12
     assert all(c["ok"] for c in doc["payload"]["checks"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--tol", "1e-9"],
+    ["verify", "--tol=nan"],
+    ["verify", "--input", "x"],
+    ["verify", "stray"],
+    ["verify", "--bogus"],
+], ids=["tol", "tol-nan", "input", "positional", "unknown-flag"])
+def test_verify_takes_no_arguments(monkeypatch, argv):
+    sweeps = []
+    monkeypatch.setattr(invariants, "verify", lambda *a: sweeps.append(a))
+    code, out = _run(argv)
+    assert code == 2
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"]["code"] == "usage"
+    assert sweeps == []
 
 
 def test_verify_reports_a_failing_check_and_runs_the_rest(monkeypatch):
