@@ -8,10 +8,9 @@ d-regular graph M = d, and the -d eigenvector is the +-1 side vector s:
 sign pattern of any -d eigenvector is the graph's one bipartition.  The
 test below reports the two spectral indicators and, in the regular case,
 those sides.  A BFS 2-coloring, whose every edge joins its two sides, is
-the exact O(m) proof of "bipartite" and gives the sides; on a graph it
-finds an odd cycle in, one Cholesky factorization certifies "not
-bipartite".  The adjacency spectrum decides only when that factorization
-does not close, or when the graph already carries its spectrum.
+the exact O(m) proof of "bipartite" and gives the sides; a proved gap or
+one Cholesky factorization certifies "not bipartite"
+(``spectral_bipartite_test``).
 
 ``rotation_two_coloring`` is the odd one out: it builds the classical
 2-coloring of an irrational-rotation orbit graph off a small interval
@@ -29,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graphs import Graph, InternalError, Mask, _two_coloring, is_connected, mask_of
+from .graphs import Graph, InternalError, Mask, _two_coloring, bfs_levels, mask_of
 from .spectral import (TOL, adjacency_matrix, adjacency_spectrum, hofmeister, margin,
                        multiset_close, positive_definite)
 
@@ -44,6 +43,7 @@ class BipartiteVerdict:
     minus_d_in_spectrum: bool
     bipartition: Optional[Tuple[Mask, Mask]]
     regular: bool
+    sides: Optional[Tuple[Mask, Mask]]  # the BFS 2-coloring's; None iff an odd cycle
     note: str = ""
 
 
@@ -56,14 +56,15 @@ def spectral_bipartite_test(g: Graph, tol: float = TOL) -> BipartiteVerdict:
     Connected graphs only.  For non-regular graphs the -d indicator is
     computed against -M (M = ||T||) and the sides are not reported, flagged
     in ``note``; -M is an eigenvalue of a connected graph iff it is
-    bipartite.
+    bipartite.  The verdict also carries the sides of the BFS 2-coloring it
+    runs, None iff that coloring finds an odd cycle.
 
     Unless ``g`` already carries its adjacency spectrum, the verdict is
     certified when n >= 2 and ``tol > 4 eta``: it is the one the dense path
     would print under the error model of ``margin`` (every computed
     eigenvalue, and a factorization's backward error, within ``eta``), and
-    that path runs only when the certificate does not close.  A BFS
-    2-coloring decides which:
+    that path runs only when no certificate closes.  A BFS 2-coloring
+    decides which to try:
 
     - bipartite: the coloring, whose every edge joins its two sides, proves
       it, so the spectrum is exactly symmetric with ``-M`` in it, and a
@@ -72,33 +73,39 @@ def spectral_bipartite_test(g: Graph, tol: float = TOL) -> BipartiteVerdict:
       (The zeroing rule can split a pair ``+-x`` only when x lies within
       ``eta`` of the noise level, where the dense verdict itself hangs on
       rounding.)
-    - with an odd cycle: one Cholesky factorization of
-      ``A + (h - tol - 3 eta) I``, with h = d on a d-regular graph and
-      ``hofmeister(g) - eta <= M`` otherwise, shows ``l_min > -M + tol +
-      2 eta``, so no computed eigenvalue lies within ``tol`` of ``-M`` and
-      the spectrum's ends do not pair: both indicators are false.
+    - with an odd cycle: on a d-regular graph where ``_odd_cycle_gap``
+      exceeds ``tol + 2 eta`` twice over, or else where one Cholesky
+      factorization of ``A + (h - tol - 3 eta) I`` succeeds (h = d if
+      regular, else ``hofmeister(g) - eta <= M``), ``l_min > -M + tol +
+      2 eta``: no computed eigenvalue lies within ``tol`` of ``-M`` and the
+      spectrum's ends do not pair, so both indicators are false.
 
     A connected graph has one bipartition, so the coloring's sides, vertex
     0's first, are the printed ones wherever a regular graph's ``-d``
     indicator holds.
     """
-    if not is_connected(g):
+    levels = bfs_levels(g)
+    if levels.count(0) != 1:  # a second component's least vertex
         raise ValueError("spectral bipartiteness test needs a connected graph")
     regular = g.is_regular
-    sides = bfs_bipartition_oracle(g)
+    sides = _sides(g, _two_coloring(g, levels))
     eta = margin(g)
     if g._adj_spectrum is None and g.n >= 2 and tol > 4 * eta:
         note = "" if regular else _NOT_REGULAR
         if sides is not None:
             return BipartiteVerdict(symmetric_spectrum=True, minus_d_in_spectrum=True,
                                     bipartition=sides if regular else None,
-                                    regular=regular, note=note)
-        mat = adjacency_matrix(g)
-        h = g.max_degree if regular else hofmeister(g) - eta
-        mat[np.diag_indices(g.n)] = h - tol - 3 * eta
-        if positive_definite(mat):
+                                    regular=regular, sides=sides, note=note)
+        if regular and tol + 2 * eta < _odd_cycle_gap(g.n, max(levels)) / 2:
+            closed = True
+        else:
+            mat = adjacency_matrix(g)
+            h = g.max_degree if regular else hofmeister(g) - eta
+            mat[np.diag_indices(g.n)] = h - tol - 3 * eta
+            closed = positive_definite(mat)
+        if closed:
             return BipartiteVerdict(symmetric_spectrum=False, minus_d_in_spectrum=False,
-                                    bipartition=None, regular=regular, note=note)
+                                    bipartition=None, regular=regular, sides=None, note=note)
     spec = adjacency_spectrum(g)
     ref = g.max_degree if regular else spec[-1]
     symmetric = is_symmetric_spectrum(spec, tol)
@@ -114,16 +121,35 @@ def spectral_bipartite_test(g: Graph, tol: float = TOL) -> BipartiteVerdict:
         note = _NOT_REGULAR
     return BipartiteVerdict(symmetric_spectrum=symmetric,
                             minus_d_in_spectrum=minus_d_in,
-                            bipartition=bipartition, regular=regular, note=note)
+                            bipartition=bipartition, regular=regular, sides=sides, note=note)
 
 
-def bfs_bipartition_oracle(g: Graph) -> Optional[Tuple[Mask, Mask]]:
-    """BFS 2-coloring; None iff some component has an odd cycle."""
-    side = _two_coloring(g)
+def _odd_cycle_gap(n: int, e: int) -> float:
+    """``2 / (n (4e + 1)) <= d + l_min`` on a connected non-bipartite
+    d-regular graph of order n with some vertex of eccentricity e.
+
+    For a unit ``l_min`` eigenvector x, ``d + l_min = sum_{uv in E}
+    (x_u + x_v)^2``.  Take ``x_v^2 >= 1/n``: some edge joins two vertices of
+    one BFS level from v, closing an odd walk through v of length
+    ``L <= 4e + 1`` that uses no edge twice over.  The alternating sum of
+    ``x_a + x_b`` along it is ``2 x_v``, so Cauchy-Schwarz gives
+    ``4/n <= 2 L (d + l_min)``.  On odd cycles the gap is within a factor
+    pi^2 of this (cf. Alon and Sudakov, CPC 2000).
+    """
+    return 2.0 / (n * (4 * e + 1))
+
+
+def _sides(g: Graph, side: Optional[List[int]]) -> Optional[Tuple[Mask, Mask]]:
+    """A 2-coloring's sides as masks, side 0's first; None for None."""
     if side is None:
         return None
     a = mask_of(v for v in range(g.n) if side[v] == 0)
     return a, g.full_mask & ~a
+
+
+def bfs_bipartition_oracle(g: Graph) -> Optional[Tuple[Mask, Mask]]:
+    """BFS 2-coloring; None iff some component has an odd cycle."""
+    return _sides(g, _two_coloring(g))
 
 
 @dataclass

@@ -30,7 +30,7 @@ import sys
 from typing import Any, Dict, List, Optional
 
 from . import __version__, invariants, spectral
-from .bipartite import bfs_bipartition_oracle, spectral_bipartite_test
+from .bipartite import spectral_bipartite_test
 from .coloring import (_check_brute, brute_force_chromatic, function_graph_color,
                        min_degree_peel_color)
 from .generators import (complete, complete_bipartite, cycle,
@@ -229,7 +229,6 @@ def _cmd_color(args, stdin_text, out) -> int:
 def _cmd_bipartite(args, stdin_text, out) -> int:
     g = _load_graph(args, stdin_text, _check_dense)
     v = spectral_bipartite_test(g, args.tol)
-    oracle = bfs_bipartition_oracle(g)
     payload = {
         "symmetric_spectrum": v.symmetric_spectrum,
         "minus_d_in_spectrum": v.minus_d_in_spectrum,
@@ -238,7 +237,7 @@ def _cmd_bipartite(args, stdin_text, out) -> int:
         "defect": [],  # no vertex is undecided in a printed bipartition
         "regular": v.regular,
         "note": v.note,
-        "bfs_bipartite": oracle is not None,
+        "bfs_bipartite": v.sides is not None,
     }
     out.write(_report("bipartite", canonical_digest(g), payload))
     return 0

@@ -11,9 +11,10 @@ works on two small types defined here:
   how many generating functions it was built from.
 
 Around them sit the bitmask helpers, neighbourhoods, masked BFS components
-(``components_within`` works on raw adjacency masks), the BFS 2-coloring
-shared by ``spectral`` and ``bipartite``, and the edge-list text format with
-its canonical digest.
+(``components_within`` works on raw adjacency masks), the BFS levels
+behind the 2-coloring shared by ``spectral`` and ``bipartite``, the
+eccentricity their certificates read and the doubled-gap flag's distances,
+and the edge-list text format with its canonical digest.
 
 The mass-transport principle needs no checker here: under the uniform measure
 on a finite graph, mass sent and mass received are one finite sum taken in two
@@ -23,7 +24,6 @@ orders, equal by algebra.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Mask = int  # vertex subsets as bitmasks over 0..n-1
@@ -198,23 +198,37 @@ def is_connected(g: Graph) -> bool:
     return len(components(g)) == 1
 
 
-def _two_coloring(g: Graph) -> Optional[List[int]]:
-    """Each vertex's side (0 or 1) in a BFS 2-coloring, each component's
-    least vertex on side 0; None iff some component has an odd cycle."""
-    side = [-1] * g.n
+def bfs_levels(g: Graph) -> List[int]:
+    """Each vertex's BFS distance from its component's least vertex, so the
+    graph is connected iff vertex 0 alone has level 0, and then the largest
+    level is the eccentricity of vertex 0.  Every edge joins equal or
+    adjacent levels."""
+    level = [-1] * g.n
     for s in range(g.n):
-        if side[s] >= 0:
+        if level[s] >= 0:
             continue
-        side[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for u in g.adj[v]:
-                if side[u] < 0:
-                    side[u] = 1 - side[v]
-                    queue.append(u)
-                elif side[u] == side[v]:
-                    return None
+        level[s] = 0
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                up = level[v] + 1
+                for u in g.adj[v]:
+                    if level[u] < 0:
+                        level[u] = up
+                        nxt.append(u)
+            frontier = nxt
+    return level
+
+
+def _two_coloring(g: Graph, levels: Optional[List[int]] = None) -> Optional[List[int]]:
+    """Each vertex's side (0 or 1) in a BFS 2-coloring, the parity of its
+    ``bfs_levels`` (computed unless given), each component's least vertex on
+    side 0; None iff some component has an odd cycle, that is iff an edge
+    joins two vertices of one level."""
+    side = [x & 1 for x in (bfs_levels(g) if levels is None else levels)]
+    if any(side[u] == side[v] for u, v in g.edges()):
+        return None
     return side
 
 

@@ -39,7 +39,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .graphs import CapExceeded, Graph, Mask, bits, is_connected
+from .graphs import CapExceeded, Graph, Mask, bfs_levels, bits, is_connected
 from .spectral import TOL, _check_dense, margin, mean_zero_extremes
 
 
@@ -325,7 +325,7 @@ def _doubled_gap_holds(g: Graph, tol: float) -> bool:
     """
     _check_dense(g.n)
     if g._lap_spectrum is None:
-        dist = _bfs_distances(g)
+        dist = bfs_levels(g)
         s = sum(dist)
         cross = sum(dist[u] != dist[v] for u, v in g.edges())
         upper = g.n * cross / (g.n * sum(x * x for x in dist) - s * s)
@@ -333,22 +333,6 @@ def _doubled_gap_holds(g: Graph, tol: float) -> bool:
             return False
     m_l, big_l = mean_zero_extremes(g)
     return bool(2.0 * m_l >= big_l - tol)
-
-
-def _bfs_distances(g: Graph) -> List[int]:
-    """Distances from vertex 0 of a connected graph."""
-    dist = [-1] * g.n
-    dist[0] = 0
-    level = [0]
-    while level:
-        nxt = []
-        for v in level:
-            for u in g.adj[v]:
-                if dist[u] < 0:
-                    dist[u] = dist[v] + 1
-                    nxt.append(u)
-        level = nxt
-    return dist
 
 
 @dataclass(frozen=True)

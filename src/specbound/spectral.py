@@ -20,9 +20,10 @@ values of B; Cvetkovic, Doob and Sachs, *Spectra of Graphs*, 1980).
 The eigensolves are dense: numpy ``eigvalsh`` on the symmetric operator,
 except on an irregular bipartite graph of at least ``_SVD_MIN_N`` vertices,
 whose adjacency spectrum is read off B's singular values, from numpy's
-``svd``.  The Cholesky factorizations of ``norm_floor`` and ``bipartite``
-are dense too.  All are capped at matrix order 4096, which is checked
-before any matrix is allocated; at that scale the solvers are exact to far
+``svd``.  The Cholesky factorizations that ``norm_floor`` and ``bipartite``
+fall back on, where no proved gap settles them, are dense too.  All are
+capped at matrix order 4096, which is checked before any matrix is
+allocated; at that scale the solvers are exact to far
 better than the 1e-9 tolerance used throughout.  Each ``Graph`` is solved at most once per operator:
 ``laplacian_spectrum`` and ``adjacency_spectrum`` keep their results on the
 graph, and every caller (``bounds``, the dense fallbacks of ``norm_floor``,
@@ -83,28 +84,27 @@ Tolerance policy, stated once for the whole package:
 
 Which answers are certified and which go dense:
 
-- ``norm_floor`` (the ``floor(M)`` behind ``color --algorithm wilf`` and
-  ``coloring.wilf_color``) is certified by the bracket
-  ``hofmeister(g) <= M <= d`` alone when both ends snap alike (always on
-  regular graphs, where they meet), else by one Cholesky factorization of
-  ``(t + 1 - TOL - 2 eta) I - A`` for the lower end's t; when that fails it
-  takes the graph's adjacency spectrum;
-- the two indicators of ``bipartite`` are certified true, on a bipartite
-  graph, by a BFS 2-coloring whose every edge joins its two sides, an
-  exact O(m) proof that builds no matrix; the printed bipartition of a
-  regular graph is that coloring's sides, the graph's one bipartition.
-  They are certified false, on a graph the coloring finds an odd cycle in,
-  by one Cholesky factorization of ``A + (h - tol - 3 eta) I`` (h = d on
-  regular graphs, else ``hofmeister(g) - eta``).  Both need
-  ``tol > 4 eta``; when the factorization does not close the adjacency
-  spectrum decides (``bipartite.spectral_bipartite_test``);
+- ``norm_floor`` (the ``floor(M)`` behind ``color --algorithm wilf``) is
+  certified by the bracket ``hofmeister(g) <= M <= d``, by the proved gap
+  ``d - M >= 1 / (n (2e + 1))`` of a connected irregular graph
+  (``_irregular_gap``), by ``M <= sqrt(W)`` for the most 2-walks W from a
+  vertex, or by one Cholesky factorization; else the adjacency spectrum
+  decides;
+- the ``bipartite`` indicators are certified true by a BFS 2-coloring,
+  which builds no matrix, and false by the proved gap
+  ``d + l_min >= 2 / (n (4e + 1))`` of a regular graph with an odd cycle
+  (``bipartite._odd_cycle_gap``) or by one Cholesky factorization; else
+  the adjacency spectrum decides (``bipartite.spectral_bipartite_test``);
 - the Tutte scan's doubled-gap flag ``2 mL >= ML`` is certified false when
   ``2 U < Lo - tol - 4 eta`` for two exact integer ratios, a Rayleigh
   quotient ``U >= mL`` and ``Lo = Delta + 1 <= ML``; otherwise the
   Laplacian spectrum decides (``matching._doubled_gap_holds``);
-- those two run only on a graph that does not yet carry the spectrum they
-  would replace, so a caller that has solved it (``bounds`` before them,
-  as in ``verify``) reads it instead;
+- the two gaps are proved, with e the eccentricity of vertex 0 from one
+  BFS; a factor of 2 in each test absorbs its own rounding.  What rests on
+  ``eta`` is only that the dense path would print the same bytes;
+- these three run only on a graph that does not yet carry the spectrum
+  they would replace, so a caller that has solved it (``bounds`` before
+  them, as in ``verify`` and the oracle sweeps) reads it instead;
 - every real-valued output (``spectrum``, ``bounds``) but ``limit``'s
   comes from a dense solve, or on a regular graph from the Laplacian's as
   ``d - lambda``: no certificate is cheaper than ``eigvalsh`` there at
@@ -122,7 +122,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graphs import CapExceeded, Graph, InternalError, Mask, _two_coloring, bits, is_connected
+from .graphs import (CapExceeded, Graph, InternalError, Mask, _two_coloring, bfs_levels, bits,
+                     is_connected)
 
 TOL = 1e-9
 MAX_DENSE_N = 4096
@@ -258,17 +259,32 @@ def margin(g: Graph) -> float:
 def norm_floor(g: Graph) -> int:
     """``snapped_floor(M)``, certified without an eigensolve when it can be.
 
-    Hofmeister's bound (``hofmeister``) and ``M <= d`` bracket M.  Let t be
-    the snapped floor of the lower end less ``eta``.  If t = d, every value
-    within ``eta`` of M snaps to d (always so on regular graphs, where the
-    ends meet).  Otherwise a Cholesky factorization of
-    ``(t + 1 - TOL - 2 eta) I - A`` shows ``M + eta < t + 1 - TOL`` under the
-    error model of ``margin``, so t is the answer.  If it fails the graph's adjacency spectrum decides.
+    A spectrum kept on ``g`` decides.  Else Hofmeister's bound and
+    ``M <= d`` bracket M; let t be the snapped floor of the lower end less
+    ``eta``.  If t = d, every value within ``eta`` of M snaps to d (always
+    so on regular graphs).  If t = d - 1 on a connected irregular graph and
+    ``_irregular_gap`` exceeds ``TOL + eta`` twice over, every value within
+    ``eta`` of M stays below the snap boundary ``d - TOL``.  Else
+    ``M^2``, the Perron root of ``A^2``, is at most its largest row sum W,
+    the most 2-walks from a vertex, and ``sqrt(W) + TOL + 2 eta < t + 1``
+    does the same for ``t + 1 - TOL``; or else a Cholesky factorization of
+    ``(t + 1 - TOL - 2 eta) I - A`` shows ``M + eta < t + 1 - TOL``.  In
+    each case t is the answer; if none closes the adjacency spectrum
+    decides.
     """
     _check_dense(g.n)
+    if g._adj_spectrum is not None:
+        return snapped_floor(g._adj_spectrum[-1])
     eta = margin(g)
     t = snapped_floor(hofmeister(g) - eta)
     if t == g.max_degree:
+        return t
+    if t == g.max_degree - 1 and not g.is_regular:  # M = d on a regular graph
+        levels = bfs_levels(g)
+        if levels.count(0) == 1 and TOL + eta < _irregular_gap(g.n, max(levels)) / 2:
+            return t
+    walks = max(sum(g.degrees[u] for u in nbrs) for nbrs in g.adj)
+    if math.sqrt(walks) + TOL + 2 * eta < t + 1:
         return t
     shifted = adjacency_matrix(g)
     np.negative(shifted, out=shifted)
@@ -276,6 +292,19 @@ def norm_floor(g: Graph) -> int:
     if positive_definite(shifted):
         return t
     return snapped_floor(adjacency_spectrum(g)[-1])
+
+
+def _irregular_gap(n: int, e: int) -> float:
+    """``1 / (n (2e + 1)) <= d - M`` on a connected irregular graph of
+    order n, maximum degree d and some vertex of eccentricity e.
+
+    For the Perron unit vector x, ``d - M = sum_v (d - d_v) x_v^2 +
+    sum_{uv in E} (x_u - x_v)^2``.  Take ``x_v^2 >= 1/n`` and w of degree
+    below d at distance ``l <= 2e`` from v: Cauchy-Schwarz along a shortest
+    path gives ``d - M >= x_w^2 + (x_v - x_w)^2 / l >= x_v^2 / (l + 1)``.
+    On paths the gap is within a factor pi^2 of this (cf. Cioaba, EJC 2007).
+    """
+    return 1.0 / (n * (2 * e + 1))
 
 
 def hofmeister(g: Graph) -> float:

@@ -18,6 +18,12 @@ def graphs(draw, min_n=1, max_n=12):
     return Graph(n, sorted(edges))
 
 
+def friendship(k):
+    """k triangles sharing vertex 0; M = (1 + sqrt(1 + 8k)) / 2."""
+    return Graph(2 * k + 1, [e for i in range(k)
+                             for e in ((0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2))])
+
+
 def isomorphic(g, h):
     """Exact isomorphism test through canonical keys (n <= 8)."""
     return g.n == h.n and canonical_key(g.adj_masks, g.n) == canonical_key(h.adj_masks, h.n)

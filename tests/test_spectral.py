@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs
+from conftest import friendship, graphs
 from specbound import spectral
 from specbound.bipartite import spectral_bipartite_test
 from specbound.enumeration import enumerate_graphs
@@ -377,12 +377,6 @@ def _dense_floor(g):
     return snapped_floor(float(np.linalg.eigvalsh(adjacency_matrix(g))[-1]))
 
 
-def _friendship(k):
-    """k triangles sharing vertex 0; M = (1 + sqrt(1 + 8k)) / 2."""
-    return Graph(2 * k + 1, [e for i in range(k)
-                             for e in ((0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2))])
-
-
 def test_norm_floor_matches_dense_on_every_class_up_to_8():
     for n in range(1, 9):
         for g in enumerate_graphs(n):
@@ -412,7 +406,7 @@ def test_integer_norm_is_certified_without_an_eigensolve(eigensolves, g, want):
 
 @pytest.mark.parametrize("g, want", [
     (Graph(6, [(0, 5), (1, 5), (2, 4), (3, 4), (4, 5)]), 2),  # double star, M = 2
-    (_friendship(3), 3), (_friendship(6), 4), (_friendship(10), 5),
+    (friendship(3), 3), (friendship(6), 4), (friendship(10), 5),
     (_union(complete(4), Graph(1, [])), 3),
 ], ids=["double-star", "friendship-3", "friendship-6", "friendship-10", "K4+K1"])
 def test_integer_norm_off_the_certificate_goes_dense(eigensolves, g, want):
