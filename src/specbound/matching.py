@@ -26,7 +26,17 @@ any iterable of big-integer masks one at a time; it takes every randomized
 scan and the exhaustive scans below 12 vertices.  ``_scan_blocks`` takes the
 exhaustive scans from 12 vertices up and runs blocks of ``uint32`` masks
 through numpy in lock step.  The crossover and the block size are constants
-beside it, with the measurements that chose them.
+beside it, with the measurements that chose them.  Both skip the BFS of a
+subset A of size s that can at most tie the best ratio so far (a tie keeps
+the earlier witness), by bounds on the count o of odd components of G - A;
+``_scan`` uses the first, ``_scan_blocks`` all three:
+
+* o <= n - s, with the parity of n - s: the components partition V - A, and
+  the even ones add up to an even size;
+* on connected G, o <= |N(A) - A|: every component of G - A holds a
+  neighbour of A, or it would be a whole component of G;
+* once some components are done, o <= (odd ones among them) + (vertices of
+  G - A not in them), since each other odd component holds one of those.
 """
 
 from __future__ import annotations
@@ -56,12 +66,13 @@ class TutteReport:
 
 
 def _neighbourhood_tables(g: Graph) -> List[Tuple[Mask, ...]]:
-    """One byte-indexed table per 8 vertices: N(F) is the OR over i of
+    """``_scan``'s tables, one per 8 vertices: N(F) is the OR over i of
     ``tables[i][byte i of F]``.
 
-    The last table covers only the vertices left in its byte, and the list is
-    padded to three with ``(0,)``, so an n <= 7 graph builds one table of at
-    most 128 entries.
+    The last table covers only the vertices left in its byte, so an n <= 7
+    graph builds one table of at most 128 entries.  The list is padded to
+    three tables with ``(0,)``, which ``_scan`` reads at the byte 0 that a
+    frontier has above the graph's vertices.
     """
     adj = g.adj_masks
     tables = []
@@ -128,18 +139,30 @@ def _scan(g: Graph, subsets) -> Tuple[float, Mask, bool, bool, int]:
 
 
 # Exhaustive scans of at least _VECTOR_MIN_N vertices take the numpy kernel.
-# Measured per scan, 10 random graphs of edge density 0.3 each, 2-core host:
-# n = 10 0.36 ms scalar against 0.45 ms numpy, n = 11 0.73 against 0.95 ms,
-# n = 12 1.8 against 1.1 ms.  Below the crossover numpy's per-call overhead
-# loses: at n <= 7 (the sweeps over every small graph) numpy is 3-8 times
-# slower.  Block size, on the five n = 16-19 scans of the subset-scan
-# benchmark: blocks of 2^12, 2^13, 2^14 and 2^15 masks took 0.26, 0.20, 0.21
-# and 0.22 s; after one round of them the peak resident set stood 0.7, 0.5
-# and 0.9 MB above the scalar kernel's for 2^12, 2^13 and 2^14 masks, and
-# 3.9 MB above it for 2^16.
+# Measured per scan, 10 random graphs of edge density 0.3 each, best of 5,
+# 2-core host, three runs: n = 10 0.35-0.51 ms scalar against 0.31-0.45 ms
+# numpy, n = 11 0.59-0.87 against 0.43 ms, n = 12 1.7 against 0.6 ms, n = 13
+# 2.8-3.1 against 1.0 ms.  So numpy also wins at n = 11, by about 0.2 ms a
+# scan, and the crossover is left at 12; at n <= 7 (the sweeps over every
+# small graph) numpy's per-call overhead makes it several times slower.
+# Block size, on the five n = 16-19 scans of the subset-scan benchmark, the
+# median of 8 alternating rounds (seeds 1 and 3): blocks of 2^12, 2^13, 2^14
+# and 2^15 masks took 95-105, 73-74, 66-67 and 76-88 ms, at tracemalloc peaks
+# of 338, 643, 1233 and 2458 KB; 2^14 would buy about 9% of the scan for
+# twice the memory.
 _VECTOR_MIN_N = 12
 _BLOCK_BITS = 13
-_BYTE_PARITY = np.array([b.bit_count() & 1 for b in range(256)], dtype=np.uint8)
+
+
+def _half_tables(g: Graph, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+    """N(F) and |F| for every subset F of the vertices lo .. hi - 1, indexed
+    by F shifted down by lo, built by doubling: 2^(hi - lo) entries each."""
+    nbhd = np.zeros(1, dtype=np.uint32)
+    size = np.zeros(1, dtype=np.uint8)
+    for v in range(lo, hi):
+        nbhd = np.concatenate((nbhd, nbhd | np.uint32(g.adj_masks[v])))
+        size = np.concatenate((size, size + 1))
+    return nbhd, size
 
 
 def _scan_blocks(g: Graph) -> Tuple[float, Mask, bool, bool, int]:
@@ -147,59 +170,87 @@ def _scan_blocks(g: Graph) -> Tuple[float, Mask, bool, bool, int]:
 
     Masks A = 0 .. 2^n - 1 are taken in integer order in blocks of
     2^_BLOCK_BITS ``uint32`` lanes; within a block only the low bits vary,
-    so the block's sizes are the popcounts of 0 .. 2^_BLOCK_BITS - 1 (built
-    once, by doubling) plus those of its high bits.  A mask whose bound
-    (n - s) / s is at most the best ratio of the earlier blocks is dropped (it
-    can at most tie a best an earlier subset reached), as is A = 0.  The rest
-    run one frontier BFS per component in lock step over the byte tables,
-    padded to 256 entries, each lane adding the parity of the component it
-    just finished (from a byte table); a lane leaves when G - A is used up.
-    A block's first maximum of o / s (float64, as exact as ``_scan``'s
-    division) replaces the best only when strictly larger, so the witness is
-    the earliest subset attaining the maximum, as in ``_scan``.
+    so the block's sizes s are the popcounts of 0 .. 2^_BLOCK_BITS - 1 (built
+    once, by doubling) plus those of its high bits.  N(F) and |F| come from
+    two tables, one per half of the vertices (h = ceil(n/2) low bits, the
+    rest high), so each lookup is two gathers.  Two bounds on the count o of
+    odd components of G - A drop lanes that can at most tie the best ratio
+    of the earlier blocks (a tie keeps an earlier witness):
+
+    * before any BFS, o <= ub: o <= n - s and o has the parity of n - s
+      (the components partition V - A, and the even ones add an even size);
+      on connected G also o <= |N(A) - A|, since a component of G - A with no
+      edge to A would be a component of G.  ub is the smaller, lowered to
+      the parity of n - s;
+    * after each finished component, o <= (odd so far) + |rest of G - A|.
+
+    Surviving lanes run one frontier BFS per component in lock step; a lane
+    leaves when G - A is used up or its second bound falls to the best.  The
+    best is kept as its integer pair (o*, s*) and a lane's bound b is
+    compared as b * s* <= o* * s in ``int16``, exactly.  Every lane that
+    finishes thus beats the best, and the block's first maximum of o / s
+    (float64, as exact as ``_scan``'s division) replaces it, so the witness
+    is the earliest subset attaining the maximum, as in ``_scan``.
     """
     n = g.n
-    t0, t1, t2 = (np.array(t + (0,) * (256 - len(t)), dtype=np.uint32)
-                  for t in _neighbourhood_tables(g)[:3])
+    h = (n + 1) // 2
+    nb_lo, size_lo = _half_tables(g, 0, h)
+    nb_hi, size_hi = _half_tables(g, h, n)
+    half = np.uint32((1 << h) - 1)
+    shift = np.uint32(h)
     low = np.arange(1 << min(n, _BLOCK_BITS), dtype=np.uint32)
-    low_size = np.zeros(1, dtype=np.uint8)
+    low_size = np.zeros(1, dtype=np.int16)
     while low_size.size < low.size:
         low_size = np.concatenate((low_size, low_size + 1))
     full = np.uint32(g.full_mask)
-    best = -1.0
+    connected = is_connected(g)
+    best_o, best_s = -1, 1  # no ratio yet: every bound b >= 0 beats it
     witness = 0
     for base in range(0, 1 << n, low.size):
-        # (n - s) / s > best exactly when s < cut: the bound falls as s grows
-        cut = next((s for s in range(1, n + 1) if (n - s) / s <= best), n + 1)
         masks = low | np.uint32(base)
         sizes = low_size + base.bit_count()
-        keep = sizes < cut
+        rest = masks ^ full
+        left = n - sizes  # |rest|
+        bound = left
+        if connected:
+            x = (nb_lo.take(masks & half) | nb_hi.take(masks >> shift)) & rest
+            bound = np.minimum(left, size_lo.take(x & half) + size_hi.take(x >> shift))
+            bound -= (bound ^ left) & 1
+        floor = best_o * sizes
+        keep = bound * best_s > floor
         if base == 0:
             keep[0] = False  # the empty set
-        masks, sizes = masks[keep], sizes[keep]
-        if not masks.size:
-            continue
-        odd = np.zeros(masks.size, dtype=np.uint8)
-        lanes = np.arange(masks.size)
-        rest = masks ^ full
-        while rest.size:
+        lanes = np.arange(low.size)
+        pot = left  # odd so far + |rest|: the second bound, and o once rest is 0
+        finished, odds = [], []
+        while True:
+            ended = keep & (rest == 0)
+            finished.append(lanes[ended])
+            odds.append(pot[ended])
+            open_ = np.flatnonzero(keep ^ ended)
+            if not open_.size:
+                break
+            rest, pot, floor, lanes = rest[open_], pot[open_], floor[open_], lanes[open_]
             before = rest
             frontier = rest & -rest
             rest = rest ^ frontier
             while np.count_nonzero(frontier):
-                frontier = (t0[frontier & 255] | t1[frontier >> 8 & 255]
-                            | t2[frontier >> 16]) & rest
+                frontier = (nb_lo.take(frontier & half)
+                            | nb_hi.take(frontier >> shift)) & rest
                 rest ^= frontier
             done = before ^ rest  # the component each lane just finished
-            odd[lanes] += (_BYTE_PARITY[done & 255] ^ _BYTE_PARITY[done >> 8 & 255]
-                           ^ _BYTE_PARITY[done >> 16])
-            open_ = np.flatnonzero(rest)
-            rest, lanes = rest[open_], lanes[open_]
-        ratios = odd / sizes
-        i = int(np.argmax(ratios))
-        if ratios[i] > best:
-            best = float(ratios[i])
-            witness = int(masks[i])
+            # of its z vertices, z & 1 stay in pot as an odd component
+            pot = pot - ((size_lo.take(done & half) + size_hi.take(done >> shift)) & 0xFE)
+            keep = pot * best_s > floor
+        finished = np.concatenate(finished)
+        if finished.size:
+            odd = np.concatenate(odds)
+            ratios = odd / sizes[finished]
+            top = np.flatnonzero(ratios == ratios.max())
+            j = top[np.argmin(finished[top])]  # the earliest lane at the maximum
+            best_o, best_s = int(odd[j]), int(sizes[finished[j]])
+            witness = int(masks[finished[j]])
+    best = best_o / best_s
     return best, witness, best <= 1.0, best < 1.0, (1 << n) - 1
 
 
@@ -270,11 +321,11 @@ def tutte_scan(g: Graph, mode: str = "exhaustive", seed: int = 0,
     ``exhaustive`` decides every nonempty subset (n <= 22); ``randomized``
     draws seeded samples biased toward small sets grown from low-degree
     vertices, plus all singletons.  Ties on the maximum keep the earliest
-    (smallest) witness encountered.  A subset is decided without a BFS when
-    the bound o(G - A) <= |V - A| rules out a new worst ratio, and with it a
-    flip of either Tutte flag (``_scan_blocks`` checks the bound against the
-    best of its earlier blocks); ``scanned`` counts every subset decided, so
-    an exhaustive scan reports 2^n - 1.
+    (smallest) witness encountered.  A subset is decided without a full BFS
+    when a bound on o(G - A) (see the module docstring) rules out a new worst
+    ratio, and with it a flip of either Tutte flag (``_scan_blocks`` checks
+    its bounds against the best of its earlier blocks); ``scanned`` counts
+    every subset decided, so an exhaustive scan reports 2^n - 1.
 
     The doubled-gap flag comes first and checks the dense cap before its
     certificate, so a connected graph past the cap fails before any subset

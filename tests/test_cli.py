@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import specbound
 from specbound import enumeration, graphs, invariants, matching, spectral
-from specbound.cli import run
+from specbound.cli import MAX_SAMPLES, run
 from specbound.generators import (complete_bipartite, cycle, function_graph, petersen,
                                   random_regular, subdivide)
 from specbound.graphs import (canonical_digest, dump_directed_edge_list, dump_edge_list,
@@ -758,3 +758,20 @@ def test_cli_boundary_fuzz(argv, text):
     assert out.endswith("\n") and out.count("\n") == 1
     doc = _strict_json(out)
     assert ("payload" in doc) == (code == 0)
+
+
+@pytest.mark.parametrize("samples", ["-1", str(MAX_SAMPLES + 1)], ids=["negative", "cap+1"])
+def test_samples_out_of_range_fail_before_the_graph_is_parsed(graphs_built, samples):
+    # the text is no edge list: a usage error shows the flag was checked first
+    code, out = _run(["tutte", "--mode", "randomized", "--samples", samples],
+                     stdin_text="not an edge list\n")
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["code"] == "usage" and "--samples" in err["message"]
+    assert graphs_built == []
+
+
+def test_zero_samples_scan_only_the_singletons():
+    p = _doc(["tutte", "--mode", "randomized", "--samples", "0"],
+             stdin_text=dump_edge_list(petersen()))["payload"]
+    assert p["scanned"] == 10

@@ -369,6 +369,13 @@ def _disjoint_union(*parts):
     return Graph(start, edges)
 
 
+def _subdivide_first_edge(g):
+    """``g`` with its first edge in ``edges()`` order replaced by a path
+    through a new vertex n."""
+    (u, v), *others = g.edges()
+    return Graph(g.n + 1, others + [(u, g.n), (v, g.n)])
+
+
 def test_block_kernel_matches_scalar_scan_on_every_small_class():
     for n in range(1, 9):
         for g in enumerate_graphs(n):
@@ -392,6 +399,18 @@ def test_block_kernel_matches_scalar_scan_on_every_small_class():
     # c_star = 1 is reached by {0} in the first block and tied by later blocks
     pytest.param(lambda: random_regular(16, 3, seed=5), id="ties-cubic-16"),
     pytest.param(lambda: random_regular(18, 3, seed=2), id="ties-cubic-18"),
+    # c_star = 13 at A = {13}, in the second block, although N(A) - A is
+    # {6..10}: the boundary bound holds only on connected graphs
+    pytest.param(lambda: Graph(14, [(13, v) for v in range(6, 11)]), id="hub-with-isolated-14"),
+    # c_star = 7/8: the boundary bound is tight at the witness, where G - A
+    # has 7 odd components and |N(A) - A| = n - |A| = 7
+    pytest.param(lambda: _subdivide_first_edge(random_regular(14, 3, seed=1)),
+                 id="subdivided-cubic-15"),
+    # c_star = 6/7: the first block's best is 4/5, and the witness, |A| = 7 in
+    # the second block, beats it by less than 1/7, so retiring a lane one odd
+    # component below (odd so far + |rest|) would drop it
+    pytest.param(lambda: _subdivide_first_edge(random_regular(14, 3, seed=3)),
+                 id="retirement-subdivided-cubic-15"),
 ])
 def test_block_kernel_matches_scalar_scan(make):
     g = make()
