@@ -14,7 +14,8 @@ Around them sit the bitmask helpers, neighbourhoods, masked BFS components
 (``components_within`` works on raw adjacency masks), the BFS levels
 behind the 2-coloring shared by ``spectral`` and ``bipartite``, the
 eccentricity their certificates read and the doubled-gap flag's distances,
-and the edge-list text format with its canonical digest.
+the bridges that gate the Tutte scan's edge-cut bound, and the edge-list text
+format with its canonical digest.
 
 The mass-transport principle needs no checker here: under the uniform measure
 on a finite graph, mass sent and mass received are one finite sum taken in two
@@ -219,6 +220,43 @@ def bfs_levels(g: Graph) -> List[int]:
                         nxt.append(u)
             frontier = nxt
     return level
+
+
+def bridges(g: Graph) -> List[Tuple[int, int]]:
+    """Edges ``(u, v)``, u < v, whose deletion adds a component, sorted.
+
+    One lowpoint DFS with an explicit stack, O(n + m) and no recursion: the
+    tree edge from p to its child v is a bridge iff no back edge from v's
+    subtree reaches p or above, that is iff low[v] > disc[p].  The graph is
+    simple, so skipping the parent vertex skips exactly the tree edge.
+    """
+    disc = [-1] * g.n
+    low = [0] * g.n
+    out = []
+    clock = 0
+    for root in range(g.n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        stack = [(root, -1, iter(g.adj[root]))]
+        while stack:
+            v, parent, rest = stack[-1]
+            for u in rest:
+                if disc[u] < 0:
+                    disc[u] = low[u] = clock
+                    clock += 1
+                    stack.append((u, v, iter(g.adj[u])))
+                    break
+                if u != parent and disc[u] < low[v]:
+                    low[v] = disc[u]
+            else:
+                stack.pop()
+                if parent >= 0:
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] > disc[parent]:
+                        out.append((min(parent, v), max(parent, v)))
+    return sorted(out)
 
 
 def _two_coloring(g: Graph, levels: Optional[List[int]] = None) -> Optional[List[int]]:

@@ -23,33 +23,43 @@ against.
 
 The scan has two kernels that return the same five values.  ``_scan`` walks
 any iterable of big-integer masks one at a time; it takes every randomized
-scan and the exhaustive scans below 12 vertices.  ``_scan_blocks`` takes the
-exhaustive scans from 12 vertices up and runs blocks of ``uint32`` masks
-through numpy in lock step.  The crossover and the block size are constants
-beside it, with the measurements that chose them.  Both skip the BFS of a
-subset A of size s that can at most tie the best ratio so far (a tie keeps
-the earlier witness), by bounds on the count o of odd components of G - A;
-``_scan`` uses the first, ``_scan_blocks`` all three:
+scan and the exhaustive scans below _VECTOR_MIN_N = 11 vertices.
+``_scan_blocks`` takes the exhaustive scans from there up and runs blocks of
+``uint32`` masks through numpy in lock step.  The crossover and the block
+size are constants beside it, with the measurements that chose them.  Both
+skip the BFS of a subset A of size s that can at most tie the best ratio so
+far (a tie keeps the earlier witness), by bounds on the count o of odd
+components of G - A; ``_scan`` uses the first and, from _VECTOR_MIN_N
+vertices up, the fourth; ``_scan_blocks`` all four:
 
 * o <= n - s, with the parity of n - s: the components partition V - A, and
   the even ones add up to an even size;
 * on connected G, o <= |N(A) - A|: every component of G - A holds a
   neighbour of A, or it would be a whole component of G;
 * once some components are done, o <= (odd ones among them) + (vertices of
-  G - A not in them), since each other odd component holds one of those.
+  G - A not in them), since each other odd component holds one of those;
+* on connected bridgeless G (Petersen's count), o <= floor((cut + min(t,
+  floor(cut / 2))) / 3), where cut is the number of edges leaving A and t
+  the number of even-degree vertices outside A.  Proof: each component C of
+  G - A has e(C, A) = e(C, V - C) >= 2, as one edge would be a bridge.  If C
+  is odd with no even-degree vertex, e(C, V - C) = (sum of degrees) - 2 e(C)
+  is odd, so >= 3.  So 3 o3 + 2 o2 <= cut, where o3 counts those and o2 the
+  other odd components, which hold distinct even-degree vertices: o2 <= t,
+  o2 <= cut / 2, and o = o3 + o2 <= (cut + o2) / 3.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .graphs import CapExceeded, Graph, Mask, bfs_levels, bits, is_connected
+from .graphs import CapExceeded, Graph, Mask, bfs_levels, bits, bridges, is_connected, mask_of
 from .spectral import TOL, _check_dense, margin, mean_zero_extremes
 
 
@@ -97,16 +107,26 @@ def _scan(g: Graph, subsets) -> Tuple[float, Mask, bool, bool, int]:
     over the nonzero ones.  G - A has at most
     n - |A| odd components, so once (n - s) / s <= best no subset of size s
     can raise the maximum (a tie keeps the earlier witness), and it is
-    counted without a BFS.  Both Tutte flags follow from the maximum --
-    o > s exactly when o / s > 1 -- so a subset that cannot raise it cannot
-    flip them either.
+    counted without a BFS.  From _VECTOR_MIN_N vertices up, on a connected
+    bridgeless graph, a subset that passes is also counted without a BFS
+    when the edge-cut bound ub of the module docstring cannot beat the best
+    (o*, s*), compared in integers as ub * s* <= o* * s; cut costs one
+    popcount per vertex of A.  Below that size the bound costs more than the
+    BFS it saves: the exhaustive scans of all 996 connected classes with
+    n <= 7 took 0.065 s without it and 0.098 s with it.  Both Tutte flags
+    follow from the maximum -- o > s exactly when o / s > 1 -- so a subset
+    that cannot raise it cannot flip them either.
     """
     n = g.n
     full = g.full_mask
+    adj = g.adj_masks
     t0, t1, t2, *high = _neighbourhood_tables(g)
     nhigh = len(high)
     bound = [math.inf] + [(n - s) / s for s in range(1, n + 1)]
+    cut_bound = n >= _VECTOR_MIN_N and is_connected(g) and not bridges(g)
+    even = _even_degree_mask(g) if cut_bound else 0
     best = -1.0
+    best_o, best_s = -1, 1
     witness = 0
     scanned = 0
     for a in subsets:
@@ -114,8 +134,17 @@ def _scan(g: Graph, subsets) -> Tuple[float, Mask, bool, bool, int]:
         s = a.bit_count()
         if bound[s] <= best:
             continue
-        o = 0
         rest = full ^ a
+        if cut_bound:
+            cut = 0
+            inside = a
+            while inside:
+                v = inside & -inside
+                inside ^= v
+                cut += (adj[v.bit_length() - 1] & rest).bit_count()
+            if (cut + min((even & rest).bit_count(), cut >> 1)) // 3 * best_s <= best_o * s:
+                continue
+        o = 0
         while rest:
             before = rest
             frontier = rest & -rest
@@ -133,24 +162,31 @@ def _scan(g: Graph, subsets) -> Tuple[float, Mask, bool, bool, int]:
             o += (before ^ rest).bit_count() & 1
         ratio = o / s
         if ratio > best:
-            best = ratio
+            best, best_o, best_s = ratio, o, s
             witness = a
     return best, witness, best <= 1.0, best < 1.0, scanned
 
 
+def _even_degree_mask(g: Graph) -> Mask:
+    return mask_of(v for v, d in enumerate(g.degrees) if d % 2 == 0)
+
+
 # Exhaustive scans of at least _VECTOR_MIN_N vertices take the numpy kernel.
-# Measured per scan, 10 random graphs of edge density 0.3 each, best of 5,
-# 2-core host, three runs: n = 10 0.35-0.51 ms scalar against 0.31-0.45 ms
-# numpy, n = 11 0.59-0.87 against 0.43 ms, n = 12 1.7 against 0.6 ms, n = 13
-# 2.8-3.1 against 1.0 ms.  So numpy also wins at n = 11, by about 0.2 ms a
-# scan, and the crossover is left at 12; at n <= 7 (the sweeps over every
-# small graph) numpy's per-call overhead makes it several times slower.
+# Measured per scan with both kernels carrying the edge-cut bound, best of 5,
+# 2-core host, three runs; 10 random graphs of edge density 0.3 each: n = 10
+# 0.34-0.51 ms scalar against 0.34-0.63 ms numpy, n = 11 0.77-1.23 against
+# 0.46-0.75 ms, n = 12 1.6 against 0.6-0.7 ms, n = 13 3.7-3.9 against
+# 1.0-1.2 ms; 10 cubic graphs (n = 10) and 10 once-subdivided cubic graphs
+# (n = 11): n = 10 0.32-0.46 against 0.40-0.48 ms, n = 11 1.27-1.31 against
+# 0.59-0.89 ms (1.5-1.7 ms scalar without the bound).  So numpy wins from
+# n = 11 on; at n <= 7 (the sweeps over every small graph) its per-call
+# overhead makes it several times slower.
 # Block size, on the five n = 16-19 scans of the subset-scan benchmark, the
 # median of 8 alternating rounds (seeds 1 and 3): blocks of 2^12, 2^13, 2^14
 # and 2^15 masks took 95-105, 73-74, 66-67 and 76-88 ms, at tracemalloc peaks
 # of 338, 643, 1233 and 2458 KB; 2^14 would buy about 9% of the scan for
 # twice the memory.
-_VECTOR_MIN_N = 12
+_VECTOR_MIN_N = 11
 _BLOCK_BITS = 13
 
 
@@ -173,15 +209,20 @@ def _scan_blocks(g: Graph) -> Tuple[float, Mask, bool, bool, int]:
     so the block's sizes s are the popcounts of 0 .. 2^_BLOCK_BITS - 1 (built
     once, by doubling) plus those of its high bits.  N(F) and |F| come from
     two tables, one per half of the vertices (h = ceil(n/2) low bits, the
-    rest high), so each lookup is two gathers.  Two bounds on the count o of
-    odd components of G - A drop lanes that can at most tie the best ratio
-    of the earlier blocks (a tie keeps an earlier witness):
+    rest high), so each lookup is two gathers.  The bounds of the module
+    docstring on the count o of odd components of G - A drop lanes that can
+    at most tie the best ratio of the earlier blocks (a tie keeps an earlier
+    witness):
 
-    * before any BFS, o <= ub: o <= n - s and o has the parity of n - s
-      (the components partition V - A, and the even ones add an even size);
-      on connected G also o <= |N(A) - A|, since a component of G - A with no
-      edge to A would be a component of G.  ub is the smaller, lowered to
-      the parity of n - s;
+    * before any BFS, o <= ub: o <= n - s and o has the parity of n - s; on
+      connected G also o <= |N(A) - A|, and on connected bridgeless G the
+      edge-cut bound.  ub is the smallest, lowered to the parity of n - s.
+      A lane mask A is its low bits L and the block's high bits H, so
+      cut(A) = cut(L) + cut(H) - 2 e(L, H): cut(L) and L's even-degree count
+      are tables over the 2^_BLOCK_BITS lanes built once by doubling, cut(H)
+      is one integer per block, and e(L, H) the sum over the vertices v of H
+      of a table of |N(v) & L|, one per vertex above the lanes (at most
+      9 * 2^13 ``uint8``, 72 KB);
     * after each finished component, o <= (odd so far) + |rest of G - A|.
 
     Surviving lanes run one frontier BFS per component in lock step; a lane
@@ -193,17 +234,47 @@ def _scan_blocks(g: Graph) -> Tuple[float, Mask, bool, bool, int]:
     is the earliest subset attaining the maximum, as in ``_scan``.
     """
     n = g.n
+    adj = g.adj_masks
     h = (n + 1) // 2
     nb_lo, size_lo = _half_tables(g, 0, h)
     nb_hi, size_hi = _half_tables(g, h, n)
     half = np.uint32((1 << h) - 1)
     shift = np.uint32(h)
-    low = np.arange(1 << min(n, _BLOCK_BITS), dtype=np.uint32)
+    lane_bits = min(n, _BLOCK_BITS)
+    low = np.arange(1 << lane_bits, dtype=np.uint32)
     low_size = np.zeros(1, dtype=np.int16)
     while low_size.size < low.size:
         low_size = np.concatenate((low_size, low_size + 1))
     full = np.uint32(g.full_mask)
+
+    def popcount(x):  # uint8
+        return size_lo.take(x & half) + size_hi.take(x >> shift)
+
     connected = is_connected(g)
+    bridgeless = connected and not bridges(g)
+    if bridgeless:
+        # For every lane mask L: cut(L) in int16 and, in uint8, L's count of
+        # even-degree vertices and |N(v) & L| for each vertex v above the
+        # lanes (at most 13 * 9 edges join L to the rest, so the sums fit).
+        # Each subtraction keeps a nonnegative result or an int16 operand.
+        even = _even_degree_mask(g)
+        low_cut = np.zeros(1, dtype=np.int16)
+        low_even = np.zeros(1, dtype=np.uint8)
+        for v in range(lane_bits):
+            inner = popcount(low[:low_cut.size] & np.uint32(adj[v]))  # |N(v) & L|, L below v
+            low_cut = np.concatenate((low_cut, low_cut + g.degrees[v] - 2 * inner))
+            low_even = np.concatenate((low_even, low_even + (even >> v & 1)))
+        to_lanes = [popcount(low & np.uint32(adj[v])) for v in range(lane_bits, n)]
+
+        def cut_bound(base):
+            """The edge-cut bound of every lane of the block at ``base``,
+            with cut(L + H) = cut(L) + cut(H) - 2 e(L, H) for H = base."""
+            out = g.full_mask ^ base
+            high_cut = sum((adj[v] & out).bit_count() for v in bits(base))
+            cut = low_cut + high_cut - 2 * sum(to_lanes[v - lane_bits] for v in bits(base))
+            t = (even & out).bit_count() - low_even
+            return (cut + np.minimum(t, cut >> 1)) // 3
+
     best_o, best_s = -1, 1  # no ratio yet: every bound b >= 0 beats it
     witness = 0
     for base in range(0, 1 << n, low.size):
@@ -213,14 +284,16 @@ def _scan_blocks(g: Graph) -> Tuple[float, Mask, bool, bool, int]:
         left = n - sizes  # |rest|
         bound = left
         if connected:
-            x = (nb_lo.take(masks & half) | nb_hi.take(masks >> shift)) & rest
-            bound = np.minimum(left, size_lo.take(x & half) + size_hi.take(x >> shift))
+            bound = np.minimum(left, popcount(
+                (nb_lo.take(masks & half) | nb_hi.take(masks >> shift)) & rest))
+            if bridgeless:
+                bound = np.minimum(bound, cut_bound(base))
             bound -= (bound ^ left) & 1
         floor = best_o * sizes
         keep = bound * best_s > floor
         if base == 0:
             keep[0] = False  # the empty set
-        lanes = np.arange(low.size)
+        lanes = np.arange(low.size, dtype=np.int16)
         pot = left  # odd so far + |rest|: the second bound, and o once rest is 0
         finished, odds = [], []
         while True:
@@ -240,7 +313,7 @@ def _scan_blocks(g: Graph) -> Tuple[float, Mask, bool, bool, int]:
                 rest ^= frontier
             done = before ^ rest  # the component each lane just finished
             # of its z vertices, z & 1 stay in pot as an odd component
-            pot = pot - ((size_lo.take(done & half) + size_hi.take(done >> shift)) & 0xFE)
+            pot = pot - (popcount(done) & 0xFE)
             keep = pot * best_s > floor
         finished = np.concatenate(finished)
         if finished.size:
@@ -272,25 +345,29 @@ def _random_subsets(g: Graph, seed: int, samples: int):
 
     Each draw is O(|A| log n) big-integer operations: the neighbourhood grows
     with A, and a pool member is picked by its rank, never by listing the
-    pool.  ``cum_weights`` makes ``random.choices`` skip re-summing the
-    weights and leaves its draws unchanged.
+    pool.  The size s and the seed vertex each take one ``random()``,
+    bisected into cumulative weights: the body of ``random.choices`` with
+    ``cum_weights``, inlined without its checks and its list, so the draws
+    are the same.  The populations 1 .. n - 1 and 0 .. n - 1 need no list:
+    the bisected index is the vertex, and the size less one.
     """
     rng = random.Random(seed)
+    uniform = rng.random
     n = g.n
     adj = g.adj_masks
     full = g.full_mask
-    verts = list(range(n))
     seed_cum = list(accumulate(1.0 / (1 + d) for d in g.degrees))
-    sizes = list(range(1, n))
-    size_cum = list(accumulate(2.0 ** -s for s in sizes))
+    seed_total = seed_cum[-1]
+    size_cum = list(accumulate(2.0 ** -s for s in range(1, n)))
+    size_total = size_cum[-1] if n > 1 else 0.0
     seen = set()
-    for v in verts:  # always probe the singletons
+    for v in range(n):  # always probe the singletons
         m = 1 << v
         seen.add(m)
         yield m
     for _ in range(samples):
-        s = rng.choices(sizes, cum_weights=size_cum)[0] if sizes else 1
-        v0 = rng.choices(verts, cum_weights=seed_cum)[0]
+        s = bisect(size_cum, uniform() * size_total, 0, n - 2) + 1 if n > 1 else 1
+        v0 = bisect(seed_cum, uniform() * seed_total, 0, n - 1)
         a = 1 << v0
         reach = adj[v0]  # N(A), grown with A
         size = 1
@@ -325,7 +402,11 @@ def tutte_scan(g: Graph, mode: str = "exhaustive", seed: int = 0,
     when a bound on o(G - A) (see the module docstring) rules out a new worst
     ratio, and with it a flip of either Tutte flag (``_scan_blocks`` checks
     its bounds against the best of its earlier blocks); ``scanned`` counts
-    every subset decided, so an exhaustive scan reports 2^n - 1.
+    every subset decided, so an exhaustive scan reports 2^n - 1.  Once a
+    singleton has shown c_star >= 1, the edge-cut bound settles every later
+    subset of a bridgeless cubic graph or an even cycle; on an odd cycle,
+    where c_star < 1, a randomized scan still runs an O(n^2 / 8) BFS for
+    each subset that it leaves open.
 
     The doubled-gap flag comes first and checks the dense cap before its
     certificate, so a connected graph past the cap fails before any subset

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
-from specbound.generators import cycle, petersen
+from specbound.enumeration import enumerate_graphs
+from specbound.generators import cycle, path, petersen
 from specbound.graphs import (
     DirectedGraph,
     Graph,
     bits,
+    bridges,
     canonical_digest,
     components,
     dump_directed_edge_list,
@@ -93,6 +95,30 @@ def test_components_ordered_by_least_vertex():
 def test_isolated_vertices_are_their_own_components():
     g = Graph(3, [])
     assert components(g) == [1, 2, 4]
+
+
+def _bridges_by_deletion(g):
+    """Edges whose deletion adds a component, found by deleting each one."""
+    count = len(components(g))
+    return [e for e in g.edges()
+            if len(components(Graph(g.n, [f for f in g.edges() if f != e]))) > count]
+
+
+def test_bridges_match_edge_deletion_on_every_small_class():
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            assert bridges(g) == _bridges_by_deletion(g), g
+
+
+@given(graphs(max_n=16))
+@settings(max_examples=150, deadline=None)
+def test_bridges_match_edge_deletion_random(g):
+    assert bridges(g) == _bridges_by_deletion(g)
+
+
+def test_bridges_need_no_recursion_on_long_graphs():
+    assert bridges(cycle(5000)) == []
+    assert bridges(path(5000)) == [(v, v + 1) for v in range(4999)]
 
 
 def test_edge_list_round_trip():

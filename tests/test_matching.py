@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,7 @@ from specbound.generators import (
     petersen,
     random_regular,
 )
-from specbound.graphs import (CapExceeded, Graph, bits, components_within,
+from specbound.graphs import (CapExceeded, Graph, bits, bridges, components_within,
                               is_connected, mask_of, neighborhood, popcount)
 from specbound import matching
 from specbound.matching import (
@@ -426,7 +427,134 @@ def test_block_kernel_keeps_the_earliest_tied_witness():
     assert _unbounded_scan(g) == (c_star, witness, classical, strict, scanned)
 
 
-@pytest.mark.parametrize("n, kernel", [(11, "_scan"), (12, "_scan_blocks")])
+def _bridged_pair(h):
+    """Two copies of ``h``, each with its first edge subdivided, and one
+    bridge between the two new vertices: cubic when ``h`` is."""
+    a = _subdivide_first_edge(h)
+    g = _disjoint_union(a, a)
+    return Graph(g.n, list(g.edges()) + [(a.n - 1, g.n - 1)])
+
+
+def _bridged_star(blocks):
+    """Three copies of ``blocks`` with their first edge subdivided, each new
+    vertex joined by a bridge to a hub, the last vertex: on K4 a cubic graph
+    whose hub alone leaves three odd components."""
+    a = _subdivide_first_edge(blocks)
+    g = _disjoint_union(a, a, a)
+    return Graph(g.n + 1, list(g.edges()) + [(a.n * i - 1, g.n) for i in (1, 2, 3)])
+
+
+# (graph, whether it has a bridge): the edge-cut bound applies exactly to the
+# connected bridgeless rows
+@pytest.mark.parametrize("make, bridged", [
+    pytest.param(lambda: random_regular(16, 3, seed=5), False, id="cubic-16"),
+    pytest.param(lambda: random_regular(18, 3, seed=2), False, id="cubic-18"),
+    # every vertex has even degree: the t term carries the bound
+    pytest.param(lambda: random_regular(14, 4, seed=0), False, id="quartic-14"),
+    pytest.param(lambda: _subdivide_first_edge(random_regular(14, 3, seed=3)), False,
+                 id="subdivided-cubic-15"),
+    *[pytest.param(lambda n=n: cycle(n), False, id=f"cycle-{n}") for n in range(13, 17)],
+    pytest.param(lambda: _bridged_pair(random_regular(6, 3, seed=0)), True,
+                 id="bridged-cubic-14"),
+    # c_star = 3 at A = {15}, with cut 3: one third of a component per edge
+    pytest.param(lambda: _bridged_star(complete(4)), True, id="bridged-star-16"),
+])
+def test_cut_bound_kernels_match_unbounded_reference(make, bridged):
+    g = make()
+    assert bool(bridges(g)) == bridged
+    expected = _unbounded_scan(g)
+    assert matching._scan_blocks(g) == expected, g
+    assert _scalar_scan(g) == expected, g
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: random_regular(200, 3, seed=1), id="cubic-200"),
+    pytest.param(lambda: cycle(200), id="cycle-200"),
+    pytest.param(lambda: cycle(201), id="cycle-201"),
+])
+def test_randomized_cut_bound_matches_unbounded_reference(make):
+    g = make()
+    subsets = list(matching._random_subsets(g, 1, 300))
+    assert matching._scan(g, iter(subsets)) == _unbounded_scan(g, subsets)
+
+
+class _CountingNumpy:
+    """numpy, but recording the size of each ``flatnonzero``: in
+    ``_scan_blocks``, the lanes open for one more BFS round, and the lanes at
+    a block's maximum."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def flatnonzero(self, a):
+        out = np.flatnonzero(a)
+        self.sizes.append(out.size)
+        return out
+
+
+# once a singleton shows c_star = 1, every later subset has ub <= s: cut <= 3 s
+# on a cubic graph, and on a cycle cut = 2 r and t >= r for its r runs
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: random_regular(16, 3, seed=5), id="cubic-16"),
+    pytest.param(lambda: cycle(16), id="cycle-16"),
+])
+def test_cut_bound_opens_no_lane_after_the_first_block(monkeypatch, make):
+    g = make()
+    counting = _CountingNumpy()
+    monkeypatch.setattr(matching, "np", counting)
+    assert matching._scan_blocks(g)[:2] == (1.0, 1)
+    blocks = 1 << (g.n - matching._BLOCK_BITS)
+    # block 0 ends on picking its first maximum among the finished lanes;
+    # every later block on one empty call
+    assert counting.sizes[-blocks] > 0
+    assert counting.sizes[1 - blocks:] == [0] * (blocks - 1)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: random_regular(200, 3, seed=1), id="cubic-200"),
+    pytest.param(lambda: cycle(200), id="cycle-200"),
+])
+def test_cut_bound_runs_no_bfs_after_the_singletons(monkeypatch, make):
+    g = make()
+    lookups = []
+    tables = matching._neighbourhood_tables
+
+    class Counting(tuple):
+        def __getitem__(self, i):
+            lookups.append(i)
+            return tuple.__getitem__(self, i)
+
+    monkeypatch.setattr(matching, "_neighbourhood_tables",
+                        lambda g: [Counting(t) for t in tables(g)])
+    subsets = list(matching._random_subsets(g, 1, 300))
+    assert subsets[:g.n] == [1 << v for v in range(g.n)]
+    assert matching._scan(g, subsets[:g.n])[:2] == (1.0, 1)
+    singletons = len(lookups)
+    assert matching._scan(g, subsets)[:2] == (1.0, 1)
+    assert len(lookups) == 2 * singletons
+
+
+def test_cut_bound_holds_on_every_small_bridgeless_class():
+    tight = 0
+    for n in range(1, 8):
+        for g in enumerate_graphs(n, connected=True):
+            if bridges(g):
+                continue
+            even = mask_of(v for v in range(n) if g.degrees[v] % 2 == 0)
+            for a in range(1, 1 << n):
+                cut = sum((a >> u & 1) != (a >> v & 1) for u, v in g.edges())
+                t = popcount(even & ~a)
+                ub = (cut + min(t, cut // 2)) // 3
+                o = odd_component_count(g, a)
+                assert o <= ub, (g, a)
+                tight += o == ub and o > 0
+    assert tight  # the bound is attained, not only valid
+
+
+@pytest.mark.parametrize("n, kernel", [(10, "_scan"), (11, "_scan_blocks")])
 def test_exhaustive_scan_dispatch_by_size(monkeypatch, n, kernel):
     called = []
     for name in ("_scan", "_scan_blocks"):
