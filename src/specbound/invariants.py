@@ -169,6 +169,7 @@ def _sandwich(g):
 @_invariant("bipartite-equivalence", "symmetric spectrum == bipartite on all connected "
             "n<=8; -d test for regular", lambda tier: _connected(range(1, _tier(tier, 7, 9))))
 def _bipartite(g):
+    adjacency_spectrum(g)  # a verdict from the spectrum, not from the oracle's coloring
     v = spectral_bipartite_test(g)
     oracle = bfs_bipartition_oracle(g)
     truth = oracle is not None

@@ -22,8 +22,9 @@ exhaustive oracles in the tests.
 against.
 
 The scan has two kernels that return the same five values.  ``_scan`` walks
-any iterable of big-integer masks one at a time; it takes every randomized
-scan and the exhaustive scans below _VECTOR_MIN_N = 11 vertices.
+any iterable of big-integer masks one at a time, with a BFS that expands each
+frontier vertex by vertex through the adjacency masks; it takes every
+randomized scan and the exhaustive scans below _VECTOR_MIN_N = 11 vertices.
 ``_scan_blocks`` takes the exhaustive scans from there up and runs blocks of
 ``uint32`` masks through numpy in lock step.  The crossover and the block
 size are constants beside it, with the measurements that chose them.  Both
@@ -75,53 +76,32 @@ class TutteReport:
     matching: Optional[List[Tuple[int, int]]]
 
 
-def _neighbourhood_tables(g: Graph) -> List[Tuple[Mask, ...]]:
-    """``_scan``'s tables, one per 8 vertices: N(F) is the OR over i of
-    ``tables[i][byte i of F]``.
-
-    The last table covers only the vertices left in its byte, so an n <= 7
-    graph builds one table of at most 128 entries.  The list is padded to
-    three tables with ``(0,)``, which ``_scan`` reads at the byte 0 that a
-    frontier has above the graph's vertices.
-    """
-    adj = g.adj_masks
-    tables = []
-    for lo in range(0, g.n, 8):
-        t = [0] * (1 << min(8, g.n - lo))
-        for f in range(1, len(t)):
-            low = f & -f
-            t[f] = t[f ^ low] | adj[lo + low.bit_length() - 1]
-        tables.append(tuple(t))
-    return tables + [(0,)] * (3 - len(tables))
-
-
 def _scan(g: Graph, subsets) -> Tuple[float, Mask, bool, bool, int]:
     """Worst ratio, its earliest witness, both Tutte flags and the count of
-    subsets decided, by a frontier BFS over the byte tables that adds each
-    component's parity straight into the count.
+    subsets decided, by a frontier BFS that adds each component's parity
+    straight into the count.
 
     ``subsets`` may be any iterable of masks; ``tutte_scan`` passes it the
     randomized draws and the exhaustive scans of fewer than _VECTOR_MIN_N
-    vertices.  The first three bytes of a frontier are looked up directly;
-    higher bytes, which only large randomized scans have, go through a loop
-    over the nonzero ones.  G - A has at most
-    n - |A| odd components, so once (n - s) / s <= best no subset of size s
-    can raise the maximum (a tie keeps the earlier witness), and it is
-    counted without a BFS.  From _VECTOR_MIN_N vertices up, on a connected
-    bridgeless graph, a subset that passes is also counted without a BFS
-    when the edge-cut bound ub of the module docstring cannot beat the best
-    (o*, s*), compared in integers as ub * s* <= o* * s; cut costs one
-    popcount per vertex of A.  Below that size the bound costs more than the
-    BFS it saves: the exhaustive scans of all 996 connected classes with
-    n <= 7 took 0.065 s without it and 0.098 s with it.  Both Tutte flags
-    follow from the maximum -- o > s exactly when o / s > 1 -- so a subset
-    that cannot raise it cannot flip them either.
+    vertices.  The BFS expands a frontier one vertex at a time, ORing its
+    row of ``g.adj_masks``, as ``components_within`` does, so a subset costs
+    one lookup per vertex of G - A whatever the width of the masks.  G - A
+    has at most n - |A| odd components, so once (n - s) / s <= best no
+    subset of size s can raise the maximum (a tie keeps the earlier
+    witness), and it is counted without a BFS.  From _VECTOR_MIN_N vertices
+    up, on a connected bridgeless graph, a subset that passes is also
+    counted without a BFS when the edge-cut bound ub of the module docstring
+    cannot beat the best (o*, s*), compared in integers as
+    ub * s* <= o* * s; cut costs one popcount per vertex of A.  Below that
+    size the bound costs more than the BFS it saves: the exhaustive scans of
+    all 996 connected classes with n <= 7 took 0.043-0.050 s without it and
+    0.070-0.079 s with it (best of 9, 2-core host).  Both Tutte flags follow
+    from the maximum -- o > s exactly when o / s > 1 -- so a subset that
+    cannot raise it cannot flip them either.
     """
     n = g.n
     full = g.full_mask
     adj = g.adj_masks
-    t0, t1, t2, *high = _neighbourhood_tables(g)
-    nhigh = len(high)
     bound = [math.inf] + [(n - s) / s for s in range(1, n + 1)]
     cut_bound = n >= _VECTOR_MIN_N and is_connected(g) and not bridges(g)
     even = _even_degree_mask(g) if cut_bound else 0
@@ -150,13 +130,11 @@ def _scan(g: Graph, subsets) -> Tuple[float, Mask, bool, bool, int]:
             frontier = rest & -rest
             rest ^= frontier
             while frontier:
-                nbhd = (t0[frontier & 255] | t1[frontier >> 8 & 255]
-                        | t2[frontier >> 16 & 255])
-                frontier >>= 24
-                if frontier:
-                    for t, byte in zip(high, frontier.to_bytes(nhigh, "little")):
-                        if byte:
-                            nbhd |= t[byte]
+                nbhd = 0
+                while frontier:
+                    v = frontier & -frontier
+                    frontier ^= v
+                    nbhd |= adj[v.bit_length() - 1]
                 frontier = nbhd & rest
                 rest ^= frontier
             o += (before ^ rest).bit_count() & 1
@@ -172,15 +150,17 @@ def _even_degree_mask(g: Graph) -> Mask:
 
 
 # Exhaustive scans of at least _VECTOR_MIN_N vertices take the numpy kernel.
-# Measured per scan with both kernels carrying the edge-cut bound, best of 5,
-# 2-core host, three runs; 10 random graphs of edge density 0.3 each: n = 10
-# 0.34-0.51 ms scalar against 0.34-0.63 ms numpy, n = 11 0.77-1.23 against
-# 0.46-0.75 ms, n = 12 1.6 against 0.6-0.7 ms, n = 13 3.7-3.9 against
-# 1.0-1.2 ms; 10 cubic graphs (n = 10) and 10 once-subdivided cubic graphs
-# (n = 11): n = 10 0.32-0.46 against 0.40-0.48 ms, n = 11 1.27-1.31 against
-# 0.59-0.89 ms (1.5-1.7 ms scalar without the bound).  So numpy wins from
-# n = 11 on; at n <= 7 (the sweeps over every small graph) its per-call
-# overhead makes it several times slower.
+# Measured per scan with both kernels carrying the edge-cut bound and the
+# scalar one walking the adjacency masks: the mean over 30 graphs of the best
+# of 7, 2-core host, two runs.  Random graphs of edge density 0.3: n = 9
+# 0.14-0.16 ms scalar against 0.26-0.28 ms numpy, n = 10 0.36-0.46 against
+# 0.34-0.36 ms, n = 11 0.78-0.85 against 0.44-0.52 ms; density 0.5: n = 10
+# 0.44-0.49 against 0.36-0.39 ms, n = 11 2.7-3.7 against 0.5-0.7 ms; cubic
+# graphs, n = 10: 0.50-0.71 against 0.42-0.64 ms.  So numpy wins from n = 11
+# on; at n = 10 it leads by 0.03-0.1 ms, no more than one graph set moves
+# between runs; at n <= 7 (the sweeps over every small graph) its per-call
+# overhead makes it several times slower (0.21-0.25 s against 0.046 s over
+# all 996 connected classes).
 # Block size, on the five n = 16-19 scans of the subset-scan benchmark, the
 # median of 8 alternating rounds (seeds 1 and 3): blocks of 2^12, 2^13, 2^14
 # and 2^15 masks took 95-105, 73-74, 66-67 and 76-88 ms, at tracemalloc peaks
@@ -405,8 +385,9 @@ def tutte_scan(g: Graph, mode: str = "exhaustive", seed: int = 0,
     every subset decided, so an exhaustive scan reports 2^n - 1.  Once a
     singleton has shown c_star >= 1, the edge-cut bound settles every later
     subset of a bridgeless cubic graph or an even cycle; on an odd cycle,
-    where c_star < 1, a randomized scan still runs an O(n^2 / 8) BFS for
-    each subset that it leaves open.
+    where c_star < 1, a randomized scan still runs a BFS for each subset
+    that it leaves open: n - |A| adjacency lookups, each an operation on
+    masks of n bits (in-process, seed 1: C_1001 0.32-0.37 s, C_4095 9.5 s).
 
     The doubled-gap flag comes first and checks the dense cap before its
     certificate, so a connected graph past the cap fails before any subset

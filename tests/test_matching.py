@@ -32,8 +32,8 @@ except ImportError:  # optional second matching oracle (the ``dev`` extra)
 
 
 def odd_component_count(g, removed):
-    """Odd components of G - removed by a plain BFS over the vertex masks: the
-    reference the table-driven kernel of ``tutte_scan`` is checked against."""
+    """Odd components of G - removed by ``components_within``: the reference
+    the kernels of ``tutte_scan`` are checked against."""
     region = g.full_mask & ~removed
     return sum(1 for comp in components_within(g.adj_masks, region)
                if popcount(comp) % 2 == 1)
@@ -148,7 +148,7 @@ def _hub_obstruction():
                  id="random-n8-14"),
     pytest.param(lambda: [complete_bipartite(1, 5), _hub_obstruction()],
                  id="bound-settles-most"),
-    pytest.param(lambda: [_random_graph_with_isolated(2, n=17)], id="third-byte-n17"),
+    pytest.param(lambda: [_random_graph_with_isolated(2, n=17)], id="random-n17"),
 ])
 def test_exhaustive_scan_matches_unbounded_reference(graphs):
     for g in graphs():
@@ -471,6 +471,9 @@ def test_cut_bound_kernels_match_unbounded_reference(make, bridged):
     pytest.param(lambda: random_regular(200, 3, seed=1), id="cubic-200"),
     pytest.param(lambda: cycle(200), id="cycle-200"),
     pytest.param(lambda: cycle(201), id="cycle-201"),
+    # bridged: every subset the size bound leaves open runs a BFS over masks
+    # several machine words wide
+    pytest.param(lambda: path(301), id="path-301"),
 ])
 def test_randomized_cut_bound_matches_unbounded_reference(make):
     g = make()
@@ -517,24 +520,27 @@ def test_cut_bound_opens_no_lane_after_the_first_block(monkeypatch, make):
     pytest.param(lambda: random_regular(200, 3, seed=1), id="cubic-200"),
     pytest.param(lambda: cycle(200), id="cycle-200"),
 ])
-def test_cut_bound_runs_no_bfs_after_the_singletons(monkeypatch, make):
+def test_cut_bound_runs_no_bfs_after_the_singletons(make):
     g = make()
+    subsets = list(matching._random_subsets(g, 1, 300))
+    assert subsets[:g.n] == [1 << v for v in range(g.n)]
     lookups = []
-    tables = matching._neighbourhood_tables
 
     class Counting(tuple):
         def __getitem__(self, i):
             lookups.append(i)
             return tuple.__getitem__(self, i)
 
-    monkeypatch.setattr(matching, "_neighbourhood_tables",
-                        lambda g: [Counting(t) for t in tables(g)])
-    subsets = list(matching._random_subsets(g, 1, 300))
-    assert subsets[:g.n] == [1 << v for v in range(g.n)]
+    g.adj_masks = Counting(g.adj_masks)  # every BFS step and cut term reads it
     assert matching._scan(g, subsets[:g.n])[:2] == (1.0, 1)
     singletons = len(lookups)
+    lookups.clear()
     assert matching._scan(g, subsets)[:2] == (1.0, 1)
-    assert len(lookups) == 2 * singletons
+    # a later subset of size s >= n / 2 is settled by (n - s) / s <= 1, and
+    # every other one by the cut bound alone, at one lookup per vertex of A
+    cut_terms = sum(popcount(a) for a in subsets[g.n:] if 2 * popcount(a) < g.n)
+    assert cut_terms
+    assert len(lookups) == singletons + cut_terms
 
 
 def test_cut_bound_holds_on_every_small_bridgeless_class():
