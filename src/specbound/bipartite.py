@@ -43,11 +43,8 @@ class BipartiteVerdict:
     minus_d_in_spectrum: bool
     bipartition: Optional[Tuple[Mask, Mask]]
     regular: bool
-    sides: Optional[Tuple[Mask, Mask]]  # the BFS 2-coloring's; None iff an odd cycle
+    bfs_bipartite: bool  # whether the BFS 2-coloring found no odd cycle
     note: str = ""
-
-
-_NOT_REGULAR = "graph is not regular: indicator uses -M in place of -d, extraction skipped"
 
 
 def spectral_bipartite_test(g: Graph, tol: float = TOL) -> BipartiteVerdict:
@@ -56,8 +53,8 @@ def spectral_bipartite_test(g: Graph, tol: float = TOL) -> BipartiteVerdict:
     Connected graphs only.  For non-regular graphs the -d indicator is
     computed against -M (M = ||T||) and the sides are not reported, flagged
     in ``note``; -M is an eigenvalue of a connected graph iff it is
-    bipartite.  The verdict also carries the sides of the BFS 2-coloring it
-    runs, None iff that coloring finds an odd cycle.
+    bipartite.  ``bfs_bipartite`` records whether the BFS 2-coloring it
+    runs found no odd cycle.
 
     Unless ``g`` already carries its adjacency spectrum, the verdict is
     certified when n >= 2 and ``tol > 4 eta``: it is the one the dense path
@@ -90,38 +87,35 @@ def spectral_bipartite_test(g: Graph, tol: float = TOL) -> BipartiteVerdict:
     regular = g.is_regular
     sides = _sides(g, _two_coloring(g, levels))
     eta = margin(g)
+    certified = None  # both indicators' value, where a certificate settles it
     if g._adj_spectrum is None and g.n >= 2 and tol > 4 * eta:
-        note = "" if regular else _NOT_REGULAR
         if sides is not None:
-            return BipartiteVerdict(symmetric_spectrum=True, minus_d_in_spectrum=True,
-                                    bipartition=sides if regular else None,
-                                    regular=regular, sides=sides, note=note)
-        if regular and tol + 2 * eta < _odd_cycle_gap(g.n, max(levels)) / 2:
-            closed = True
+            certified = True
+        elif regular and tol + 2 * eta < _odd_cycle_gap(g.n, max(levels)) / 2:
+            certified = False
         else:
             mat = adjacency_matrix(g)
             h = g.max_degree if regular else hofmeister(g) - eta
             mat[np.diag_indices(g.n)] = h - tol - 3 * eta
-            closed = positive_definite(mat)
-        if closed:
-            return BipartiteVerdict(symmetric_spectrum=False, minus_d_in_spectrum=False,
-                                    bipartition=None, regular=regular, sides=None, note=note)
-    spec = adjacency_spectrum(g)
-    ref = g.max_degree if regular else spec[-1]
-    symmetric = is_symmetric_spectrum(spec, tol)
-    minus_d_in = any(abs(v + ref) <= tol for v in spec)
+            if positive_definite(mat):
+                certified = False
+    if certified is None:
+        spec = adjacency_spectrum(g)
+        ref = g.max_degree if regular else spec[-1]
+        symmetric = is_symmetric_spectrum(spec, tol)
+        minus_d_in = any(abs(v + ref) <= tol for v in spec)
+    else:
+        symmetric = minus_d_in = certified
 
-    bipartition = None
-    note = ""
-    if regular and minus_d_in and g.n >= 2:
-        bipartition = sides
-        if bipartition is None:  # an odd cycle: no +-1 vector has A s = -d s
-            note = "-d lies within tol of the spectrum, but no sign pattern is a bipartition"
-    elif not regular:
-        note = _NOT_REGULAR
-    return BipartiteVerdict(symmetric_spectrum=symmetric,
-                            minus_d_in_spectrum=minus_d_in,
-                            bipartition=bipartition, regular=regular, sides=sides, note=note)
+    if not regular:
+        note = "graph is not regular: indicator uses -M in place of -d, extraction skipped"
+    elif minus_d_in and sides is None:  # an odd cycle: no +-1 vector has A s = -d s
+        note = "-d lies within tol of the spectrum, but no sign pattern is a bipartition"
+    else:
+        note = ""
+    return BipartiteVerdict(symmetric_spectrum=symmetric, minus_d_in_spectrum=minus_d_in,
+                            bipartition=sides if regular and minus_d_in and g.n >= 2 else None,
+                            regular=regular, bfs_bipartite=sides is not None, note=note)
 
 
 def _odd_cycle_gap(n: int, e: int) -> float:

@@ -37,7 +37,6 @@ class PeelingStuck(ValueError):
 class Coloring:
     """A (possibly partial) vertex coloring; ``None`` marks uncolored."""
 
-    n: int
     colors: List[Optional[int]]
 
     @property
@@ -135,7 +134,7 @@ def backwards_list_color(g: Graph, peeling: Peeling, palette: int) -> Coloring:
                                  f"palette {palette} too small for this peeling")
             colors[v] = c
         suffix |= layer
-    return Coloring(g.n, colors)
+    return Coloring(colors)
 
 
 def wilf_color(g: Graph) -> Coloring:

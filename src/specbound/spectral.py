@@ -421,20 +421,3 @@ def bounds(g: Graph, tol: float = TOL) -> SpectralBounds:
         independence_bound=-m_t / (d - m_t) if has_edge and g.is_regular else None,
         mindeg_independence_bound=1.0 - g.min_degree / lap[-1] if has_edge else None)
 
-
-def spectral_report(g: Graph, tol: float = TOL) -> dict:
-    """The flat report emitted by the CLI ``spectrum`` subcommand."""
-    b = bounds(g, tol)
-    return {
-        "n": g.n,
-        "d": g.max_degree,
-        "spectrum_adj": list(adjacency_spectrum(g)),
-        "spectrum_lap": list(laplacian_spectrum(g)),
-        "M": b.M,
-        "m": b.m,
-        "wilf": b.wilf,
-        "hoffman": b.hoffman,
-        "gap": b.gap,
-        "mL": b.mL,
-        "ML": b.ML,
-    }

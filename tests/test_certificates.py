@@ -286,7 +286,7 @@ def test_large_bipartite_and_wilf_commands_factor_nothing(monkeypatch):
 
 
 def test_a_bipartite_op_runs_one_two_coloring(monkeypatch):
-    # the bfs_bipartite field reads the verdict's sides, not a second BFS
+    # the bfs_bipartite field is the verdict's, from its one BFS 2-coloring
     colorings = []
     real = bipartite._two_coloring
     monkeypatch.setattr(bipartite, "_two_coloring",

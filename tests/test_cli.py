@@ -69,8 +69,42 @@ def test_spectrum_report_shape():
     assert doc["input_digest"] == canonical_digest(cycle(4))
     p = doc["payload"]
     assert p["n"] == 4 and p["d"] == 2
+    assert p["M"] == pytest.approx(2.0) and p["wilf"] == 3
     assert p["spectrum_adj"] == pytest.approx([-2.0, 0.0, 0.0, 2.0], abs=1e-9)
     assert p["spectrum_lap"] == pytest.approx([0.0, 2.0, 2.0, 4.0], abs=1e-9)
+
+
+_BOUNDS = {"n", "d", "M", "m", "wilf", "hoffman", "gap", "mL", "ML"}
+_COLORING = {"algorithm", "palette_bound", "colors", "palette_used", "proper"}
+_TUTTE = {"c_star", "witness", "classical_holds", "strict_holds", "mode", "scanned",
+          "bh_condition", "matching"}
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["spectrum"], _BOUNDS | {"spectrum_adj", "spectrum_lap"}),
+    (["bounds"], _BOUNDS | {"independence_bound", "mindeg_independence_bound"}),
+    (["color", "--algorithm", "wilf"], _COLORING),
+    (["color", "--algorithm", "mindeg", "--threshold", "3"], _COLORING),
+    (["color", "--algorithm", "function"], _COLORING),
+    (["color", "--algorithm", "brute"], {"algorithm", "chromatic"}),
+    (["bipartite"], {"symmetric_spectrum", "minus_d_in_spectrum", "bipartition", "defect",
+                     "regular", "note", "bfs_bipartite"}),
+    (["tutte"], _TUTTE),
+    (["tutte", "--mode", "randomized"], _TUTTE),
+    (["limit", "--max-n", "8"], {"family", "max_index", "interval", "points_count",
+                                 "points", "max_gap", "gaps"}),
+    (["verify"], {"ok", "checks"}),
+], ids=["spectrum", "bounds", "color-wilf", "color-mindeg", "color-function", "color-brute",
+        "bipartite", "tutte-exhaustive", "tutte-randomized", "limit", "verify"])
+def test_payload_key_sets(argv, keys):
+    # each payload is printed from its report dataclass, so a renamed field
+    # would rename a key: the sets are pinned here, one command at a time
+    p = _doc(argv, stdin_text=dump_edge_list(petersen()))["payload"]
+    assert set(p) == keys
+    if argv[0] == "limit":
+        assert all(set(e) == {"index", "gap", "error"} for e in p["gaps"])
+    if argv[0] == "verify":
+        assert all(set(c) == {"name", "ok", "detail"} for c in p["checks"])
 
 
 def test_bounds_payload_petersen():
@@ -337,7 +371,7 @@ def test_peeling_stuck_error_is_bounded():
     (subdivide(petersen()), ["spectrum"], 2),  # irregular: one solve per operator
     (subdivide(petersen()), ["bounds"], 2),
     (petersen(), ["color", "--algorithm", "wilf"], 0),  # regular: floor(M) = d, certified
-    (petersen(), ["bipartite"], 0),  # not bipartite: one Cholesky factorization
+    (petersen(), ["bipartite"], 0),  # not bipartite: the proved odd-cycle gap settles it
     (complete_bipartite(4, 4), ["bipartite"], 0),  # bipartite: the BFS 2-coloring proves it
     (subdivide(petersen()), ["bipartite"], 0),  # irregular and bipartite: the same
     (random_regular(500, 3, 1), ["tutte", "--mode", "randomized"], 0),  # 2U < Delta + 1
@@ -564,7 +598,12 @@ def test_verify_reports_a_failing_check_and_runs_the_rest(monkeypatch):
     (["bipartite", "--tol", "inf"], petersen(), "--tol"),
     (["bounds", "--tol", "nan"], petersen(), "--tol"),
     (["color", "--algorithm", "mindeg", "--threshold", "inf"], petersen(), "--threshold"),
-], ids=["negative-tol", "infinite-tol", "nan-tol", "infinite-threshold"])
+    # every eigenvalue lies within the tolerance of the degree: the gap below
+    # it is undefined because of the flag, not the graph
+    (["spectrum", "--tol", "1e300"], petersen(), "--tol"),
+    (["bounds", "--tol", "6"], petersen(), "--tol"),
+], ids=["negative-tol", "infinite-tol", "nan-tol", "infinite-threshold", "no-gap-spectrum",
+        "no-gap-bounds"])
 def test_bad_numeric_arguments_are_usage_errors(argv, graph, named):
     code, out = _run(argv, stdin_text=dump_edge_list(graph))
     assert code == 2

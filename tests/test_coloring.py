@@ -168,7 +168,7 @@ def test_brute_oracles_refuse_large_inputs():
 
 
 def test_coloring_helpers():
-    col = Coloring(3, [0, None, 1])
+    col = Coloring([0, None, 1])
     assert not col.is_total
     assert col.palette_size == 2
 

@@ -36,7 +36,6 @@ from specbound.spectral import (
     norm_floor,
     snapped_ceil,
     snapped_floor,
-    spectral_report,
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -272,14 +271,6 @@ def test_min_degree_independence_bound_star():
     b = bounds(complete_bipartite(1, 3))
     # delta = 1, max Laplacian eigenvalue = 4: alpha/n <= 3/4, attained by the leaves
     assert b.mindeg_independence_bound == pytest.approx(0.75)
-
-
-def test_report_payload_keys():
-    r = spectral_report(cycle(4))
-    assert r["n"] == 4 and r["d"] == 2
-    assert r["M"] == pytest.approx(2.0)
-    assert r["wilf"] == 3
-    assert len(r["spectrum_adj"]) == 4
 
 
 def test_dense_cap():
