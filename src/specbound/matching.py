@@ -512,4 +512,7 @@ def perfect_matching_oracle(g: Graph) -> Optional[List[Tuple[int, int]]]:
         dead.add(uncov)
         return None
 
-    return rec(g.full_mask)
+    try:
+        return rec(g.full_mask)
+    finally:
+        del rec  # rec refers to itself through its closure cell

@@ -757,12 +757,14 @@ def _gen_args(draw):
 @st.composite
 def _cli_calls(draw):
     command = draw(st.sampled_from(["spectrum", "bounds", "color", "bipartite", "tutte",
-                                    "limit", "gen"]))
+                                    "limit", "verify", "gen"]))
     argv = [command]
     if command == "gen":
         return argv + draw(_gen_args())
     if draw(st.booleans()):
         argv.append(f"--tol={draw(_REALS)}")
+    if command == "verify" and draw(st.booleans()):
+        argv.append(draw(st.sampled_from(["stray", "--bogus", "--input=x", "--seed=1"])))
     if command == "color":
         argv.append(f"--algorithm={draw(st.sampled_from(['wilf', 'mindeg', 'brute', 'function', 'x']))}")
         if draw(st.booleans()):
@@ -786,6 +788,8 @@ def _cli_calls(draw):
 def test_cli_boundary_fuzz(argv, text):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "MAX_DENSE_N", _FUZZ_CAP)
+        # verify's arguments reach the parser, but no sweep runs
+        mp.setattr(invariants, "verify", lambda tier: [("stub", True, "corpus size 0")])
         code, out = _run(argv, stdin_text=text)
     assert code in (0, 2, 3), out
     if argv[0] == "gen" and code == 0:  # an edge list, not a report

@@ -1,5 +1,6 @@
 """Isomorphism-free generation and canonical forms, pinned to classical counts."""
 
+import gc
 import random
 from collections import defaultdict
 
@@ -18,6 +19,7 @@ from specbound.enumeration import (
 )
 from specbound.generators import complete, complete_bipartite, cycle, petersen, subdivide
 from specbound.graphs import CapExceeded, Graph
+from specbound.matching import perfect_matching_oracle
 
 # numbers of simple graphs on n unlabeled vertices, and connected ones
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
@@ -136,6 +138,147 @@ def test_cold_enumeration_is_memoized_only_in_cache(monkeypatch):
     assert counts[0] == counts[1]
     # one search per parent and about one per class, not one per candidate
     assert counts[0] < 2 * classes
+
+
+def test_cold_enumeration_returns_few_labelings(monkeypatch):
+    # the search returns only twin-sorted optimal labelings: 14,244 over a
+    # cold n <= 7 enumeration when it returned every one
+    searches = []
+    real = enumeration._search
+
+    def counting(adj, n, ranks):
+        key, labelings = real(adj, n, ranks)
+        searches.append(len(labelings or ()))
+        return key, labelings
+
+    monkeypatch.setattr(enumeration, "_search", counting)
+    saved = dict(enumeration._CACHE)
+    try:
+        enumeration._CACHE.clear()
+        enumeration._CACHE[1] = [(0,)]
+        for n in range(1, 8):
+            graph_masks(n)
+    finally:
+        enumeration._CACHE.clear()
+        enumeration._CACHE.update(saved)
+    assert len(searches) == 1461
+    assert sum(searches) <= 3000
+
+
+def _reference_search(adj, n, ranks):
+    """The canonical search without the twin restriction: the best key and
+    every optimal labeling, that is the whole automorphism coset (None for
+    the empty and the complete graph)."""
+    full = (1 << n) - 1
+    if all(a == 0 for a in adj):
+        return tuple(0 for _ in range(n)), None
+    if all(adj[v] == full ^ (1 << v) for v in range(n)):
+        return tuple((1 << i) - 1 for i in range(n)), None
+    cells = [[v for v in range(n) if ranks[v] == r] for r in sorted(ranks)]
+    best = None
+    optimal = []
+    placed = []
+    current = []
+
+    def rec(pos, state):
+        nonlocal best, optimal
+        if pos == n:
+            if best is None or state == 1:
+                best = current.copy()
+                optimal = [tuple(placed)]
+                return True
+            optimal.append(tuple(placed))
+            return False
+        scored = []
+        for v in cells[pos]:
+            if v not in placed:
+                row = sum(((adj[v] >> p) & 1) << j for j, p in enumerate(placed))
+                scored.append((row, v))
+        scored.sort(reverse=True)
+        updated = False
+        for row, v in scored:
+            if best is not None and state == 0:
+                if row < best[pos]:
+                    break
+                child = 0 if row == best[pos] else 1
+            else:
+                child = 1
+            placed.append(v)
+            current.append(row)
+            if rec(pos + 1, child):
+                updated = True
+                state = 0
+            current.pop()
+            placed.pop()
+        return updated
+
+    rec(0, 1)
+    return tuple(best), optimal
+
+
+def _twin_classes(adj, n):
+    """Vertex sets with equal open or equal closed neighbourhoods."""
+    classes = []
+    for v in range(n):
+        for c in classes:
+            u = c[0]
+            if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                c.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
+
+
+def _assert_search_matches_reference(adj, n):
+    ranks = enumeration.wl_ranks(adj, n)
+    key, labelings = enumeration._search(adj, n, ranks)
+    ref_key, ref_labelings = _reference_search(adj, n, ranks)
+    assert key == ref_key
+    if ref_labelings is None:
+        assert labelings is None
+        return None, None
+    classes = _twin_classes(adj, n)
+    assert set(labelings) <= set(ref_labelings)
+    for lab in labelings:  # each twin class in ascending vertex order
+        assert all(sorted(c) == [v for v in lab if v in c] for c in classes)
+    last = {lab[-1] for lab in labelings}
+    closed = {v for c in classes if last & set(c) for v in c}
+    assert closed == {lab[-1] for lab in ref_labelings}
+    return labelings, ref_labelings
+
+
+def test_twin_sorted_search_matches_the_unrestricted_one():
+    # every class and every augmentation candidate with n <= 7
+    for k in range(1, 7):
+        for parent in graph_masks(k):
+            labelings, ref_labelings = _assert_search_matches_reference(parent, k)
+            gens = enumeration._automorphism_generators(parent, k, labelings)
+            subsets = enumeration._orbit_minimal(gens, k)
+            if ref_labelings is None:  # the full symmetric group
+                assert subsets == [(1 << j) - 1 for j in range(k + 1)]
+            else:  # no automorphism maps a listed subset below itself
+                assert subsets == [s for s in range(1 << k) if all(
+                    sum(1 << aut[v] for v in range(k) if s >> v & 1) >= s
+                    for aut in ref_labelings)]
+            for s in subsets:
+                cand = tuple(parent[v] | (((s >> v) & 1) << k) for v in range(k)) + (s,)
+                _assert_search_matches_reference(cand, k + 1)
+    for adj in graph_masks(7):
+        _assert_search_matches_reference(adj, 7)
+
+
+def test_searches_leave_no_reference_cycles():
+    g = petersen()
+    gc.collect()
+    gc.disable()
+    try:
+        canonical_key(g.adj_masks, g.n)
+        assert gc.collect() == 0
+        perfect_matching_oracle(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_cap_is_enforced():
