@@ -13,8 +13,9 @@ Analysis commands emit exactly one JSON report per run::
 with keys sorted and every real number rounded to 12 significant digits, so
 identical invocations produce byte-identical output.  Exit codes: 0 success,
 2 malformed usage or input, 3 a size cap was exceeded, 4 an internal fault
-(``InternalError``: one of specbound's own consistency checks failed, so the
-program, not the input, is at fault).  ``verify`` sweeps the quick tier of
+(``InternalError``: one of specbound's own consistency checks failed, or any
+other exception, such as ``MemoryError``, reported by its ``repr``; the
+program, not the input, is at fault), so no run ends in a traceback.  ``verify`` sweeps the quick tier of
 the invariant registry (:mod:`specbound.invariants`) and exits 0 only if
 every check passes, 1 otherwise.
 """
@@ -380,8 +381,11 @@ def run(argv: Optional[List[str]] = None, stdin_text: Optional[str] = None,
     except ValueError as exc:
         out.write(_error_json("input", str(exc)))
         return 2
-    except RuntimeError as exc:  # InternalError, or any other fault of the program
+    except RuntimeError as exc:  # InternalError
         out.write(_error_json("internal", str(exc)))
+        return 4
+    except Exception as exc:  # any other fault of the program, named by its type
+        out.write(_error_json("internal", repr(exc)))
         return 4
 
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .graphs import CapExceeded, Graph, Mask, bits, components_within, popcount
+from .graphs import CapExceeded, Graph, Mask, bits, components_within
 
 MAX_ENUM_N = 8
 
@@ -288,13 +288,13 @@ def graph_masks(n: int) -> List[AdjMasks]:
         # parent is a canonical form, so its optimal labelings are Aut(parent)
         # and the search returns the twin-sorted ones
         _, labelings = _search(parent, k, wl_ranks(parent, k))
-        degrees = [popcount(a) for a in parent]
+        degrees = [a.bit_count() for a in parent]
         top_degree = max(degrees)
         top = sum(1 << v for v in range(k) if degrees[v] == top_degree)
         for s in _orbit_minimal(_automorphism_generators(parent, k, labelings), k):
             # the new vertex must be able to take the last canonical
             # position: maximum degree, then the top refinement class
-            if popcount(s) < top_degree + (1 if s & top else 0):
+            if s.bit_count() < top_degree + (1 if s & top else 0):
                 continue
             cand = tuple(parent[v] | (((s >> v) & 1) << k) for v in range(k)) + (s,)
             ranks = wl_ranks(cand, n, top=k)

@@ -59,10 +59,6 @@ def bits(mask: Mask) -> Iterator[int]:
         mask ^= b
 
 
-def popcount(mask: Mask) -> int:
-    return mask.bit_count()
-
-
 # ---------------------------------------------------------------------------
 # undirected graphs
 # ---------------------------------------------------------------------------
@@ -132,12 +128,9 @@ class Graph:
     def full_mask(self) -> Mask:
         return (1 << self.n) - 1
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj_masks[u] >> v & 1)
-
     def mu(self, subset: Mask) -> float:
         """Uniform measure of a vertex subset."""
-        return popcount(subset) / self.n
+        return subset.bit_count() / self.n
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

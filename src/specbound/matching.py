@@ -21,7 +21,11 @@ exhaustive oracles in the tests.
 ``perfect_matching_oracle`` is the exact search the Tutte flags are checked
 against.
 
-The scan has two kernels that return the same five values.  ``_scan`` walks
+The scan has two kernels that return the same result: the worst pair
+(o, s), for o the count of odd components of G - A and s = |A|, as
+integers, its earliest witness A and the count of subsets decided.
+``tutte_scan`` decides the graph facts they take, and c_star and both flags
+from (o, s), once.  ``_scan`` walks
 any iterable of big-integer masks one at a time, with a BFS that expands each
 frontier vertex by vertex through the adjacency masks; it takes every
 randomized scan and the exhaustive scans below _VECTOR_MIN_N = 11 vertices.
@@ -29,9 +33,9 @@ randomized scan and the exhaustive scans below _VECTOR_MIN_N = 11 vertices.
 ``uint32`` masks through numpy in lock step.  The crossover and the block
 size are constants beside it, with the measurements that chose them.  Both
 skip the BFS of a subset A of size s that can at most tie the best ratio so
-far (a tie keeps the earlier witness), by bounds on the count o of odd
-components of G - A; ``_scan`` uses the first and, from _VECTOR_MIN_N
-vertices up, the fourth; ``_scan_blocks`` all four:
+far (a tie keeps the earlier witness), by bounds on o; ``_scan`` uses the
+first and, when ``tutte_scan`` passes it an even-degree mask, the fourth;
+``_scan_blocks`` all four:
 
 * o <= n - s, with the parity of n - s: the components partition V - A, and
   the even ones add up to an even size;
@@ -51,7 +55,6 @@ vertices up, the fourth; ``_scan_blocks`` all four:
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect
 from dataclasses import dataclass
@@ -76,46 +79,37 @@ class TutteReport:
     matching: Optional[List[Tuple[int, int]]]
 
 
-def _scan(g: Graph, subsets) -> Tuple[float, Mask, bool, bool, int]:
-    """Worst ratio, its earliest witness, both Tutte flags and the count of
-    subsets decided, by a frontier BFS that adds each component's parity
+def _scan(g: Graph, subsets, even: Optional[Mask]) -> Tuple[int, int, Mask, int]:
+    """The worst (o, s) over ``subsets``, its earliest witness and the count
+    of subsets decided, by a frontier BFS that adds each component's parity
     straight into the count.
 
     ``subsets`` may be any iterable of masks; ``tutte_scan`` passes it the
     randomized draws and the exhaustive scans of fewer than _VECTOR_MIN_N
     vertices.  The BFS expands a frontier one vertex at a time, ORing its
     row of ``g.adj_masks``, as ``components_within`` does, so a subset costs
-    one lookup per vertex of G - A whatever the width of the masks.  G - A
-    has at most n - |A| odd components, so once (n - s) / s <= best no
-    subset of size s can raise the maximum (a tie keeps the earlier
-    witness), and it is counted without a BFS.  From _VECTOR_MIN_N vertices
-    up, on a connected bridgeless graph, a subset that passes is also
-    counted without a BFS when the edge-cut bound ub of the module docstring
-    cannot beat the best (o*, s*), compared in integers as
-    ub * s* <= o* * s; cut costs one popcount per vertex of A.  Below that
-    size the bound costs more than the BFS it saves: the exhaustive scans of
-    all 996 connected classes with n <= 7 took 0.043-0.050 s without it and
-    0.070-0.079 s with it (best of 9, 2-core host).  Both Tutte flags follow
-    from the maximum -- o > s exactly when o / s > 1 -- so a subset that
-    cannot raise it cannot flip them either.
+    one lookup per vertex of G - A whatever the width of the masks.  The best
+    (o*, s*) is beaten when o * s* > o* * s.  G - A has at most n - |A| odd
+    components, so a subset of size s with (n - s) * s* <= o* * s cannot
+    raise the maximum (a tie keeps the earlier witness) and is counted
+    without a BFS.  Given the even-degree mask ``even``, one that passes is
+    also counted without a BFS when the edge-cut bound ub of the module
+    docstring cannot beat the best, ub * s* <= o* * s; cut costs one
+    popcount per vertex of A.
     """
     n = g.n
     full = g.full_mask
     adj = g.adj_masks
-    bound = [math.inf] + [(n - s) / s for s in range(1, n + 1)]
-    cut_bound = n >= _VECTOR_MIN_N and is_connected(g) and not bridges(g)
-    even = _even_degree_mask(g) if cut_bound else 0
-    best = -1.0
-    best_o, best_s = -1, 1
+    best_o, best_s = -1, 1  # no ratio yet: every o >= 0 beats it
     witness = 0
     scanned = 0
     for a in subsets:
         scanned += 1
         s = a.bit_count()
-        if bound[s] <= best:
+        if (n - s) * best_s <= best_o * s:
             continue
         rest = full ^ a
-        if cut_bound:
+        if even is not None:
             cut = 0
             inside = a
             while inside:
@@ -138,15 +132,10 @@ def _scan(g: Graph, subsets) -> Tuple[float, Mask, bool, bool, int]:
                 frontier = nbhd & rest
                 rest ^= frontier
             o += (before ^ rest).bit_count() & 1
-        ratio = o / s
-        if ratio > best:
-            best, best_o, best_s = ratio, o, s
+        if o * best_s > best_o * s:
+            best_o, best_s = o, s
             witness = a
-    return best, witness, best <= 1.0, best < 1.0, scanned
-
-
-def _even_degree_mask(g: Graph) -> Mask:
-    return mask_of(v for v, d in enumerate(g.degrees) if d % 2 == 0)
+    return best_o, best_s, witness, scanned
 
 
 # Exhaustive scans of at least _VECTOR_MIN_N vertices take the numpy kernel.
@@ -181,7 +170,8 @@ def _half_tables(g: Graph, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
     return nbhd, size
 
 
-def _scan_blocks(g: Graph) -> Tuple[float, Mask, bool, bool, int]:
+def _scan_blocks(g: Graph, connected: bool,
+                 even: Optional[Mask]) -> Tuple[int, int, Mask, int]:
     """``_scan`` over every nonempty subset (n <= 22), vectorized.
 
     Masks A = 0 .. 2^n - 1 are taken in integer order in blocks of
@@ -195,8 +185,8 @@ def _scan_blocks(g: Graph) -> Tuple[float, Mask, bool, bool, int]:
     witness):
 
     * before any BFS, o <= ub: o <= n - s and o has the parity of n - s; on
-      connected G also o <= |N(A) - A|, and on connected bridgeless G the
-      edge-cut bound.  ub is the smallest, lowered to the parity of n - s.
+      ``connected`` G also o <= |N(A) - A|, and given ``even`` the edge-cut
+      bound.  ub is the smallest, lowered to the parity of n - s.
       A lane mask A is its low bits L and the block's high bits H, so
       cut(A) = cut(L) + cut(H) - 2 e(L, H): cut(L) and L's even-degree count
       are tables over the 2^_BLOCK_BITS lanes built once by doubling, cut(H)
@@ -210,8 +200,8 @@ def _scan_blocks(g: Graph) -> Tuple[float, Mask, bool, bool, int]:
     best is kept as its integer pair (o*, s*) and a lane's bound b is
     compared as b * s* <= o* * s in ``int16``, exactly.  Every lane that
     finishes thus beats the best, and the block's first maximum of o / s
-    (float64, as exact as ``_scan``'s division) replaces it, so the witness
-    is the earliest subset attaining the maximum, as in ``_scan``.
+    (float64, exact for n <= 22) replaces it, so the witness is the
+    earliest subset attaining the maximum, as in ``_scan``.
     """
     n = g.n
     adj = g.adj_masks
@@ -230,14 +220,11 @@ def _scan_blocks(g: Graph) -> Tuple[float, Mask, bool, bool, int]:
     def popcount(x):  # uint8
         return size_lo.take(x & half) + size_hi.take(x >> shift)
 
-    connected = is_connected(g)
-    bridgeless = connected and not bridges(g)
-    if bridgeless:
+    if even is not None:
         # For every lane mask L: cut(L) in int16 and, in uint8, L's count of
         # even-degree vertices and |N(v) & L| for each vertex v above the
         # lanes (at most 13 * 9 edges join L to the rest, so the sums fit).
         # Each subtraction keeps a nonnegative result or an int16 operand.
-        even = _even_degree_mask(g)
         low_cut = np.zeros(1, dtype=np.int16)
         low_even = np.zeros(1, dtype=np.uint8)
         for v in range(lane_bits):
@@ -266,7 +253,7 @@ def _scan_blocks(g: Graph) -> Tuple[float, Mask, bool, bool, int]:
         if connected:
             bound = np.minimum(left, popcount(
                 (nb_lo.take(masks & half) | nb_hi.take(masks >> shift)) & rest))
-            if bridgeless:
+            if even is not None:
                 bound = np.minimum(bound, cut_bound(base))
             bound -= (bound ^ left) & 1
         floor = best_o * sizes
@@ -303,8 +290,7 @@ def _scan_blocks(g: Graph) -> Tuple[float, Mask, bool, bool, int]:
             j = top[np.argmin(finished[top])]  # the earliest lane at the maximum
             best_o, best_s = int(odd[j]), int(sizes[finished[j]])
             witness = int(masks[finished[j]])
-    best = best_o / best_s
-    return best, witness, best <= 1.0, best < 1.0, (1 << n) - 1
+    return best_o, best_s, witness, (1 << n) - 1
 
 
 def _kth_bit(mask: Mask, k: int) -> int:
@@ -371,6 +357,19 @@ def _check_exhaustive(n: int) -> None:
         raise CapExceeded("exhaustive Tutte scan capped at n=22")
 
 
+def _scan_facts(g: Graph) -> Tuple[bool, Optional[Mask]]:
+    """Whether ``g`` is connected, and its even-degree mask where the edge-cut
+    bound holds (connected bridgeless G) and pays, else None.  Below
+    _VECTOR_MIN_N vertices it costs more than the BFS it saves: the
+    exhaustive scans of all 996 connected classes with n <= 7 took
+    0.043-0.050 s without it and 0.070-0.079 s with it (best of 9, 2-core
+    host)."""
+    connected = is_connected(g)
+    if g.n < _VECTOR_MIN_N or not connected or bridges(g):
+        return connected, None
+    return connected, mask_of(v for v, d in enumerate(g.degrees) if d % 2 == 0)
+
+
 def tutte_scan(g: Graph, mode: str = "exhaustive", seed: int = 0,
                samples: int = 2000, tol: float = TOL) -> TutteReport:
     """Scan subsets A for the worst odd-component ratio.
@@ -378,44 +377,46 @@ def tutte_scan(g: Graph, mode: str = "exhaustive", seed: int = 0,
     ``exhaustive`` decides every nonempty subset (n <= 22); ``randomized``
     draws seeded samples biased toward small sets grown from low-degree
     vertices, plus all singletons.  Ties on the maximum keep the earliest
-    (smallest) witness encountered.  A subset is decided without a full BFS
-    when a bound on o(G - A) (see the module docstring) rules out a new worst
-    ratio, and with it a flip of either Tutte flag (``_scan_blocks`` checks
-    its bounds against the best of its earlier blocks); ``scanned`` counts
-    every subset decided, so an exhaustive scan reports 2^n - 1.  Once a
-    singleton has shown c_star >= 1, the edge-cut bound settles every later
-    subset of a bridgeless cubic graph or an even cycle; on an odd cycle,
-    where c_star < 1, a randomized scan still runs a BFS for each subset
-    that it leaves open: n - |A| adjacency lookups, each an operation on
-    masks of n bits (in-process, seed 1: C_1001 0.32-0.37 s, C_4095 9.5 s).
+    (smallest) witness encountered.  The kernels return the worst (o, s);
+    c_star = o / s, and the flags o <= s and o < s are exactly c_star <= 1
+    and c_star < 1.  A subset is decided without a full BFS when a bound on
+    o(G - A) (see the module docstring) rules out a new worst ratio, and
+    with it a flip of either flag (``_scan_blocks`` checks its bounds
+    against the best of its earlier blocks); ``scanned`` counts every subset
+    decided, so an exhaustive scan reports 2^n - 1.  Once a singleton has
+    shown c_star >= 1, the edge-cut bound settles every later subset of a
+    bridgeless cubic graph or an even cycle; on an odd cycle, where
+    c_star < 1, a randomized scan still runs a BFS for each subset that it
+    leaves open: n - |A| adjacency lookups, each an operation on masks of n
+    bits (in-process, seed 1: C_1001 0.32-0.37 s, C_4095 9.5 s).
 
     The doubled-gap flag comes first and checks the dense cap before its
     certificate, so a connected graph past the cap fails before any subset
     is scanned; it solves the Laplacian, the scan's only dense solve, only
     when the certificate does not close.  Exhaustive scans of at least
     _VECTOR_MIN_N vertices run in ``_scan_blocks``, every other scan in
-    ``_scan``; both give the same report.
+    ``_scan``; both give the same result.
     """
     if mode == "exhaustive":
         _check_exhaustive(g.n)
     elif mode != "randomized":
         raise ValueError(f"unknown scan mode {mode!r}")
-    bh = _doubled_gap_holds(g, tol) if g.n >= 2 and is_connected(g) else None
+    connected, even = _scan_facts(g)
+    bh = _doubled_gap_holds(g, tol) if g.n >= 2 and connected else None
 
     if mode == "randomized":
-        result = _scan(g, _random_subsets(g, seed, samples))
+        o, s, witness, scanned = _scan(g, _random_subsets(g, seed, samples), even)
     elif g.n >= _VECTOR_MIN_N:
-        result = _scan_blocks(g)
+        o, s, witness, scanned = _scan_blocks(g, connected, even)
     else:
-        result = _scan(g, range(1, 1 << g.n))
-    c_star, witness, classical, strict, scanned = result
+        o, s, witness, scanned = _scan(g, range(1, 1 << g.n), even)
 
     matching = None
     if g.n % 2 == 0 and g.n <= 24:
         matching = perfect_matching_oracle(g)
 
-    return TutteReport(c_star=c_star, witness=witness, classical_holds=classical,
-                       strict_holds=strict, mode=mode, scanned=scanned,
+    return TutteReport(c_star=o / s, witness=witness, classical_holds=o <= s,
+                       strict_holds=o < s, mode=mode, scanned=scanned,
                        bh_condition=bh, matching=matching)
 
 
@@ -495,24 +496,21 @@ def perfect_matching_oracle(g: Graph) -> Optional[List[Tuple[int, int]]]:
         raise CapExceeded("perfect matching oracle capped at n=24")
     if g.n % 2 == 1:
         return None
-    adj = g.adj_masks
-    dead: set = set()
+    return _match(g.adj_masks, g.full_mask, set())
 
-    def rec(uncov: Mask) -> Optional[List[Tuple[int, int]]]:
-        if uncov == 0:
-            return []
-        if uncov in dead:
-            return None
-        b = uncov & -uncov
-        v = b.bit_length() - 1
-        for u in bits(adj[v] & uncov):
-            rest = rec(uncov ^ b ^ (1 << u))
-            if rest is not None:
-                return [(v, u)] + rest
-        dead.add(uncov)
+
+def _match(adj, uncov: Mask, dead: set) -> Optional[List[Tuple[int, int]]]:
+    """A perfect matching of the vertices ``uncov``, or None; ``dead`` holds
+    the vertex sets already known to have none."""
+    if uncov == 0:
+        return []
+    if uncov in dead:
         return None
-
-    try:
-        return rec(g.full_mask)
-    finally:
-        del rec  # rec refers to itself through its closure cell
+    b = uncov & -uncov
+    v = b.bit_length() - 1
+    for u in bits(adj[v] & uncov):
+        rest = _match(adj, uncov ^ b ^ (1 << u), dead)
+        if rest is not None:
+            return [(v, u)] + rest
+    dead.add(uncov)
+    return None

@@ -315,6 +315,22 @@ def test_internal_fault_is_exit_4(monkeypatch):
     assert "untrustworthy" in err["message"]
 
 
+@pytest.mark.parametrize("exc", [MemoryError(), KeyError("x")], ids=lambda e: type(e).__name__)
+def test_any_other_exception_is_an_internal_fault(monkeypatch, exc):
+    # gen --complete 2048 under a low address-space limit died with a
+    # traceback from a MemoryError in Graph.__init__
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(graphs.Graph, "__init__", fail)
+    code, out = _run(["gen", "--complete", "8"])
+    assert code == 4
+    assert out.count("\n") == 1
+    err = json.loads(out)["error"]
+    assert err["code"] == "internal"
+    assert type(exc).__name__ in err["message"]
+
+
 def test_directed_pipe_for_function_coloring():
     code, gen_out = _run(["gen", "--paley"])
     assert code == 0

@@ -17,7 +17,7 @@ from specbound.generators import (
     random_regular,
 )
 from specbound.graphs import (CapExceeded, Graph, bits, bridges, components_within,
-                              is_connected, mask_of, neighborhood, popcount)
+                              is_connected, mask_of, neighborhood)
 from specbound import matching
 from specbound.matching import (
     perfect_matching_oracle,
@@ -36,13 +36,13 @@ def odd_component_count(g, removed):
     the kernels of ``tutte_scan`` are checked against."""
     region = g.full_mask & ~removed
     return sum(1 for comp in components_within(g.adj_masks, region)
-               if popcount(comp) % 2 == 1)
+               if comp.bit_count() % 2 == 1)
 
 
 def _matching_covers(g, matching):
     seen = set()
     for u, v in matching:
-        assert g.has_edge(u, v)
+        assert g.adj_masks[u] >> v & 1
         assert u not in seen and v not in seen
         seen.update((u, v))
     assert len(seen) == g.n
@@ -103,17 +103,26 @@ def test_tutte_equivalence_small_exhaustive():
 
 def _unbounded_scan(g, subsets=None):
     """The scan with no size bound: ``odd_component_count`` on every subset
-    given, by default every nonempty subset in integer order."""
-    best, witness, classical, strict, scanned = -1.0, 0, True, True, 0
+    given, by default every nonempty subset in integer order.  Returns the
+    kernels' result, the worst (o, s) by float ratio with its earliest
+    witness and the count of subsets, then both Tutte flags, each decided
+    subset by subset."""
+    best, best_o, best_s, witness, classical, strict, scanned = -1.0, -1, 1, 0, True, True, 0
     for a in subsets if subsets is not None else range(1, 1 << g.n):
         o = odd_component_count(g, a)
-        s = popcount(a)
+        s = a.bit_count()
         scanned += 1
         classical = classical and o <= s
         strict = strict and o < s
         if o / s > best:
-            best, witness = o / s, a
-    return best, witness, classical, strict, scanned
+            best, best_o, best_s, witness = o / s, o, s, a
+    return (best_o, best_s, witness, scanned), classical, strict
+
+
+def _unbounded_report(g, subsets=None):
+    """The report fields of ``_scan_fields``, from ``_unbounded_scan``."""
+    (o, s, witness, scanned), classical, strict = _unbounded_scan(g, subsets)
+    return o / s, witness, classical, strict, scanned
 
 
 def _scan_fields(rep):
@@ -152,7 +161,7 @@ def _hub_obstruction():
 ])
 def test_exhaustive_scan_matches_unbounded_reference(graphs):
     for g in graphs():
-        assert _scan_fields(tutte_scan(g)) == _unbounded_scan(g), g
+        assert _scan_fields(tutte_scan(g)) == _unbounded_report(g), g
 
 
 @pytest.mark.parametrize("seed,n", [(seed, 24) for seed in range(5)]
@@ -161,7 +170,7 @@ def test_randomized_scan_matches_unbounded_reference(seed, n):
     g = _random_graph_with_isolated(seed, n=n)
     rep = tutte_scan(g, mode="randomized", seed=seed, samples=400)
     subsets = list(matching._random_subsets(g, seed, 400))
-    assert _scan_fields(rep) == _unbounded_scan(g, subsets)
+    assert _scan_fields(rep) == _unbounded_report(g, subsets)
 
 
 def _random_subsets_by_lists(g, seed, samples):
@@ -181,7 +190,7 @@ def _random_subsets_by_lists(g, seed, samples):
         s = rng.choices(sizes, weights=size_weights)[0] if sizes else 1
         v0 = rng.choices(verts, weights=seed_weights)[0]
         a = 1 << v0
-        while popcount(a) < s:
+        while a.bit_count() < s:
             nbhd = 0
             for v in bits(a):
                 nbhd |= g.adj_masks[v]
@@ -299,7 +308,7 @@ def test_two_set_holds_on_random_regular(seed):
     verts = list(range(10))
     rng.shuffle(verts)
     y = verts[0]
-    rest = [v for v in verts[1:] if not g.has_edge(y, v)]
+    rest = [v for v in verts[1:] if not g.adj_masks[y] >> v & 1]
     if not rest:
         return
     rep = two_set_inequality(g, mask_of([y]), mask_of([rest[0]]))
@@ -309,7 +318,7 @@ def test_two_set_holds_on_random_regular(seed):
 def test_independent_expansion_poor_expansion_blocks_matching():
     g = complete_bipartite(2, 4)
     leaves = mask_of(range(2, 6))  # independent, with only two neighbours
-    assert popcount(neighborhood(g, leaves)) < popcount(leaves)
+    assert neighborhood(g, leaves).bit_count() < leaves.bit_count()
     assert perfect_matching_oracle(g) is None
     rep = tutte_scan(g)
     assert not rep.classical_holds
@@ -347,8 +356,16 @@ def test_oracles_agree_on_random_even_graphs(seed):
     assert rep.classical_holds == (perfect_matching_oracle(g) is not None)
 
 
-def _scalar_scan(g):
-    return matching._scan(g, range(1, 1 << g.n))
+def _scalar_scan(g, subsets=None):
+    """``_scan`` over ``subsets``, by default every nonempty subset, with the
+    even-degree mask that ``tutte_scan`` would give it."""
+    _, even = matching._scan_facts(g)
+    return matching._scan(g, range(1, 1 << g.n) if subsets is None else subsets, even)
+
+
+def _block_scan(g):
+    """``_scan_blocks`` with the arguments that ``tutte_scan`` would give it."""
+    return matching._scan_blocks(g, *matching._scan_facts(g))
 
 
 def _star_of_odd_blocks(blocks):
@@ -377,10 +394,12 @@ def _subdivide_first_edge(g):
     return Graph(g.n + 1, others + [(u, g.n), (v, g.n)])
 
 
-def test_block_kernel_matches_scalar_scan_on_every_small_class():
+def test_block_kernel_matches_scalar_scan_on_every_small_class(monkeypatch):
+    # both kernels take the edge-cut bound on every connected bridgeless class
+    monkeypatch.setattr(matching, "_VECTOR_MIN_N", 1)
     for n in range(1, 9):
         for g in enumerate_graphs(n):
-            assert matching._scan_blocks(g) == _scalar_scan(g), g
+            assert _block_scan(g) == _scalar_scan(g), g
 
 
 @pytest.mark.parametrize("make", [
@@ -415,16 +434,17 @@ def test_block_kernel_matches_scalar_scan_on_every_small_class():
 ])
 def test_block_kernel_matches_scalar_scan(make):
     g = make()
-    assert matching._scan_blocks(g) == _scalar_scan(g), g
+    assert _block_scan(g) == _scalar_scan(g), g
 
 
 def test_block_kernel_keeps_the_earliest_tied_witness():
     # every singleton of an even cycle leaves one odd path: ratio 1 first at
     # {0}, tied in every block after the first
     g = cycle(16)
-    c_star, witness, classical, strict, scanned = matching._scan_blocks(g)
-    assert (c_star, witness, classical, strict, scanned) == (1.0, 1, True, False, 2 ** 16 - 1)
-    assert _unbounded_scan(g) == (c_star, witness, classical, strict, scanned)
+    result = _block_scan(g)
+    assert result == (1, 1, 1, 2 ** 16 - 1)  # o = s = 1 at the witness {0}
+    assert _unbounded_scan(g)[0] == result
+    assert _scan_fields(tutte_scan(g)) == (1.0, 1, True, False, 2 ** 16 - 1)
 
 
 def _bridged_pair(h):
@@ -462,8 +482,8 @@ def _bridged_star(blocks):
 def test_cut_bound_kernels_match_unbounded_reference(make, bridged):
     g = make()
     assert bool(bridges(g)) == bridged
-    expected = _unbounded_scan(g)
-    assert matching._scan_blocks(g) == expected, g
+    expected = _unbounded_scan(g)[0]
+    assert _block_scan(g) == expected, g
     assert _scalar_scan(g) == expected, g
 
 
@@ -478,7 +498,7 @@ def test_cut_bound_kernels_match_unbounded_reference(make, bridged):
 def test_randomized_cut_bound_matches_unbounded_reference(make):
     g = make()
     subsets = list(matching._random_subsets(g, 1, 300))
-    assert matching._scan(g, iter(subsets)) == _unbounded_scan(g, subsets)
+    assert _scalar_scan(g, iter(subsets)) == _unbounded_scan(g, subsets)[0]
 
 
 class _CountingNumpy:
@@ -508,7 +528,7 @@ def test_cut_bound_opens_no_lane_after_the_first_block(monkeypatch, make):
     g = make()
     counting = _CountingNumpy()
     monkeypatch.setattr(matching, "np", counting)
-    assert matching._scan_blocks(g)[:2] == (1.0, 1)
+    assert _block_scan(g)[:3] == (1, 1, 1)  # o = s = 1 at the witness {0}
     blocks = 1 << (g.n - matching._BLOCK_BITS)
     # block 0 ends on picking its first maximum among the finished lanes;
     # every later block on one empty call
@@ -524,6 +544,8 @@ def test_cut_bound_runs_no_bfs_after_the_singletons(make):
     g = make()
     subsets = list(matching._random_subsets(g, 1, 300))
     assert subsets[:g.n] == [1 << v for v in range(g.n)]
+    _, even = matching._scan_facts(g)  # before the count: its checks read the masks too
+    assert even is not None
     lookups = []
 
     class Counting(tuple):
@@ -532,13 +554,13 @@ def test_cut_bound_runs_no_bfs_after_the_singletons(make):
             return tuple.__getitem__(self, i)
 
     g.adj_masks = Counting(g.adj_masks)  # every BFS step and cut term reads it
-    assert matching._scan(g, subsets[:g.n])[:2] == (1.0, 1)
+    assert matching._scan(g, subsets[:g.n], even)[:3] == (1, 1, 1)
     singletons = len(lookups)
     lookups.clear()
-    assert matching._scan(g, subsets)[:2] == (1.0, 1)
+    assert matching._scan(g, subsets, even)[:3] == (1, 1, 1)
     # a later subset of size s >= n / 2 is settled by (n - s) / s <= 1, and
     # every other one by the cut bound alone, at one lookup per vertex of A
-    cut_terms = sum(popcount(a) for a in subsets[g.n:] if 2 * popcount(a) < g.n)
+    cut_terms = sum(a.bit_count() for a in subsets[g.n:] if 2 * a.bit_count() < g.n)
     assert cut_terms
     assert len(lookups) == singletons + cut_terms
 
@@ -552,7 +574,7 @@ def test_cut_bound_holds_on_every_small_bridgeless_class():
             even = mask_of(v for v in range(n) if g.degrees[v] % 2 == 0)
             for a in range(1, 1 << n):
                 cut = sum((a >> u & 1) != (a >> v & 1) for u, v in g.edges())
-                t = popcount(even & ~a)
+                t = (even & ~a).bit_count()
                 ub = (cut + min(t, cut // 2)) // 3
                 o = odd_component_count(g, a)
                 assert o <= ub, (g, a)
@@ -572,3 +594,18 @@ def test_exhaustive_scan_dispatch_by_size(monkeypatch, n, kernel):
     called.clear()
     tutte_scan(cycle(n), mode="randomized", samples=20)
     assert called == ["_scan"]  # randomized masks are big integers of any n
+
+
+@pytest.mark.parametrize("make, mode", [
+    pytest.param(lambda: cycle(201), "randomized", id="randomized-cycle-201"),
+    pytest.param(lambda: random_regular(16, 3, seed=5), "exhaustive", id="exhaustive-cubic-16"),
+])
+def test_scan_checks_connectivity_and_bridges_once(monkeypatch, make, mode):
+    g = make()
+    calls = []
+    for name in ("is_connected", "bridges"):
+        fn = getattr(matching, name)
+        monkeypatch.setattr(matching, name,
+                            lambda h, _fn=fn, _name=name: calls.append(_name) or _fn(h))
+    tutte_scan(g, mode=mode, samples=300)
+    assert sorted(calls) == ["bridges", "is_connected"]
