@@ -8,9 +8,9 @@ d-regular graph M = d, and the -d eigenvector is the +-1 side vector s:
 sign pattern of any -d eigenvector is the graph's one bipartition.  The
 test below reports the two spectral indicators and, in the regular case,
 those sides.  A BFS 2-coloring, whose every edge joins its two sides, is
-the exact O(m) proof of "bipartite" and gives the sides; a proved gap or
-one Cholesky factorization certifies "not bipartite"
-(``spectral_bipartite_test``).
+the exact O(m) proof of "bipartite" and gives the sides; on a regular
+graph a proved gap certifies "not bipartite" (``spectral_bipartite_test``).
+Neither certificate builds a matrix.
 
 ``rotation_two_coloring`` is the odd one out: it builds the classical
 2-coloring of an irrational-rotation orbit graph off a small interval
@@ -26,11 +26,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .graphs import Graph, InternalError, Mask, _two_coloring, bfs_levels, mask_of
-from .spectral import (TOL, adjacency_matrix, adjacency_spectrum, hofmeister, margin,
-                       multiset_close, positive_definite)
+from .spectral import TOL, adjacency_spectrum, margin, multiset_close
 
 
 def is_symmetric_spectrum(spectrum: Sequence[float], tol: float = TOL) -> bool:
@@ -59,9 +56,8 @@ def spectral_bipartite_test(g: Graph, tol: float = TOL) -> BipartiteVerdict:
     Unless ``g`` already carries its adjacency spectrum, the verdict is
     certified when n >= 2 and ``tol > 4 eta``: it is the one the dense path
     would print under the error model of ``margin`` (every computed
-    eigenvalue, and a factorization's backward error, within ``eta``), and
-    that path runs only when no certificate closes.  A BFS 2-coloring
-    decides which to try:
+    eigenvalue within ``eta``), and that path runs only when no certificate
+    closes.  A BFS 2-coloring decides which to try:
 
     - bipartite: the coloring, whose every edge joins its two sides, proves
       it, so the spectrum is exactly symmetric with ``-M`` in it, and a
@@ -70,12 +66,12 @@ def spectral_bipartite_test(g: Graph, tol: float = TOL) -> BipartiteVerdict:
       (The zeroing rule can split a pair ``+-x`` only when x lies within
       ``eta`` of the noise level, where the dense verdict itself hangs on
       rounding.)
-    - with an odd cycle: on a d-regular graph where ``_odd_cycle_gap``
-      exceeds ``tol + 2 eta`` twice over, or else where one Cholesky
-      factorization of ``A + (h - tol - 3 eta) I`` succeeds (h = d if
-      regular, else ``hofmeister(g) - eta <= M``), ``l_min > -M + tol +
-      2 eta``: no computed eigenvalue lies within ``tol`` of ``-M`` and the
-      spectrum's ends do not pair, so both indicators are false.
+    - with an odd cycle, on a d-regular graph where ``_odd_cycle_gap``
+      exceeds ``tol + 2 eta`` twice over: ``l_min > -d + tol + 2 eta``, so
+      no computed eigenvalue lies within ``tol`` of ``-d`` and the
+      spectrum's ends do not pair, and both indicators are false.  An
+      irregular graph with an odd cycle, or a regular one the gap is too
+      weak for, goes to the adjacency spectrum.
 
     A connected graph has one bipartition, so the coloring's sides, vertex
     0's first, are the printed ones wherever a regular graph's ``-d``
@@ -93,12 +89,6 @@ def spectral_bipartite_test(g: Graph, tol: float = TOL) -> BipartiteVerdict:
             certified = True
         elif regular and tol + 2 * eta < _odd_cycle_gap(g.n, max(levels)) / 2:
             certified = False
-        else:
-            mat = adjacency_matrix(g)
-            h = g.max_degree if regular else hofmeister(g) - eta
-            mat[np.diag_indices(g.n)] = h - tol - 3 * eta
-            if positive_definite(mat):
-                certified = False
     if certified is None:
         spec = adjacency_spectrum(g)
         ref = g.max_degree if regular else spec[-1]

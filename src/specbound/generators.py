@@ -110,12 +110,22 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     Stubs are shuffled and paired; a pairing producing a loop or a repeated
     edge is thrown away and redrawn from the same generator, up to 1000
     attempts; running out of attempts, which large d makes near certain, is a
-    ``ValueError``.  Requires 0 <= d < n and n*d even.
+    ``ValueError``, raised at once from d = 11.  Requires 0 <= d < n and n*d
+    even.
     """
     if not (0 <= d < n):
         raise ValueError("need 0 <= d < n")
     if (n * d) % 2 != 0:
         raise ValueError("n*d must be even")
+    # A pairing is simple with probability about exp(-(d*d - 1) / 4), so the
+    # attempts run out for large d (d = 8 succeeds about once in 10^7): a
+    # limit of the model for these arguments, not a fault of the program.
+    # From d = 11 that is below 10^-12 per attempt, so none is made.
+    too_large = (f"pairing model found no simple {d}-regular graph on {n} "
+                 f"vertices in 1000 attempts; degree d={d} is too large "
+                 f"for it (about exp(-(d^2-1)/4) of pairings are simple)")
+    if d >= 11:
+        raise ValueError(too_large)
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(d)]
     for _ in range(1000):
@@ -134,10 +144,4 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
             edges.add(key)
         if ok:
             return Graph(n, sorted(edges))
-    # A pairing is simple with probability about exp(-(d*d - 1) / 4), so the
-    # attempts run out for large d (d = 8 succeeds about once in 10^7): a
-    # limit of the model for these arguments, not a fault of the program.
-    raise ValueError(f"pairing model found no simple {d}-regular graph on {n} "
-                     f"vertices in 1000 attempts; degree d={d} is too large "
-                     f"for it (about exp(-(d^2-1)/4) of pairings are simple)")
-
+    raise ValueError(too_large)

@@ -171,13 +171,20 @@ def _sandwich(g):
 def _bipartite(g):
     adjacency_spectrum(g)  # a verdict from the spectrum, not from the oracle's coloring
     v = spectral_bipartite_test(g)
-    oracle = bfs_bipartition_oracle(g)
-    truth = oracle is not None
+    truth = bfs_bipartition_oracle(g) is not None
     _require(v.symmetric_spectrum == truth, "symmetric spectrum == bipartite")
     if g.is_regular:
         _require(v.minus_d_in_spectrum == truth, "-d in spectrum == bipartite")
         if truth and g.n >= 2:
-            _require(set(v.bipartition) == set(oracle), "extracted sides == BFS sides")
+            _require(_is_bipartition(g, v.bipartition), "extracted sides are a bipartition")
+
+
+def _is_bipartition(g: Graph, sides: Tuple[int, int]) -> bool:
+    """Whether two vertex masks, vertex 0 in the first, are disjoint, cover
+    the vertex set and have every edge join them."""
+    a, b = sides
+    return (a & b == 0 and a | b == g.full_mask and a & 1 == 1
+            and all((a >> u ^ a >> v) & 1 for u, v in g.edges()))
 
 
 @_invariant("independence-bounds", "independence: alpha/n <= -m/(d-m) (regular) and "

@@ -20,14 +20,13 @@ values of B; Cvetkovic, Doob and Sachs, *Spectra of Graphs*, 1980).
 The eigensolves are dense: numpy ``eigvalsh`` on the symmetric operator,
 except on an irregular bipartite graph of at least ``_SVD_MIN_N`` vertices,
 whose adjacency spectrum is read off B's singular values, from numpy's
-``svd``.  The Cholesky factorizations that ``norm_floor`` and ``bipartite``
-fall back on, where no proved gap settles them, are dense too.  All are
-capped at matrix order 4096, which is checked before any matrix is
-allocated; at that scale the solvers are exact to far
-better than the 1e-9 tolerance used throughout.  Each ``Graph`` is solved at most once per operator:
-``laplacian_spectrum`` and ``adjacency_spectrum`` keep their results on the
-graph, and every caller (``bounds``, the dense fallbacks of ``norm_floor``,
-``bipartite`` and the Tutte scan's flag) reads them there.
+``svd``.  Both are capped at matrix order 4096, which is checked before any
+matrix is allocated; at that scale the solvers are exact to far better than
+the 1e-9 tolerance used throughout.  Each ``Graph`` is solved at most
+once per operator: ``laplacian_spectrum`` and ``adjacency_spectrum`` keep
+their results on the graph, and every caller (``bounds``, the dense
+fallbacks of ``norm_floor``, ``bipartite`` and the Tutte scan's flag) reads
+them there.
 On a d-regular graph, where ``T = dI - L``, the adjacency spectrum is taken
 from the Laplacian's solve, so one solve gives both.
 
@@ -64,17 +63,14 @@ Tolerance policy, stated once for the whole package:
   exact negatives;
 - ``margin(g) = 8 n (d + 1) eps`` (``eta``; d the maximum degree, eps the
   double-precision machine epsilon) is the error model: the package takes
-  a dense solve's eigenvalues, and a factorization's backward error, to
-  stray on ``g`` by at most ``eta``, a small multiple of ``n eps ||A||``
-  with ``||A|| <= d``, the size these errors have in practice.  It is not
-  a proven bound: the worst-case backward error of Cholesky is of order
-  ``n^2 eps ||A||`` (Higham, *Accuracy and Stability of Numerical
-  Algorithms*, 2nd ed., Thm. 10.3), far above ``eta`` at n = 1000.  A
-  certificate below settles an answer only if it is the answer for every
-  value within ``eta`` of the quantity it brackets, so, under the model
-  that the dense path rests on too, the solve it replaces would print the
-  same bytes; "certified" means no more than that.  Where ``eta`` exceeds
-  ``TOL`` (large dense graphs) nothing near a snap boundary is certified;
+  a dense solve's eigenvalues to stray on ``g`` by at most ``eta``, a small
+  multiple of ``n eps ||A||`` with ``||A|| <= d``, the size these errors
+  have in practice, not a proven bound.  Every certificate below is exact
+  or proved, and settles an answer only if it is the answer for every
+  value within ``eta`` of the quantity it brackets, so, under that model,
+  the solve it replaces would print the same bytes; the model is all that
+  "certified" takes on trust.  Where ``eta`` exceeds ``TOL`` (large dense
+  graphs) nothing near a snap boundary is certified;
 - one noise level, ``max(TOL, eta)``, serves both the solves' sanity
   checks (adjacency eigenvalues within [-d, d], the Laplacian's
   nonnegative, each up to that level) and the zeroing rule: after the
@@ -87,14 +83,12 @@ Which answers are certified and which go dense:
 - ``norm_floor`` (the ``floor(M)`` behind ``color --algorithm wilf``) is
   certified by the bracket ``hofmeister(g) <= M <= d``, by the proved gap
   ``d - M >= 1 / (n (2e + 1))`` of a connected irregular graph
-  (``_irregular_gap``), by ``M <= sqrt(W)`` for the most 2-walks W from a
-  vertex, or by one Cholesky factorization; else the adjacency spectrum
-  decides;
-- the ``bipartite`` indicators are certified true by a BFS 2-coloring,
-  which builds no matrix, and false by the proved gap
-  ``d + l_min >= 2 / (n (4e + 1))`` of a regular graph with an odd cycle
-  (``bipartite._odd_cycle_gap``) or by one Cholesky factorization; else
-  the adjacency spectrum decides (``bipartite.spectral_bipartite_test``);
+  (``_irregular_gap``), or by ``M <= sqrt(W)`` for the most 2-walks W from
+  a vertex; else the adjacency spectrum decides;
+- the ``bipartite`` indicators are certified true by a BFS 2-coloring and
+  false by the proved gap ``d + l_min >= 2 / (n (4e + 1))`` of a regular
+  graph with an odd cycle (``bipartite._odd_cycle_gap``); else the
+  adjacency spectrum decides (``bipartite.spectral_bipartite_test``);
 - the Tutte scan's doubled-gap flag ``2 mL >= ML`` is certified false when
   ``2 U < Lo - tol - 4 eta`` for two exact integer ratios, a Rayleigh
   quotient ``U >= mL`` and ``Lo = Delta + 1 <= ML``; otherwise the
@@ -102,9 +96,10 @@ Which answers are certified and which go dense:
 - the two gaps are proved, with e the eccentricity of vertex 0 from one
   BFS; a factor of 2 in each test absorbs its own rounding.  What rests on
   ``eta`` is only that the dense path would print the same bytes;
-- these three run only on a graph that does not yet carry the spectrum
-  they would replace, so a caller that has solved it (``bounds`` before
-  them, as in ``verify`` and the oracle sweeps) reads it instead;
+- none of the three builds a matrix, and each runs only on a graph that
+  does not yet carry the spectrum it would replace, so a caller that has
+  solved it (``bounds`` before them, as in ``verify`` and the oracle
+  sweeps) reads it instead;
 - every real-valued output (``spectrum``, ``bounds``) but ``limit``'s
   comes from a dense solve, or on a regular graph from the Laplacian's as
   ``d - lambda``: no certificate is cheaper than ``eigvalsh`` there at
@@ -251,8 +246,8 @@ def adjacency_spectrum(g: Graph) -> Tuple[float, ...]:
 
 def margin(g: Graph) -> float:
     """``eta`` of the tolerance policy: the error the package allows a dense
-    solve or a factorization on ``g``'s adjacency operator, the size such
-    errors have in practice (not a worst-case bound)."""
+    solve on ``g``'s adjacency operator, the size such errors have in
+    practice (not a worst-case bound)."""
     return 8.0 * g.n * (g.max_degree + 1) * EPS
 
 
@@ -267,10 +262,8 @@ def norm_floor(g: Graph) -> int:
     ``eta`` of M stays below the snap boundary ``d - TOL``.  Else
     ``M^2``, the Perron root of ``A^2``, is at most its largest row sum W,
     the most 2-walks from a vertex, and ``sqrt(W) + TOL + 2 eta < t + 1``
-    does the same for ``t + 1 - TOL``; or else a Cholesky factorization of
-    ``(t + 1 - TOL - 2 eta) I - A`` shows ``M + eta < t + 1 - TOL``.  In
-    each case t is the answer; if none closes the adjacency spectrum
-    decides.
+    does the same for ``t + 1 - TOL``.  In each case t is the answer, and
+    no matrix is built; if none closes the adjacency spectrum decides.
     """
     _check_dense(g.n)
     if g._adj_spectrum is not None:
@@ -285,11 +278,6 @@ def norm_floor(g: Graph) -> int:
             return t
     walks = max(sum(g.degrees[u] for u in nbrs) for nbrs in g.adj)
     if math.sqrt(walks) + TOL + 2 * eta < t + 1:
-        return t
-    shifted = adjacency_matrix(g)
-    np.negative(shifted, out=shifted)
-    shifted[np.diag_indices(g.n)] = t + 1 - TOL - 2 * eta
-    if positive_definite(shifted):
         return t
     return snapped_floor(adjacency_spectrum(g)[-1])
 
@@ -311,19 +299,6 @@ def hofmeister(g: Graph) -> float:
     """``sqrt(sum d_v^2 / n)``, a lower bound on M: the Rayleigh quotient of
     ``A^2`` at the constant vector is ``sum d_v^2 / n``."""
     return math.sqrt(sum(d * d for d in g.degrees) / g.n)
-
-
-def positive_definite(mat: np.ndarray) -> bool:
-    """Whether one Cholesky factorization of ``mat`` succeeds.  Success
-    means ``mat + E`` is positive definite for the factorization's backward
-    error E, so every eigenvalue of ``mat`` exceeds ``-||E||``: above
-    ``-eta`` under the error model of ``margin``, which takes ``||E||`` at
-    the size it has in practice, not at its worst-case bound."""
-    try:
-        np.linalg.cholesky(mat)
-        return True
-    except np.linalg.LinAlgError:
-        return False
 
 
 def _gap(adj: Sequence[float], d: int, tol: float) -> float:

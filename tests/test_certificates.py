@@ -14,7 +14,6 @@ import math
 import random
 from functools import partial
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +25,7 @@ from specbound.enumeration import enumerate_graphs
 from specbound.generators import (complete, complete_bipartite, cycle, path, petersen,
                                   random_regular, subdivide)
 from specbound.graphs import Graph, bfs_levels, bits, components, dump_edge_list, is_connected
+from specbound.invariants import _is_bipartition
 from specbound.matching import _doubled_gap_holds
 from specbound.spectral import (TOL, _irregular_gap, adjacency_spectrum, bounds,
                                 laplacian_spectrum, margin, norm_floor)
@@ -82,13 +82,14 @@ def _assert_gap_lemmas(g):
 
 def _check(g, tols=TOLS):
     """For each tolerance: the certified bipartite verdict and doubled-gap
-    flag equal the dense ones, and a certified verdict, or any printed
-    bipartition, agrees with the BFS truth.  Returns, per tolerance, whether
-    each certificate settled its answer without solving a spectrum.  The
-    proved gaps are checked against the dense spectrum too."""
+    flag equal the dense ones, a certified verdict agrees with the BFS
+    truth, and any printed bipartition is one by definition.  Returns, per
+    tolerance, whether each certificate settled its answer without solving
+    a spectrum.  The proved gaps are checked against the dense spectrum
+    too."""
     dense = _solved(g)
     _assert_gap_lemmas(dense)
-    oracle = bfs_bipartition_oracle(g)
+    truth = bfs_bipartition_oracle(g) is not None
     h = _fresh(g)
     closed = []
     for tol in tols:
@@ -96,10 +97,10 @@ def _check(g, tols=TOLS):
         verdict = spectral_bipartite_test(h, tol)
         assert verdict == spectral_bipartite_test(dense, tol), (g.edges(), tol)
         if verdict.bipartition is not None:
-            assert set(verdict.bipartition) == set(oracle), g.edges()
+            assert _is_bipartition(g, verdict.bipartition), g.edges()
         bip_closed = h._adj_spectrum is None and h._lap_spectrum is None
         if bip_closed:
-            assert verdict.symmetric_spectrum == verdict.minus_d_in_spectrum == (oracle is not None)
+            assert verdict.symmetric_spectrum == verdict.minus_d_in_spectrum == truth
         flag_closed = None
         if g.n >= 2:
             _forget(h)
@@ -113,7 +114,7 @@ def _far_odd_cycle():
     """A 9-leaf star, a 6-edge path from one leaf and a triangle at its end:
     irregular, with ``M + l_min`` about 4.2e-7, far below the regular gap
     bound at its order, so at tol 1e-6 its -M indicator is true, and only
-    the dense solve, after the factorization fails, may say so."""
+    the dense solve may say so."""
     es = [(0, i) for i in range(1, 10)] + [(1, 10)] + [(i, i + 1) for i in range(10, 17)]
     return Graph(18, es + [(15, 17)])
 
@@ -137,21 +138,29 @@ def _corpus():
 
 
 def test_certified_verdicts_match_the_dense_path_on_every_class_up_to_8():
-    total = 0
-    bip = dict.fromkeys(TOLS, 0)
+    # from 1e-12 to 1e-6 the BFS 2-coloring proves every bipartite class
+    # with an edge and the odd-cycle gap every regular class with an odd
+    # cycle; from 0.5 that gap is too weak, and below 4 eta nothing may run
+    total = bipartite_classes = odd_regular_classes = 0
     flag = dict.fromkeys(TOLS, 0)
     for n in range(1, 9):
         for g in enumerate_graphs(n, connected=True):
             total += 1
+            is_bipartite = bfs_bipartition_oracle(g) is not None
+            proved = is_bipartite and n >= 2
+            odd_regular = g.is_regular and not is_bipartite
+            bipartite_classes += proved
+            odd_regular_classes += odd_regular
+            narrow = proved or odd_regular
+            expected = {1e-300: False, 1e-12: narrow, TOL: narrow, 1e-6: narrow,
+                        0.5: proved, 1.0: proved, 5.0: proved}
             for tol, (b, f) in zip(TOLS, _check(g)):
-                bip[tol] += b
+                assert b == expected[tol], (g.edges(), tol)
                 flag[tol] += bool(f)
     assert total == 12_113  # connected graphs on 1..8 vertices, OEIS A001349
-    assert bip[1e-300] == 0  # below 4 eta no certificate may run
-    # measured: 12,107 at 1e-12..1e-6; 11,043 at 0.5; 8,377 at 1; 254 at 5
-    assert bip[1e-12] == bip[TOL] == bip[1e-6] >= 12_000
-    # measured: 11,462 at 1e-300..1e-6; 11,071 at 0.5; 10,394 at 1; 106 at 5
-    assert flag[1e-300] == flag[TOL] >= 11_000
+    assert (bipartite_classes, odd_regular_classes) == (253, 25)
+    assert flag == {1e-300: 11_462, 1e-12: 11_462, TOL: 11_462, 1e-6: 11_462,
+                    0.5: 11_071, 1.0: 10_394, 5.0: 106}
 
 
 def test_certified_verdicts_match_the_dense_path_on_larger_graphs():
@@ -188,47 +197,40 @@ def test_certified_verdicts_match_the_dense_path_on_random_graphs(g, tol, rng):
     _check(g, (tol,))
 
 
-def _count_calls(monkeypatch):
-    """The names of the numpy factorizations and solves, and of the dense
-    adjacency matrix builds, called from here on, in order."""
-    calls = []
-
-    def counting(module, name):
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or real(*a, **k))
-
-    for name in ("cholesky", "solve"):
-        counting(np.linalg, name)
-    for module in (spectral, bipartite):  # bipartite binds its own name
-        counting(module, "adjacency_matrix")
-    return calls
+def _matrix_builds(monkeypatch):
+    """One entry per dense matrix built from here on: every build goes
+    through ``spectral.adjacency_matrix``."""
+    builds = []
+    real = spectral.adjacency_matrix
+    monkeypatch.setattr(spectral, "adjacency_matrix",
+                        lambda g: builds.append(g.n) or real(g))
+    return builds
 
 
-def test_each_graph_tries_only_the_certificate_that_can_close(monkeypatch):
-    # a bipartite graph is proved so by its BFS 2-coloring, a regular graph
-    # with an odd cycle by the proved gap d + l_min >= 2 / (n (4e + 1)), and
-    # an irregular one, or one that gap is too weak for (Petersen at --tol
-    # 5), factors A + (h - tol - 3 eta) I; an irregular connected graph with
+def test_each_graph_tries_only_the_certificate_that_can_close(monkeypatch, eigensolves):
+    # a bipartite graph is proved so by its BFS 2-coloring and a regular
+    # graph with an odd cycle by the proved gap d + l_min >= 2 / (n (4e + 1));
+    # an irregular one with an odd cycle, or one that gap is too weak for
+    # (Petersen at --tol 5), is solved; an irregular connected graph with
     # t = d - 1 has its Wilf floor from d - M >= 1 / (n (2e + 1)), a star
     # from the 2-walk bound M <= sqrt(W), and 4 triangles at a hub, whose
-    # W = 16 gives only M <= 4, factor
-    calls = _count_calls(monkeypatch)
-    for test, g, tried in (
-            (spectral_bipartite_test, cycle(200), []),
-            (spectral_bipartite_test, subdivide(petersen()), []),
-            (spectral_bipartite_test, path(101), []),
-            (spectral_bipartite_test, cycle(201), []),
-            (spectral_bipartite_test, petersen(), []),
-            (partial(spectral_bipartite_test, tol=5.0), petersen(), ["cholesky"]),
-            (spectral_bipartite_test, _far_odd_cycle(), ["cholesky"]),
-            (norm_floor, path(1000), []),
-            (norm_floor, complete_bipartite(1, 4), []),
-            (norm_floor, friendship(4), ["cholesky"])):
-        calls.clear()
+    # W = 16 gives only M <= 4, is solved
+    builds = _matrix_builds(monkeypatch)
+    for test, g, solved in (
+            (spectral_bipartite_test, cycle(200), False),
+            (spectral_bipartite_test, subdivide(petersen()), False),
+            (spectral_bipartite_test, path(101), False),
+            (spectral_bipartite_test, cycle(201), False),
+            (spectral_bipartite_test, petersen(), False),
+            (partial(spectral_bipartite_test, tol=5.0), petersen(), True),
+            (spectral_bipartite_test, _far_odd_cycle(), True),
+            (norm_floor, path(1000), False),
+            (norm_floor, complete_bipartite(1, 4), False),
+            (norm_floor, friendship(4), True)):
+        builds.clear()
+        eigensolves.clear()
         test(_fresh(g))
-        assert [c for c in calls if c != "adjacency_matrix"] == tried, g.edges()
-        if not tried:  # not even a matrix is built
-            assert calls == [], g.edges()
+        assert (len(builds), eigensolves) == ((1, ["eigvalsh"]) if solved else (0, [])), g.edges()
 
 
 def _centred_path(n):
@@ -256,14 +258,15 @@ def test_the_proved_gaps_are_within_a_factor_pi_squared_on_odd_cycles_and_paths(
     assert max(ratios) < math.pi ** 2 < 10
 
 
-def test_the_wilf_floor_after_bounds_reads_the_kept_spectrum(monkeypatch):
-    # as the sweeps and verify run it: no matrix is built and nothing factored
-    # (the friendship graph would factor once on a fresh graph)
+def test_the_wilf_floor_after_bounds_reads_the_kept_spectrum(monkeypatch, eigensolves):
+    # as the sweeps and verify run it: no matrix is built and nothing solved
+    # again (the friendship graph would be solved once on a fresh graph)
     solved = [(g, bounds(g).wilf) for g in (petersen(), path(12), friendship(4))]
-    calls = _count_calls(monkeypatch)
+    builds = _matrix_builds(monkeypatch)
+    eigensolves.clear()
     for g, wilf in solved:
         assert wilf_color(g).palette_size <= wilf
-    assert calls == []
+    assert builds == eigensolves == []
 
 
 def _relabelled(g, seed):
@@ -272,17 +275,18 @@ def _relabelled(g, seed):
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
-def test_large_bipartite_and_wilf_commands_factor_nothing(monkeypatch):
+def test_large_bipartite_and_wilf_commands_factor_nothing(monkeypatch, eigensolves):
     # the shapes of the benchmark's n = 250..1000 ops: connected cubic
-    # graphs with odd cycles, and a path in a random vertex order
+    # graphs with odd cycles, and a path in a random vertex order; no matrix
+    # is built and nothing is solved
     cubic = [g for g in (random_regular(n, 3, seed) for n in (250, 500, 1000) for seed in range(3))
              if is_connected(g)]
     assert len(cubic) >= 3
-    calls = _count_calls(monkeypatch)
+    builds = _matrix_builds(monkeypatch)
     for argv, g in [(["bipartite"], c) for c in cubic] + [
             (["color", "--algorithm", "wilf"], _relabelled(path(1000), 1))]:
         assert cli.run(argv, stdin_text=dump_edge_list(g), out=io.StringIO()) == 0
-        assert calls == [], (argv, g)
+        assert builds == eigensolves == [], (argv, g)
 
 
 def test_a_bipartite_op_runs_one_two_coloring(monkeypatch):
@@ -299,13 +303,14 @@ def test_a_bipartite_op_runs_one_two_coloring(monkeypatch):
         assert len(colorings) == 1
 
 
-def test_a_regular_graph_carrying_its_spectrum_prints_the_bfs_sides(monkeypatch):
+def test_a_regular_graph_carrying_its_spectrum_prints_the_bfs_sides(monkeypatch, eigensolves):
     # the dense path, as verify takes it after bounds: the spectrum decides
     # the indicators, the BFS 2-coloring gives the sides, and nothing solves
     g = _solved(cycle(200))
-    calls = _count_calls(monkeypatch)
+    builds = _matrix_builds(monkeypatch)
+    eigensolves.clear()
     verdict = spectral_bipartite_test(g)
-    assert calls == []
+    assert builds == eigensolves == []
     assert verdict.symmetric_spectrum and verdict.minus_d_in_spectrum
     assert verdict.bipartition == bfs_bipartition_oracle(g)
     assert verdict.bipartition[0] & 1  # vertex 0's side first

@@ -1,5 +1,7 @@
 """Graph builders: named families, subdivision, function systems, pairing model."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,4 +124,23 @@ def test_random_regular_large_degree_is_an_input_error():
     # about one pairing in 10^7 is simple at d = 8: the attempts run out
     with pytest.raises(ValueError, match="d=8 is too large"):
         random_regular(40, 8, seed=0)
+
+
+def test_random_regular_draws_are_pinned():
+    # one seeded draw each at d = 3 and d = 4, edge for edge
+    assert random_regular(10, 3, seed=7).edges() == (
+        (0, 5), (0, 6), (0, 9), (1, 4), (1, 6), (1, 7), (2, 3), (2, 5), (2, 7), (3, 4),
+        (3, 7), (4, 8), (5, 9), (6, 8), (8, 9))
+    assert random_regular(12, 4, seed=1).edges() == (
+        (0, 4), (0, 5), (0, 9), (0, 10), (1, 2), (1, 3), (1, 8), (1, 9), (2, 6), (2, 8),
+        (2, 10), (3, 4), (3, 5), (3, 10), (4, 6), (4, 9), (5, 7), (5, 11), (6, 7), (6, 11),
+        (7, 8), (7, 11), (8, 9), (10, 11))
+
+
+def test_random_regular_fails_fast_where_no_pairing_is_simple():
+    # below 10^-12 of pairings are simple from d = 11: no stub is shuffled
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="d=3000 is too large"):
+        random_regular(4000, 3000, seed=0)
+    assert time.perf_counter() - start < 1.0
 

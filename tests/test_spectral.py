@@ -401,8 +401,8 @@ def test_integer_norm_is_certified_without_an_eigensolve(eigensolves, g, want):
     (_union(complete(4), Graph(1, [])), 3),
 ], ids=["double-star", "friendship-3", "friendship-6", "friendship-10", "K4+K1"])
 def test_integer_norm_off_the_certificate_goes_dense(eigensolves, g, want):
-    # the lower end of the bracket floors below M, and M itself is the
-    # Cholesky shift's integer, so the factorization fails and eigvalsh decides
+    # the lower end of the bracket floors to t = M - 1, and no bound can
+    # show M < t + 1 = M, so eigvalsh decides
     assert norm_floor(g) == want
     assert eigensolves == ["eigvalsh"]
     assert _dense_floor(g) == want
@@ -422,7 +422,7 @@ def test_no_certificate_within_the_margin_of_a_snap_boundary(eigensolves, monkey
                                                              g, eps, boundary, want, solves):
     # a dense solve may stray by the margin, and within it of the snap
     # boundary (an integer minus TOL) the floor it snaps to could differ, so
-    # neither the degree bracket nor the Cholesky shift may settle it; the
+    # neither the degree bracket nor the 2-walk bound may settle it; the
     # machine epsilon is inflated to put M that close
     monkeypatch.setattr(spectral, "EPS", eps)
     # the precondition is read off a copy, so the fallback solve on g counts
