@@ -176,6 +176,7 @@ def _cmd_gen(args, stdin_text, out) -> int:
                 maps.append([int(tok) for tok in part.split(",")])
             except ValueError as exc:
                 raise UsageError(f"bad map spec {part!r}") from exc
+        _gen_order(len(maps[0]))
         out.write(dump_directed_edge_list(function_graph(maps)))
         return 0
     out.write(dump_edge_list(g))

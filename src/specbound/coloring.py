@@ -120,12 +120,10 @@ def backwards_list_color(g: Graph, peeling: Peeling, palette: int) -> Coloring:
     if palette < 1:
         raise ValueError("palette must have at least one color")
     colors: List[Optional[int]] = [None] * g.n
-    suffix = 0
-    # walk layers backwards; `suffix` accumulates the already-colored region
     for layer in reversed(peeling.layers):
         for v in bits(layer):
             taken = set()
-            for u in bits(g.adj_masks[v] & (suffix | layer)):
+            for u in g.adj[v]:
                 if colors[u] is not None:
                     taken.add(colors[u])
             c = next((c for c in range(palette) if c not in taken), None)
@@ -133,7 +131,6 @@ def backwards_list_color(g: Graph, peeling: Peeling, palette: int) -> Coloring:
                 raise ValueError(f"backward list emptied at vertex {v}: "
                                  f"palette {palette} too small for this peeling")
             colors[v] = c
-        suffix |= layer
     return Coloring(colors)
 
 

@@ -12,19 +12,18 @@ do; for a canonical form, those are its twin-sorted automorphisms.
 Generation is canonical augmentation (McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998).  A graph on n+1 vertices is built from
 its parent class on n vertices by gluing a new vertex k onto a neighbourhood
-s, trying one s per orbit of the parent's automorphism group: the least (for
-a complete or empty parent, s = 2^j - 1).  The orbits are closed under the
-parent's returned labelings plus the transposition of each pair of
-consecutive twins, which together generate its automorphism group.  The
-result is kept iff k lies in the automorphism orbit of the vertex at its own
-last canonical position, that is iff some returned labeling puts k last (k,
-the largest vertex, is the largest of its twin class); a candidate whose k
-has less than the maximum degree, or leaves the top refinement class, fails
-that test before any search.  Each class is then produced exactly once,
-from the parent obtained by deleting its last canonical vertex, so no dedup
-table is needed.  The representatives are canonical forms
-(``masks_from_key(canonical_key(rep)) == rep``) and the lists are in
-generation order, which is deterministic.  Slow next to real canonical
+s, trying one s per orbit of the parent's automorphism group: the least.  The
+orbits are closed under the parent's returned labelings plus the
+transposition of each pair of consecutive twins, which together generate its
+automorphism group.  The result is kept iff k lies in the automorphism orbit
+of the vertex at its own last canonical position, that is iff some returned
+labeling puts k last (k, the largest vertex, is the largest of its twin
+class); a candidate whose k has less than the maximum degree, or leaves the
+top refinement class, fails that test before any search.  Each class is then
+produced exactly once, from the parent obtained by deleting its last
+canonical vertex, so no dedup table is needed.  The representatives are
+canonical forms (``masks_from_key(canonical_key(rep)) == rep``) and the lists
+are in generation order, which is deterministic.  Slow next to real canonical
 labeling tools, but exact, dependency-free, and fast enough for n <= 8 --
 which is all the exhaustive test sweeps need.
 
@@ -103,7 +102,7 @@ def _twin_predecessors(adj: Sequence[Mask], n: int) -> List[int]:
 
 
 def _search(adj: Sequence[Mask], n: int, ranks: Sequence[int]
-            ) -> Tuple[Tuple[int, ...], Optional[List[Labeling]]]:
+            ) -> Tuple[Tuple[int, ...], List[Labeling]]:
     """Branch and bound for the canonical form; returns it with every
     optimal labeling that places each twin class in ascending vertex order.
 
@@ -115,16 +114,9 @@ def _search(adj: Sequence[Mask], n: int, ranks: Sequence[int]
     gives another, so restricting the search to twin-sorted labelings finds
     the same key.  The returned ones are the twin-sorted part of the coset:
     their last entries, closed under twins, are one Aut(G)-orbit, and each is
-    the largest of its twin class.  The empty and the complete graph, where
-    refinement is useless and every labeling is optimal, are special-cased
-    and return None in place of the labelings.
+    the largest of its twin class.  In the empty and the complete graph all
+    vertices are twins, so the identity is the only labeling searched.
     """
-    full = (1 << n) - 1
-    if all(a == 0 for a in adj):
-        return tuple(0 for _ in range(n)), None
-    if all(adj[v] == full ^ (1 << v) for v in range(n)):
-        return tuple((1 << i) - 1 for i in range(n)), None
-
     by_rank: Dict[int, List[int]] = {}
     for v, r in enumerate(ranks):
         by_rank.setdefault(r, []).append(v)
@@ -197,8 +189,7 @@ def canonical_key(adj: Sequence[Mask], n: int) -> Tuple[int, ...]:
     are isomorphic iff their keys coincide.  Labelings are constrained to
     follow the refinement classes in rank order and to place twins in
     ascending order, which prunes the search to roughly the twin-sorted
-    automorphisms for symmetric graphs; complete and empty
-    graphs, where refinement is useless, are special-cased.
+    automorphisms for symmetric graphs.
     """
     return _search(adj, n, wl_ranks(adj, n))[0]
 
@@ -215,17 +206,14 @@ def masks_from_key(key: Sequence[int]) -> AdjMasks:
     return tuple(adj)
 
 
-def _orbit_minimal(gens: Optional[List[Labeling]], k: int) -> Sequence[Mask]:
+def _orbit_minimal(gens: List[Labeling], k: int) -> Sequence[Mask]:
     """The subsets of range(k) that are least in their orbit under the group
     generated by the permutations `gens`.
 
-    None stands for the full symmetric group, whose orbits are the subset
-    sizes.  Each generator's image of every subset is tabled by doubling,
-    and each orbit is closed by a walk along those tables, so the work is
-    linear in the number of subsets times the number of generators.
+    Each generator's image of every subset is tabled by doubling, and each
+    orbit is closed by a walk along those tables, so the work is linear in
+    the number of subsets times the number of generators.
     """
-    if gens is None:
-        return [(1 << j) - 1 for j in range(k + 1)]
     tables = []
     for perm in gens:
         table = [0]
@@ -252,13 +240,10 @@ def _orbit_minimal(gens: Optional[List[Labeling]], k: int) -> Sequence[Mask]:
 
 
 def _automorphism_generators(adj: Sequence[Mask], n: int,
-                             labelings: Optional[List[Labeling]]
-                             ) -> Optional[List[Labeling]]:
+                             labelings: List[Labeling]) -> List[Labeling]:
     """Generators of Aut(G) for a canonical form G, from the labelings its
     search returned: those are the twin-sorted automorphisms, and the swaps
     of consecutive twins reorder each twin class at will."""
-    if labelings is None:
-        return None
     identity = tuple(range(n))
     gens = [lab for lab in labelings if lab != identity]
     for v, u in enumerate(_twin_predecessors(adj, n)):
@@ -304,7 +289,7 @@ def graph_masks(n: int) -> List[AdjMasks]:
             # k, the largest vertex, is the largest of its twin class, so it
             # is in the last position's orbit iff some returned labeling
             # puts it last
-            if optimal is None or any(lab[-1] == k for lab in optimal):
+            if any(lab[-1] == k for lab in optimal):
                 reps.append(masks_from_key(key))
     _CACHE[n] = reps
     return reps

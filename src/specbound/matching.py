@@ -64,7 +64,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .graphs import CapExceeded, Graph, Mask, bfs_levels, bits, bridges, is_connected, mask_of
-from .spectral import TOL, _check_dense, margin, mean_zero_extremes
+from .spectral import TOL, _check_dense, laplacian_spectrum, margin
 
 
 @dataclass
@@ -412,7 +412,7 @@ def tutte_scan(g: Graph, mode: str = "exhaustive", seed: int = 0,
         o, s, witness, scanned = _scan(g, range(1, 1 << g.n), even)
 
     matching = None
-    if g.n % 2 == 0 and g.n <= 24:
+    if g.n <= 24:
         matching = perfect_matching_oracle(g)
 
     return TutteReport(c_star=o / s, witness=witness, classical_holds=o <= s,
@@ -445,8 +445,8 @@ def _doubled_gap_holds(g: Graph, tol: float) -> bool:
         upper = g.n * cross / (g.n * sum(x * x for x in dist) - s * s)
         if 2 * upper < g.max_degree + 1 - tol - 4 * margin(g):
             return False
-    m_l, big_l = mean_zero_extremes(g)
-    return bool(2.0 * m_l >= big_l - tol)
+    lap = laplacian_spectrum(g)
+    return bool(2.0 * lap[1] >= lap[-1] - tol)
 
 
 @dataclass(frozen=True)
@@ -478,7 +478,8 @@ def two_set_inequality(g: Graph, y: Mask, z: Mask, tol: float = TOL) -> TwoSetRe
     if not is_connected(g):
         raise ValueError("two-set inequality needs a connected graph")
     mu_y, mu_z = g.mu(y), g.mu(z)
-    m_l, big_l = mean_zero_extremes(g)
+    lap = laplacian_spectrum(g)
+    m_l, big_l = lap[1], lap[-1]
     lhs = (mu_y * mu_z) / ((1.0 - mu_y) * (1.0 - mu_z))
     rhs = ((big_l - m_l) / (big_l + m_l)) ** 2
     return TwoSetReport(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + tol),

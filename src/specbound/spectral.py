@@ -309,24 +309,6 @@ def _gap(adj: Sequence[float], d: int, tol: float) -> float:
     return d - max(below)
 
 
-def _mean_zero(lap: Sequence[float]) -> Tuple[float, float]:
-    """Second-smallest and largest Laplacian eigenvalue of a connected graph."""
-    return lap[1], lap[-1]
-
-
-def mean_zero_extremes(g: Graph) -> Tuple[float, float]:
-    """Rayleigh extremes of the Laplacian restricted to mean-zero functions.
-
-    For a connected graph these are the second-smallest and the largest
-    Laplacian eigenvalues.
-    """
-    if not is_connected(g):
-        raise ValueError("mean-zero extremes need a connected graph")
-    if g.n < 2:
-        raise ValueError("mean-zero extremes need at least two vertices")
-    return _mean_zero(laplacian_spectrum(g))
-
-
 @dataclass(frozen=True)
 class BlockExtremes:
     m: float
@@ -363,6 +345,9 @@ def block_extremes(g: Graph, parts: Sequence[Mask]) -> List[BlockExtremes]:
 class SpectralBounds:
     """Bundle of the spectral quantities used by the coloring/matching work.
 
+    ``mL``/``ML``, the Laplacian's Rayleigh extremes on mean-zero functions,
+    are its second-smallest and largest eigenvalues on a connected graph.
+
     ``None`` marks a value whose precondition fails: ``hoffman`` on edgeless
     graphs, ``gap`` off connected regular graphs, ``mL``/``ML`` off connected
     graphs, ``independence_bound`` off regular graphs with an edge.
@@ -386,7 +371,7 @@ def bounds(g: Graph, tol: float = TOL) -> SpectralBounds:
     m_t, big_m = adj[0], adj[-1]
     d = g.max_degree
     connected = g.n >= 2 and is_connected(g)
-    m_l, big_l = _mean_zero(lap) if connected else (None, None)
+    m_l, big_l = (lap[1], lap[-1]) if connected else (None, None)
     has_edge = g.m > 0
     return SpectralBounds(
         M=big_m, m=m_t, wilf=snapped_floor(big_m) + 1,

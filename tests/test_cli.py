@@ -235,9 +235,9 @@ def graphs_built(monkeypatch):
     built = []
 
     for cls in (graphs.Graph, graphs.DirectedGraph):
-        def spy(self, n, *args, real=cls.__init__):
+        def spy(self, n, *args, real=cls.__init__, **kwargs):
             built.append(n)
-            real(self, n, *args)
+            real(self, n, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", spy)
     return built
@@ -414,7 +414,8 @@ def test_gen_subdivide_pipeline():
     ("--complete", ["12"], ["13"]),
     ("--complete-bipartite", ["5", "7"], ["6", "7"]),
     ("--random-regular", ["12", "3"], ["14", "3"]),
-], ids=["cycle", "path", "complete", "complete-bipartite", "random-regular"])
+    ("--function-graph", ["1,2,3,4,5,6,7,8,9,10,11,0"], ["1,2,3,4,5,6,7,8,9,10,11,12,0"]),
+], ids=["cycle", "path", "complete", "complete-bipartite", "random-regular", "function-graph"])
 def test_gen_is_capped_before_it_builds(monkeypatch, graphs_built, flag, at_cap, above):
     monkeypatch.setattr(spectral, "MAX_DENSE_N", 12)
     assert _run(["gen", flag] + at_cap)[0] == 0
@@ -810,7 +811,7 @@ def test_cli_boundary_fuzz(argv, text):
     assert code in (0, 2, 3), out
     if argv[0] == "gen" and code == 0:  # an edge list, not a report
         if "--paley" in argv or "--function-graph" in argv:
-            load_directed_edge_list(out)
+            assert load_directed_edge_list(out).n <= _FUZZ_CAP
         else:
             assert load_edge_list(out).n <= _FUZZ_CAP
         return

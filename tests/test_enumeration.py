@@ -235,9 +235,9 @@ def _assert_search_matches_reference(adj, n):
     key, labelings = enumeration._search(adj, n, ranks)
     ref_key, ref_labelings = _reference_search(adj, n, ranks)
     assert key == ref_key
-    if ref_labelings is None:
-        assert labelings is None
-        return None, None
+    if ref_labelings is None:  # every vertex a twin: only the identity is sorted
+        assert labelings == [tuple(range(n))]
+        return labelings, None
     classes = _twin_classes(adj, n)
     assert set(labelings) <= set(ref_labelings)
     for lab in labelings:  # each twin class in ascending vertex order

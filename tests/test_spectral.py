@@ -31,7 +31,6 @@ from specbound.spectral import (
     laplacian_matrix,
     laplacian_spectrum,
     margin,
-    mean_zero_extremes,
     multiset_close,
     norm_floor,
     snapped_ceil,
@@ -162,11 +161,11 @@ def test_spectral_gap_preconditions():
 
 
 def test_mean_zero_extremes_cycle():
-    lo, hi = mean_zero_extremes(cycle(6))
-    assert lo == pytest.approx(1.0, abs=1e-9)
-    assert hi == pytest.approx(4.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        mean_zero_extremes(Graph(4, [(0, 1), (2, 3)]))
+    b = bounds(cycle(6))
+    assert b.mL == pytest.approx(1.0, abs=1e-9)
+    assert b.ML == pytest.approx(4.0, abs=1e-9)
+    b = bounds(Graph(4, [(0, 1), (2, 3)]))
+    assert b.mL is None and b.ML is None
 
 
 def test_block_extremes_petersen_halves():
@@ -286,8 +285,8 @@ def test_dense_cap_is_checked_before_any_allocation(monkeypatch):
 
     monkeypatch.setattr(np, "zeros", spy(np.zeros))
     monkeypatch.setattr(spectral, "_two_coloring", spy(spectral._two_coloring))
-    for solve in (adjacency_spectrum, laplacian_spectrum, bounds, mean_zero_extremes,
-                  norm_floor, lambda g: block_extremes(g, [g.full_mask])):
+    for solve in (adjacency_spectrum, laplacian_spectrum, bounds, norm_floor,
+                  lambda g: block_extremes(g, [g.full_mask])):
         for big in (cycle(4097), path(4097)):  # regular, and bipartite above the SVD gate
             with pytest.raises(CapExceeded):
                 solve(big)
