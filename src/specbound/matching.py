@@ -29,12 +29,13 @@ from (o, s), once.  ``_scan`` walks
 any iterable of big-integer masks one at a time, with a BFS that expands each
 frontier vertex by vertex through the adjacency masks; it takes every
 randomized scan and the exhaustive scans below _VECTOR_MIN_N = 11 vertices.
-``_scan_blocks`` takes the exhaustive scans from there up and runs blocks of
-``uint32`` masks through numpy in lock step.  The crossover and the block
-size are constants beside it, with the measurements that chose them.  Both
-skip the BFS of a subset A of size s that can at most tie the best ratio so
-far (a tie keeps the earlier witness), by bounds on o; ``_scan`` uses the
-first and, when ``tutte_scan`` passes it an even-degree mask, the fourth;
+``_scan_blocks`` takes the exhaustive scans from there up: it bounds blocks
+of ``uint32`` masks in numpy, queues the subsets its bounds leave open and
+runs their BFS in lock-step batches.  The crossover and the block size are
+constants beside it, with the measurements that chose them.  Both skip the
+BFS of a subset A of size s that can at most tie the best ratio so far (a
+tie keeps the earlier witness), by bounds on o; ``_scan`` uses the first
+and, when ``tutte_scan`` passes it an even-degree mask, the fourth;
 ``_scan_blocks`` all four:
 
 * o <= n - s, with the parity of n - s: the components partition V - A, and
@@ -58,7 +59,9 @@ from __future__ import annotations
 import random
 from bisect import bisect
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
+from math import comb
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -139,22 +142,26 @@ def _scan(g: Graph, subsets, even: Optional[Mask]) -> Tuple[int, int, Mask, int]
 
 
 # Exhaustive scans of at least _VECTOR_MIN_N vertices take the numpy kernel.
-# Measured per scan with both kernels carrying the edge-cut bound and the
-# scalar one walking the adjacency masks: the mean over 30 graphs of the best
-# of 7, 2-core host, two runs.  Random graphs of edge density 0.3: n = 9
-# 0.14-0.16 ms scalar against 0.26-0.28 ms numpy, n = 10 0.36-0.46 against
-# 0.34-0.36 ms, n = 11 0.78-0.85 against 0.44-0.52 ms; density 0.5: n = 10
-# 0.44-0.49 against 0.36-0.39 ms, n = 11 2.7-3.7 against 0.5-0.7 ms; cubic
-# graphs, n = 10: 0.50-0.71 against 0.42-0.64 ms.  So numpy wins from n = 11
-# on; at n = 10 it leads by 0.03-0.1 ms, no more than one graph set moves
-# between runs; at n <= 7 (the sweeps over every small graph) its per-call
-# overhead makes it several times slower (0.21-0.25 s against 0.046 s over
-# all 996 connected classes).
+# Measured per scan, the mean over 30 graphs of the best of 7, 2-core host;
+# the numpy kernel bounds no lane of its first block, so below 2^_BLOCK_BITS
+# subsets it runs the BFS alone, and the scalar one is shown with the
+# edge-cut bound and, in brackets, without it, as _scan_facts gives it below
+# the crossover.  Random graphs of edge density 0.3: n = 9 0.14 (0.12) ms
+# scalar against 0.19-0.20 ms numpy, n = 10 0.29-0.34 (0.29) against
+# 0.23-0.28 ms, n = 11 0.92 against 0.33-0.35 ms, n = 12 1.9-2.3 against
+# 0.51-0.59 ms; density 0.5: n = 9 0.35-0.38 (0.22) against 0.15-0.17 ms,
+# n = 10 0.50-0.53 (0.39) against 0.18-0.19 ms, n = 11 2.5-3.3 against
+# 0.24-0.32 ms; cubic graphs: n = 10 0.29-0.30 (0.43) against 0.22-0.23 ms,
+# n = 12 1.3-1.5 against 0.52-0.55 ms.  So numpy wins from n = 11 on, and
+# at n = 10 by 0.07-0.2 ms, a size no workload scans exhaustively; at
+# n <= 7 (the sweeps over every small graph) its per-call overhead makes it
+# about twice as slow (0.107 s against 0.046 s over all 996 connected
+# classes).
 # Block size, on the five n = 16-19 scans of the subset-scan benchmark, the
-# median of 8 alternating rounds (seeds 1 and 3): blocks of 2^12, 2^13, 2^14
-# and 2^15 masks took 95-105, 73-74, 66-67 and 76-88 ms, at tracemalloc peaks
-# of 338, 643, 1233 and 2458 KB; 2^14 would buy about 9% of the scan for
-# twice the memory.
+# median of 8 alternating rounds (seeds 1 and 3, two runs): blocks of 2^12,
+# 2^13, 2^14 and 2^15 masks took 15-16 and 18-19, 13.5-14 and 17-18, 17-18
+# and 21-22, and 31-32 and 34-36 ms, at tracemalloc peaks of 331-358, 677,
+# 1283-1300 and 1858-1902 KB.
 _VECTOR_MIN_N = 11
 _BLOCK_BITS = 13
 
@@ -174,34 +181,44 @@ def _scan_blocks(g: Graph, connected: bool,
                  even: Optional[Mask]) -> Tuple[int, int, Mask, int]:
     """``_scan`` over every nonempty subset (n <= 22), vectorized.
 
-    Masks A = 0 .. 2^n - 1 are taken in integer order in blocks of
-    2^_BLOCK_BITS ``uint32`` lanes; within a block only the low bits vary,
-    so the block's sizes s are the popcounts of 0 .. 2^_BLOCK_BITS - 1 (built
-    once, by doubling) plus those of its high bits.  N(F) and |F| come from
-    two tables, one per half of the vertices (h = ceil(n/2) low bits, the
-    rest high), so each lookup is two gathers.  The bounds of the module
-    docstring on the count o of odd components of G - A drop lanes that can
-    at most tie the best ratio of the earlier blocks (a tie keeps an earlier
-    witness):
+    Masks A = 0 .. 2^n - 1 are taken in blocks of 2^_BLOCK_BITS ``uint32``
+    lanes, the blocks in integer order; within a block the low bits L vary
+    over the lane vertices and the high bits H are fixed, so s = |L| + |H|.
+    The lane tables are kept in the order of |L|, equal sizes in integer
+    order (``_lane_order``): the masks L, |L|, N(L) and, given ``even``,
+    cut(L), L's count of even-degree vertices and one row of |N(v) & L| per
+    vertex v above the lanes (at most 9 * 2^13 ``uint8``, 72 KB).  N(F) and
+    |F| of a whole mask come from two tables, one per half of the vertices
+    (h = ceil(n/2) low bits, the rest high), so each lookup is two gathers.
+    The bounds of the module docstring on the count o of odd components of
+    G - A drop the lanes of a block that can at most tie the best ratio
+    known when the block is bounded (a tie keeps an earlier witness):
 
-    * before any BFS, o <= ub: o <= n - s and o has the parity of n - s; on
-      ``connected`` G also o <= |N(A) - A|, and given ``even`` the edge-cut
-      bound.  ub is the smallest, lowered to the parity of n - s.
-      A lane mask A is its low bits L and the block's high bits H, so
-      cut(A) = cut(L) + cut(H) - 2 e(L, H): cut(L) and L's even-degree count
-      are tables over the 2^_BLOCK_BITS lanes built once by doubling, cut(H)
-      is one integer per block, and e(L, H) the sum over the vertices v of H
-      of a table of |N(v) & L|, one per vertex above the lanes (at most
-      9 * 2^13 ``uint8``, 72 KB);
+    * o <= n - s, with the parity of n - s.  (n - s) * s* > o* * s falls as
+      s grows, so the lanes it leaves open are a prefix of the tables, its
+      end read off the count of lanes of each size, and only that prefix is
+      bounded further;
+    * on ``connected`` G, o <= |N(A) - A|, with N(A) = N(L) | N(H) and N(H)
+      one integer per block; given ``even`` also the edge-cut bound, with
+      cut(A) = cut(L) + cut(H) - 2 e(L, H): cut(H) is one integer per block
+      and e(L, H) the sum of the rows of the vertices of H.  ub is the
+      smallest, lowered to the parity of n - s;
     * after each finished component, o <= (odd so far) + |rest of G - A|.
 
-    Surviving lanes run one frontier BFS per component in lock step; a lane
-    leaves when G - A is used up or its second bound falls to the best.  The
-    best is kept as its integer pair (o*, s*) and a lane's bound b is
-    compared as b * s* <= o* * s in ``int16``, exactly.  Every lane that
-    finishes thus beats the best, and the block's first maximum of o / s
-    (float64, exact for n <= 22) replaces it, so the witness is the
-    earliest subset attaining the maximum, as in ``_scan``.
+    Block 0 is not bounded, as every bound beats no ratio; when it is the
+    only block (n <= _BLOCK_BITS), no table but the lane order is built.
+    The lanes of a later block that the first two bounds leave open are
+    compressed once and queued.  The queue runs one frontier BFS per component in lock step:
+    block 0 alone, so that later blocks are bounded against its best, then
+    whenever the next block would take it past 2^_BLOCK_BITS lanes, and at
+    the end; a lane leaves when G - A is used up or its third bound falls to
+    the best.  The best is kept as its integer pair (o*, s*) and a lane's
+    bound b is compared as b * s* <= o* * s in ``int16``, exactly.  Every
+    lane that finishes thus beats the best known before its batch, and the
+    batch's maximum of o / s (float64, exact for n <= 22) at its least mask
+    replaces it.  Every queued lane comes after the witness in integer
+    order, so the witness is the earliest subset attaining the maximum, as
+    in ``_scan``.
     """
     n = g.n
     adj = g.adj_masks
@@ -211,66 +228,30 @@ def _scan_blocks(g: Graph, connected: bool,
     half = np.uint32((1 << h) - 1)
     shift = np.uint32(h)
     lane_bits = min(n, _BLOCK_BITS)
-    low = np.arange(1 << lane_bits, dtype=np.uint32)
-    low_size = np.zeros(1, dtype=np.int16)
-    while low_size.size < low.size:
-        low_size = np.concatenate((low_size, low_size + 1))
+    width = 1 << lane_bits
     full = np.uint32(g.full_mask)
 
     def popcount(x):  # uint8
         return size_lo.take(x & half) + size_hi.take(x >> shift)
 
-    if even is not None:
-        # For every lane mask L: cut(L) in int16 and, in uint8, L's count of
-        # even-degree vertices and |N(v) & L| for each vertex v above the
-        # lanes (at most 13 * 9 edges join L to the rest, so the sums fit).
-        # Each subtraction keeps a nonnegative result or an int16 operand.
-        low_cut = np.zeros(1, dtype=np.int16)
-        low_even = np.zeros(1, dtype=np.uint8)
-        for v in range(lane_bits):
-            inner = popcount(low[:low_cut.size] & np.uint32(adj[v]))  # |N(v) & L|, L below v
-            low_cut = np.concatenate((low_cut, low_cut + g.degrees[v] - 2 * inner))
-            low_even = np.concatenate((low_even, low_even + (even >> v & 1)))
-        to_lanes = [popcount(low & np.uint32(adj[v])) for v in range(lane_bits, n)]
+    best_o, best_s, witness = -1, 1, 0  # no ratio yet: every bound b >= 0 beats it
 
-        def cut_bound(base):
-            """The edge-cut bound of every lane of the block at ``base``,
-            with cut(L + H) = cut(L) + cut(H) - 2 e(L, H) for H = base."""
-            out = g.full_mask ^ base
-            high_cut = sum((adj[v] & out).bit_count() for v in bits(base))
-            cut = low_cut + high_cut - 2 * sum(to_lanes[v - lane_bits] for v in bits(base))
-            t = (even & out).bit_count() - low_even
-            return (cut + np.minimum(t, cut >> 1)) // 3
-
-    best_o, best_s = -1, 1  # no ratio yet: every bound b >= 0 beats it
-    witness = 0
-    for base in range(0, 1 << n, low.size):
-        masks = low | np.uint32(base)
-        sizes = low_size + base.bit_count()
+    def settle(queue):
+        """The lock-step BFS over the lanes of ``queue``, a list of mask
+        arrays; the batch's maximum ratio, at its least mask, becomes the
+        best."""
+        nonlocal best_o, best_s, witness
+        masks = np.concatenate(queue) if len(queue) > 1 else queue[0]
+        sizes = popcount(masks).astype(np.int16)
         rest = masks ^ full
-        left = n - sizes  # |rest|
-        bound = left
-        if connected:
-            bound = np.minimum(left, popcount(
-                (nb_lo.take(masks & half) | nb_hi.take(masks >> shift)) & rest))
-            if even is not None:
-                bound = np.minimum(bound, cut_bound(base))
-            bound -= (bound ^ left) & 1
-        floor = best_o * sizes
-        keep = bound * best_s > floor
-        if base == 0:
-            keep[0] = False  # the empty set
-        lanes = np.arange(low.size, dtype=np.int16)
-        pot = left  # odd so far + |rest|: the second bound, and o once rest is 0
-        finished, odds = [], []
-        while True:
-            ended = keep & (rest == 0)
-            finished.append(lanes[ended])
-            odds.append(pot[ended])
-            open_ = np.flatnonzero(keep ^ ended)
-            if not open_.size:
-                break
-            rest, pot, floor, lanes = rest[open_], pot[open_], floor[open_], lanes[open_]
+        # b * s* > o* * s exactly when b > need, for the bound b = odd so far
+        # + |rest|; a lane stays open while margin = b - need > 0, and b = o
+        # once rest is 0
+        need = best_o * sizes // best_s
+        margin = n - sizes - need
+        lanes = np.arange(masks.size)
+        finished, margins = [], []
+        while lanes.size:
             before = rest
             frontier = rest & -rest
             rest = rest ^ frontier
@@ -278,19 +259,98 @@ def _scan_blocks(g: Graph, connected: bool,
                 frontier = (nb_lo.take(frontier & half)
                             | nb_hi.take(frontier >> shift)) & rest
                 rest ^= frontier
-            done = before ^ rest  # the component each lane just finished
-            # of its z vertices, z & 1 stay in pot as an odd component
-            pot = pot - (popcount(done) & 0xFE)
-            keep = pot * best_s > floor
+            # of the z vertices of the component just finished, z & 1 stay
+            # in b as an odd component
+            margin = margin - (popcount(before ^ rest) & 0xFE)
+            keep = margin > 0
+            ended = keep & (rest == 0)
+            finished.append(lanes[ended])
+            margins.append(margin[ended])
+            open_ = np.flatnonzero(keep ^ ended)
+            rest, margin, lanes = rest[open_], margin[open_], lanes[open_]
         finished = np.concatenate(finished)
         if finished.size:
-            odd = np.concatenate(odds)
-            ratios = odd / sizes[finished]
+            at = masks[finished]
+            odd = np.concatenate(margins) + need[finished]
+            s = sizes[finished]
+            ratios = odd / s
             top = np.flatnonzero(ratios == ratios.max())
-            j = top[np.argmin(finished[top])]  # the earliest lane at the maximum
-            best_o, best_s = int(odd[j]), int(sizes[finished[j]])
-            witness = int(masks[finished[j]])
+            j = top[np.argmin(at[top])]  # the least mask at the maximum
+            best_o, best_s, witness = int(odd[j]), int(s[j]), int(at[j])
+
+    low, low_size, starts = _lane_order(lane_bits)
+    settle([low[1:]])  # block 0 less the empty set
+    if n == lane_bits:  # the only block
+        return best_o, best_s, witness, (1 << n) - 1
+    if connected:
+        low_nb = nb_lo.take(low & half) | nb_hi.take(low >> shift)  # N(L)
+    if even is not None:
+        # For every lane mask L, built in integer order by doubling and then
+        # put in size order: cut(L) in int16 and, in uint8, L's count of
+        # even-degree vertices and |N(v) & L| for each vertex v above the
+        # lanes (at most 13 * 9 edges join L to the rest, so the sums fit).
+        # Each subtraction keeps a nonnegative result or an int16 operand.
+        by_int = np.arange(width, dtype=np.uint32)
+        low_cut = np.zeros(1, dtype=np.int16)
+        low_even = np.zeros(1, dtype=np.uint8)
+        for v in range(lane_bits):
+            inner = popcount(by_int[:low_cut.size] & np.uint32(adj[v]))  # |N(v) & L|, L below v
+            low_cut = np.concatenate((low_cut, low_cut + g.degrees[v] - 2 * inner))
+            low_even = np.concatenate((low_even, low_even + (even >> v & 1)))
+        low_cut, low_even = low_cut.take(low), low_even.take(low)
+        to_lanes = [popcount(low & np.uint32(adj[v])) for v in range(lane_bits, n)]
+
+    queue, queued = [], 0
+    for base in range(width, 1 << n, width):
+        high = base.bit_count()
+        # lanes of size k pass o <= n - s while k * (s* + o*) < num: a prefix
+        num = (n - high) * best_s - best_o * high
+        end = starts[min(lane_bits + 1, max(0, -(-num // (best_s + best_o))))]
+        if not end:
+            continue
+        masks = low[:end] | np.uint32(base)
+        if connected:
+            rest = masks ^ full
+            sizes = low_size[:end] + high
+            left = n - sizes  # |rest|
+            above = list(bits(base))
+            reach = 0  # N(H)
+            for v in above:
+                reach |= adj[v]
+            bound = popcount((low_nb[:end] | np.uint32(reach)) & rest)
+            if even is not None:
+                # cut(L + H) = cut(L) + cut(H) - 2 e(L, H)
+                out = g.full_mask ^ base
+                cut = (low_cut[:end] + sum((adj[v] & out).bit_count() for v in above)
+                       - 2 * sum(to_lanes[v - lane_bits][:end] for v in above))
+                t = (even & out).bit_count() - low_even[:end]
+                bound = np.minimum(bound, (cut + np.minimum(t, cut >> 1)) // 3)
+            bound = bound - ((bound ^ left) & 1)
+            masks = masks[bound * best_s > best_o * sizes]
+        if queued + masks.size > width:
+            settle(queue)
+            queue, queued = [], 0
+        if masks.size:
+            queue.append(masks)
+            queued += masks.size
+    if queue:
+        settle(queue)
     return best_o, best_s, witness, (1 << n) - 1
+
+
+@lru_cache(maxsize=None)
+def _lane_order(lane_bits: int) -> Tuple[np.ndarray, np.ndarray, Tuple[int, ...]]:
+    """The masks 0 .. 2^lane_bits - 1 in the order of their size, equal
+    sizes in integer order, as ``uint32``; their sizes in ``int16``; and for
+    each k = 0 .. lane_bits + 1 the count of masks of fewer than k bits.  It
+    depends on ``lane_bits`` alone, so each is built once per process."""
+    size = np.zeros(1, dtype=np.uint8)
+    for _ in range(lane_bits):
+        size = np.concatenate((size, size + 1))
+    counts = [comb(lane_bits, k) for k in range(lane_bits + 1)]
+    return (np.argsort(size, kind="stable").astype(np.uint32),
+            np.repeat(np.arange(lane_bits + 1, dtype=np.int16), counts),
+            tuple(accumulate(counts, initial=0)))
 
 
 def _kth_bit(mask: Mask, k: int) -> int:
@@ -357,15 +417,17 @@ def _check_exhaustive(n: int) -> None:
         raise CapExceeded("exhaustive Tutte scan capped at n=22")
 
 
-def _scan_facts(g: Graph) -> Tuple[bool, Optional[Mask]]:
+def _scan_facts(g: Graph, exhaustive: bool) -> Tuple[bool, Optional[Mask]]:
     """Whether ``g`` is connected, and its even-degree mask where the edge-cut
     bound holds (connected bridgeless G) and pays, else None.  Below
     _VECTOR_MIN_N vertices it costs more than the BFS it saves: the
     exhaustive scans of all 996 connected classes with n <= 7 took
     0.043-0.050 s without it and 0.070-0.079 s with it (best of 9, 2-core
-    host)."""
+    host).  An ``exhaustive`` scan of at most _BLOCK_BITS vertices is one
+    block of ``_scan_blocks``, which bounds no lane of it."""
     connected = is_connected(g)
-    if g.n < _VECTOR_MIN_N or not connected or bridges(g):
+    if (g.n < (_BLOCK_BITS + 1 if exhaustive else _VECTOR_MIN_N)
+            or not connected or bridges(g)):
         return connected, None
     return connected, mask_of(v for v, d in enumerate(g.degrees) if d % 2 == 0)
 
@@ -401,7 +463,7 @@ def tutte_scan(g: Graph, mode: str = "exhaustive", seed: int = 0,
         _check_exhaustive(g.n)
     elif mode != "randomized":
         raise ValueError(f"unknown scan mode {mode!r}")
-    connected, even = _scan_facts(g)
+    connected, even = _scan_facts(g, mode == "exhaustive")
     bh = _doubled_gap_holds(g, tol) if g.n >= 2 and connected else None
 
     if mode == "randomized":

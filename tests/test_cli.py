@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -752,20 +753,35 @@ _SIZES = st.one_of(st.integers(-3, _FUZZ_CAP + 8).map(str),
 _GEN_FLAGS = {"--cycle": 1, "--path": 1, "--complete": 1, "--complete-bipartite": 2,
               "--random-regular": 2, "--petersen": 0, "--paley": 0, "--subdivide": 0,
               "--function-graph": 0}
+# the flags gen draws from: --function-graph four times, so that its long maps
+# are drawn often enough to cross the cap in most runs of the fuzz
+_GEN_DRAWS = sorted(_GEN_FLAGS) + ["--function-graph"] * 3
+
+
+@st.composite
+def _function_maps(draw):
+    """A well-formed ``--function-graph`` spec: one or two maps of the same m
+    points, m within 8 of _FUZZ_CAP, so that the order drawn crosses the cap
+    about half the time (the free-text specs are short)."""
+    m = draw(st.sampled_from(range(_FUZZ_CAP - 7, _FUZZ_CAP + 9)))  # uniform; integers() is not
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))  # long maps, few draws
+    return ";".join(",".join(str(rng.randrange(m)) for _ in range(m))
+                    for _ in range(draw(st.integers(1, 2))))
 
 
 @st.composite
 def _gen_args(draw):
     """One of gen's constructor flags, now and then two (a usage error)."""
-    flags = [draw(st.sampled_from(sorted(_GEN_FLAGS)))]
+    flags = [draw(st.sampled_from(_GEN_DRAWS))]
     if draw(st.integers(0, 9)) == 0:
-        flags.append(draw(st.sampled_from(sorted(_GEN_FLAGS))))
+        flags.append(draw(st.sampled_from(_GEN_DRAWS)))
     argv = []
     for flag in flags:
         argv.append(flag)
         argv.extend(draw(_SIZES) for _ in range(_GEN_FLAGS[flag]))
         if flag == "--function-graph":
-            argv.append(draw(st.text(alphabet="0123,;-x", max_size=12)))
+            argv.append(draw(st.one_of(st.text(alphabet="0123,;-x", max_size=12),
+                                       _function_maps())))
     if draw(st.booleans()):
         argv.append(f"--seed={draw(_SIZES)}")
     return argv
@@ -773,8 +789,9 @@ def _gen_args(draw):
 
 @st.composite
 def _cli_calls(draw):
+    # gen twice: one call in nine is too few to draw each of its flags often
     command = draw(st.sampled_from(["spectrum", "bounds", "color", "bipartite", "tutte",
-                                    "limit", "verify", "gen"]))
+                                    "limit", "verify", "gen", "gen"]))
     argv = [command]
     if command == "gen":
         return argv + draw(_gen_args())

@@ -357,14 +357,14 @@ def test_oracles_agree_on_random_even_graphs(seed):
 
 def _scalar_scan(g, subsets=None):
     """``_scan`` over ``subsets``, by default every nonempty subset, with the
-    even-degree mask that ``tutte_scan`` would give it."""
-    _, even = matching._scan_facts(g)
+    even-degree mask that ``tutte_scan`` would give a randomized scan."""
+    _, even = matching._scan_facts(g, exhaustive=False)
     return matching._scan(g, range(1, 1 << g.n) if subsets is None else subsets, even)
 
 
 def _block_scan(g):
     """``_scan_blocks`` with the arguments that ``tutte_scan`` would give it."""
-    return matching._scan_blocks(g, *matching._scan_facts(g))
+    return matching._scan_blocks(g, *matching._scan_facts(g, exhaustive=True))
 
 
 def _star_of_odd_blocks(blocks):
@@ -393,8 +393,46 @@ def _subdivide_first_edge(g):
     return Graph(g.n + 1, others + [(u, g.n), (v, g.n)])
 
 
+def _stars(leaves, joined):
+    """Stars centred on the high vertices 13, 14 and 15 of a 16-vertex graph,
+    ``leaves[i]`` leaves on the lane vertices for centre 13 + i; ``joined``
+    adds the path 13-14-15.  Removing a centre leaves its leaves isolated
+    and every other part even, so c_star is the largest star's leaf count,
+    at a single centre in block 1 or 2 (high bits {13} or {14})."""
+    edges, start = [], 0
+    for centre, k in zip((13, 14, 15), leaves):
+        edges += [(start + i, centre) for i in range(k)]
+        start += k
+    return Graph(16, edges + ([(13, 14), (14, 15)] if joined else []))
+
+
+def _hubs_and_pair():
+    """Two gadgets joined by the edge 3-4: every triple of the hubs 0..3
+    shares two leaves, and 4 and 5 share four.  G - {0, 1, 2, 3} isolates
+    the eight hub leaves and G - {4, 5} the four shared ones, ratio 2 both
+    times, the maximum."""
+    edges, v = [(3, 4)], 6
+    for triple in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
+        for _ in range(2):
+            edges += [(h, v) for h in triple]
+            v += 1
+    for _ in range(4):
+        edges += [(4, v), (5, v)]
+        v += 1
+    return Graph(v, edges)
+
+
+_JOINED = [(True, "joined"), (False, "apart")]
+
+
+def _dense(n, p, seed):
+    rng = random.Random(seed)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
 def test_block_kernel_matches_scalar_scan_on_every_small_class(monkeypatch):
-    # both kernels take the edge-cut bound on every connected bridgeless class
+    # the scalar kernel takes the edge-cut bound on every connected bridgeless
+    # class; the block kernel runs each graph as one block and bounds no lane
     monkeypatch.setattr(matching, "_VECTOR_MIN_N", 1)
     for n in range(1, 9):
         for g in enumerate_graphs(n):
@@ -430,6 +468,23 @@ def test_block_kernel_matches_scalar_scan_on_every_small_class(monkeypatch):
     # component below (odd so far + |rest|) would drop it
     pytest.param(lambda: _subdivide_first_edge(random_regular(14, 3, seed=3)),
                  id="retirement-subdivided-cubic-15"),
+    # one block: A = V is the only nonempty subset of K1, with o = 0
+    pytest.param(lambda: Graph(1, []), id="K1"),
+    # c_star = 4/5, 2/3, 7/10 and 1/2: most lanes of every block run a BFS
+    *[pytest.param(lambda n=n, p=p, seed=seed: _dense(n, p, seed), id=f"dense-{n}-{p}-s{seed}")
+      for n, p, seed in [(15, 0.5, 0), (15, 0.5, 1), (17, 0.4, 1), (17, 0.6, 0)]],
+    # Block 0 runs alone (its best: 1 at a leaf); the blocks after it share
+    # batches (joined: blocks 1-7, apart: blocks 1-2, one block's worth of
+    # lanes).  {13} and {14} tie at 5 in blocks 1 and 2 (joined, {13, 14}
+    # too, in block 3): the least mask, {13}, is the witness
+    *[pytest.param(lambda joined=joined: _stars((5, 5, 3), joined),
+                   id=f"tie-in-two-blocks-{name}") for joined, name in _JOINED],
+    # block 1's best, 3 at {13}, is beaten in block 2 by 5 at {14}
+    *[pytest.param(lambda joined=joined: _stars((3, 5, 5), joined),
+                   id=f"improves-in-block-2-{name}") for joined, name in _JOINED],
+    # ratio 2 at {0, 1, 2, 3} and at {4, 5}, both in block 0: its lanes run
+    # in the order of their size, but the witness is the earlier mask
+    pytest.param(_hubs_and_pair, id="tie-across-sizes-in-one-block"),
 ])
 def test_block_kernel_matches_scalar_scan(make):
     g = make()
@@ -503,7 +558,7 @@ def test_randomized_cut_bound_matches_unbounded_reference(make):
 class _CountingNumpy:
     """numpy, but recording the size of each ``flatnonzero``: in
     ``_scan_blocks``, the lanes open for one more BFS round, and the lanes at
-    a block's maximum."""
+    a batch's maximum."""
 
     def __init__(self):
         self.sizes = []
@@ -528,11 +583,11 @@ def test_cut_bound_opens_no_lane_after_the_first_block(monkeypatch, make):
     counting = _CountingNumpy()
     monkeypatch.setattr(matching, "np", counting)
     assert _block_scan(g)[:3] == (1, 1, 1)  # o = s = 1 at the witness {0}
-    blocks = 1 << (g.n - matching._BLOCK_BITS)
-    # block 0 ends on picking its first maximum among the finished lanes;
-    # every later block on one empty call
-    assert counting.sizes[-blocks] > 0
-    assert counting.sizes[1 - blocks:] == [0] * (blocks - 1)
+    # a batch's BFS ends on one empty call, then picks its least maximum among
+    # the finished lanes; block 0 runs alone, and a later block that queued
+    # a lane would run another batch
+    assert counting.sizes.count(0) == 1
+    assert counting.sizes[-2] == 0 and counting.sizes[-1] > 0
 
 
 @pytest.mark.parametrize("make", [
@@ -543,7 +598,7 @@ def test_cut_bound_runs_no_bfs_after_the_singletons(make):
     g = make()
     subsets = list(matching._random_subsets(g, 1, 300))
     assert subsets[:g.n] == [1 << v for v in range(g.n)]
-    _, even = matching._scan_facts(g)  # before the count: its checks read the masks too
+    _, even = matching._scan_facts(g, exhaustive=False)  # before the count: its checks read the masks too
     assert even is not None
     lookups = []
 
