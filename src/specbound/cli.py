@@ -37,7 +37,7 @@ from .coloring import (_check_brute, brute_force_chromatic, function_graph_color
 from .generators import (complete, complete_bipartite, cycle,
                          function_graph, paley_tournament, path, petersen,
                          random_regular, subdivide)
-from .graphs import (CapExceeded, bits, canonical_digest,
+from .graphs import (CapExceeded, InternalError, bits, canonical_digest,
                      dump_directed_edge_list, dump_edge_list,
                      load_directed_edge_list, load_edge_list)
 from .limits import accumulate_spectra, max_gap
@@ -382,7 +382,7 @@ def run(argv: Optional[List[str]] = None, stdin_text: Optional[str] = None,
     except ValueError as exc:
         out.write(_error_json("input", str(exc)))
         return 2
-    except RuntimeError as exc:  # InternalError
+    except InternalError as exc:
         out.write(_error_json("internal", str(exc)))
         return 4
     except Exception as exc:  # any other fault of the program, named by its type

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .graphs import CapExceeded, Graph, Mask, bits, components_within
+from .graphs import CapExceeded, Graph, Mask, bits, is_connected
 
 MAX_ENUM_N = 8
 
@@ -307,12 +307,11 @@ _GRAPHS: Dict[Tuple[int, bool], Tuple[Graph, ...]] = {}
 def enumerate_graphs(n: int, connected: bool = False) -> Tuple[Graph, ...]:
     """All graphs on exactly n vertices up to isomorphism, optionally only
     the connected ones.  Memoized: every call for the same ``(n, connected)``
-    returns the same tuple and builds nothing.  The connected tuple is
-    filtered on the masks, so the registry's sweeps, which ask only for
-    connected graphs, build no disconnected ones."""
+    returns the same tuple and builds nothing.  The connected tuple keeps
+    the ``is_connected`` members of the full one, so each class is one
+    ``Graph`` and its kept spectra are solved once for both lists."""
     key = (n, connected)
     if key not in _GRAPHS:
-        full = (1 << n) - 1
-        _GRAPHS[key] = tuple(_to_graph(adj) for adj in graph_masks(n)
-                             if not connected or len(components_within(adj, full)) == 1)
+        _GRAPHS[key] = (tuple(filter(is_connected, enumerate_graphs(n))) if connected
+                        else tuple(_to_graph(adj) for adj in graph_masks(n)))
     return _GRAPHS[key]

@@ -10,12 +10,13 @@ works on two small types defined here:
 * :class:`DirectedGraph` -- finite out-neighbor lists, optionally remembering
   how many generating functions it was built from.
 
-Around them sit the bitmask helpers, neighbourhoods, masked BFS components
-(``components_within`` works on raw adjacency masks), the BFS levels
-behind the 2-coloring shared by ``spectral`` and ``bipartite``, the
-eccentricity their certificates read and the doubled-gap flag's distances,
-the bridges that gate the Tutte scan's edge-cut bound, and the edge-list text
-format with its canonical digest.
+Around them sit the bitmask helpers; one BFS, ``bfs_levels``, which answers
+every connectivity question and gives the 2-coloring shared by ``spectral``
+and ``bipartite``, the eccentricity their certificates read and the
+doubled-gap flag's distances; the bridges that gate the Tutte scan's edge-cut
+bound; and the edge-list text format with its canonical digest.  This
+module only builds ``adj_masks``: the exhaustive searches (Tutte scans, the
+matching oracle, brute-force coloring) read it, and no spectral command does.
 
 The mass-transport principle needs no checker here: under the uniform measure
 on a finite graph, mass sent and mass received are one finite sum taken in two
@@ -25,7 +26,7 @@ orders, equal by algebra.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 Mask = int  # vertex subsets as bitmasks over 0..n-1
 
@@ -144,54 +145,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def neighborhood(g: Graph, subset: Mask) -> Mask:
-    """Vertices with at least one neighbor in ``subset``.
-
-    Note N(A) may intersect A; it is the set of endpoints of edges leaving A,
-    not the "exterior boundary".  Always ``|N(A)| <= max_degree * |A|``.
-    """
-    out = 0
-    for v in bits(subset):
-        out |= g.adj_masks[v]
-    return out
-
-
-def components_within(adj_masks: Sequence[Mask], region: Mask) -> List[Mask]:
-    """Connected components of the subgraph induced on ``region`` (bitmasks).
-
-    Ordered by least contained vertex.  Works on raw adjacency masks so the
-    Tutte subset scan can call it without building Graph objects.
-    """
-    comps = []
-    rem = region
-    while rem:
-        seed = rem & -rem
-        comp = seed
-        frontier = seed
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                nxt |= adj_masks[b.bit_length() - 1]
-            nxt &= region & ~comp
-            comp |= nxt
-            frontier = nxt
-        comps.append(comp)
-        rem &= ~comp
-    return comps
-
-
-def components(g: Graph) -> List[Mask]:
-    """Vertex sets of the connected components, ordered by least vertex."""
-    return components_within(g.adj_masks, g.full_mask)
-
-
-def is_connected(g: Graph) -> bool:
-    return len(components(g)) == 1
-
-
 def bfs_levels(g: Graph) -> List[int]:
     """Each vertex's BFS distance from its component's least vertex, so the
     graph is connected iff vertex 0 alone has level 0, and then the largest
@@ -213,6 +166,10 @@ def bfs_levels(g: Graph) -> List[int]:
                         nxt.append(u)
             frontier = nxt
     return level
+
+
+def is_connected(g: Graph) -> bool:
+    return bfs_levels(g).count(0) == 1
 
 
 def bridges(g: Graph) -> List[Tuple[int, int]]:

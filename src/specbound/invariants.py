@@ -25,8 +25,7 @@ from .enumeration import enumerate_graphs
 from .generators import (complete, complete_bipartite, cycle,
                          function_graph, paley_tournament, petersen,
                          random_regular, subdivide)
-from .graphs import (Graph, dump_edge_list, is_connected, load_edge_list, mask_of,
-                     neighborhood)
+from .graphs import Graph, bits, dump_edge_list, is_connected, load_edge_list, mask_of
 from .limits import accumulate_spectra, cycle_spectrum, max_gap
 from .matching import tutte_scan, two_set_inequality
 from .spectral import adjacency_spectrum, block_extremes, bounds, multiset_close
@@ -251,7 +250,7 @@ def _two_set_corpus(tier):
         size_y, size_z = rng.randint(1, 2), rng.randint(1, 2)
         verts = rng.sample(range(g.n), size_y + size_z)
         y, z = mask_of(verts[:size_y]), mask_of(verts[size_y:])
-        if neighborhood(g, y) & z:
+        if any(g.adj_masks[v] & z for v in bits(y)):
             continue  # an edge joins the sets: not an instance
         yield g, y, z, None
         sampled += 1

@@ -90,7 +90,7 @@ def _scan(g: Graph, subsets, even: Optional[Mask]) -> Tuple[int, int, Mask, int]
     ``subsets`` may be any iterable of masks; ``tutte_scan`` passes it the
     randomized draws and the exhaustive scans of fewer than _VECTOR_MIN_N
     vertices.  The BFS expands a frontier one vertex at a time, ORing its
-    row of ``g.adj_masks``, as ``components_within`` does, so a subset costs
+    row of ``g.adj_masks`` and keeping what lies in G - A, so a subset costs
     one lookup per vertex of G - A whatever the width of the masks.  The best
     (o*, s*) is beaten when o * s* > o* * s.  G - A has at most n - |A| odd
     components, so a subset of size s with (n - s) * s* <= o* * s cannot
@@ -520,7 +520,7 @@ class TwoSetReport:
     ML: float
 
 
-def two_set_inequality(g: Graph, y: Mask, z: Mask, tol: float = TOL) -> TwoSetReport:
+def two_set_inequality(g: Graph, y: Mask, z: Mask) -> TwoSetReport:
     """Check mu(Y)mu(Z)/((1-mu(Y))(1-mu(Z))) <= ((ML-mL)/(ML+mL))^2.
 
     Requires a connected regular graph and disjoint nonempty Y, Z with no
@@ -544,7 +544,7 @@ def two_set_inequality(g: Graph, y: Mask, z: Mask, tol: float = TOL) -> TwoSetRe
     m_l, big_l = lap[1], lap[-1]
     lhs = (mu_y * mu_z) / ((1.0 - mu_y) * (1.0 - mu_z))
     rhs = ((big_l - m_l) / (big_l + m_l)) ** 2
-    return TwoSetReport(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + tol),
+    return TwoSetReport(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + TOL),
                         mL=m_l, ML=big_l)
 
 

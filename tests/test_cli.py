@@ -316,7 +316,8 @@ def test_internal_fault_is_exit_4(monkeypatch):
     assert "untrustworthy" in err["message"]
 
 
-@pytest.mark.parametrize("exc", [MemoryError(), KeyError("x")], ids=lambda e: type(e).__name__)
+@pytest.mark.parametrize("exc", [MemoryError(), KeyError("x"), RecursionError(),
+                                 NotImplementedError()], ids=lambda e: type(e).__name__)
 def test_any_other_exception_is_an_internal_fault(monkeypatch, exc):
     # gen --complete 2048 under a low address-space limit died with a
     # traceback from a MemoryError in Graph.__init__

@@ -56,6 +56,13 @@ def test_enumerated_graphs_are_memoized_once():
     assert not any(hasattr(v, "cache_info") for v in vars(invariants).values())
 
 
+def test_connected_members_are_the_full_lists_objects():
+    # one Graph per class, so a spectrum kept on it is solved once for both lists
+    for n in range(1, 8):
+        everyone = {id(g) for g in enumerate_graphs(n)}
+        assert all(id(g) in everyone for g in enumerate_graphs(n, connected=True)), n
+
+
 def test_enumeration_members_are_canonical_and_distinct():
     for n in range(1, 8):
         reps = graph_masks(n)

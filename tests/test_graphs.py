@@ -1,10 +1,9 @@
-"""Core graph container, bitmask regions, edge-list I/O."""
+"""Core graph container, BFS connectivity, bridges, edge-list I/O."""
 
 import hashlib
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import graphs
 from specbound.enumeration import enumerate_graphs
@@ -12,17 +11,15 @@ from specbound.generators import cycle, path, petersen
 from specbound.graphs import (
     DirectedGraph,
     Graph,
-    bits,
+    bfs_levels,
     bridges,
     canonical_digest,
-    components,
     dump_directed_edge_list,
     dump_edge_list,
     is_connected,
     load_directed_edge_list,
     load_edge_list,
     mask_of,
-    neighborhood,
 )
 
 
@@ -63,45 +60,26 @@ def test_mu_is_normalized_counting_measure():
     assert g.mu(0) == 0.0
 
 
-def test_neighborhood_may_overlap_input():
-    g = cycle(4)
-    assert neighborhood(g, mask_of([0, 1])) == mask_of([0, 1, 2, 3])
-    p = petersen()
-    outer = mask_of(range(5))
-    nb = neighborhood(p, outer)
-    # outer cycle neighbours itself plus all five spokes
-    assert nb == mask_of(range(10))
-
-
-@given(graphs(max_n=10), st.data())
-@settings(max_examples=60, deadline=None)
-def test_neighborhood_size_bounded_by_degree(g, data):
-    verts = data.draw(st.sets(st.integers(0, g.n - 1)))
-    region = mask_of(verts)
-    nb = neighborhood(g, region)
-    assert bin(nb).count("1") <= g.max_degree * len(verts)
-    for v in bits(nb):
-        assert any(u in verts for u in g.adj[v])
-
-
 def test_components_ordered_by_least_vertex():
+    # ``bfs_levels`` roots each component at its least vertex (level 0)
     g = Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
-    comps = components(g)
-    assert comps == [mask_of([0, 1, 2]), mask_of([3, 4])]
+    assert bfs_levels(g) == [0, 1, 1, 0, 1]
     assert not is_connected(g)
     assert is_connected(cycle(6))
 
 
 def test_isolated_vertices_are_their_own_components():
-    g = Graph(3, [])
-    assert components(g) == [1, 2, 4]
+    assert bfs_levels(Graph(3, [])) == [0, 0, 0]
+    assert not is_connected(Graph(3, []))
+    assert is_connected(Graph(1, []))
 
 
 def _bridges_by_deletion(g):
-    """Edges whose deletion adds a component, found by deleting each one."""
-    count = len(components(g))
+    """Edges whose deletion adds a component, found by deleting each one;
+    ``bfs_levels`` puts exactly each component's least vertex at level 0."""
+    count = bfs_levels(g).count(0)
     return [e for e in g.edges()
-            if len(components(Graph(g.n, [f for f in g.edges() if f != e]))) > count]
+            if bfs_levels(Graph(g.n, [f for f in g.edges() if f != e])).count(0) > count]
 
 
 def test_bridges_match_edge_deletion_on_every_small_class():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import friendship, graphs
 from specbound import spectral
 from specbound.bipartite import spectral_bipartite_test
+from specbound.coloring import min_degree_peel_color
 from specbound.enumeration import enumerate_graphs
 from specbound.generators import (
     complete,
@@ -76,6 +77,22 @@ def test_spectrum_contains():
 def test_laplacian_kernel_counts_components():
     g = Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (5, 6)])
     assert laplacian_spectrum(g).count(0.0) == 3  # the kernel's noise is zeroed
+
+
+@pytest.mark.parametrize("make", [lambda: subdivide(random_regular(16, 3, 1)),
+                                  lambda: friendship(16)],
+                         ids=["irregular-bipartite-40", "irregular-odd-cycle-33"])
+def test_spectral_commands_read_no_adjacency_mask(make):
+    # connectivity, 2-colorings and peeling walk the neighbor lists, so the
+    # per-vertex bitmasks could be built lazily without touching these paths
+    def maskless():
+        g = make()
+        del g.adj_masks
+        return g
+
+    for run in (bounds, norm_floor, spectral_bipartite_test, adjacency_spectrum,
+                lambda g: min_degree_peel_color(g, g.max_degree)):
+        run(maskless())
 
 
 @given(graphs(min_n=2, max_n=10))
