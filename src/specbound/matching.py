@@ -34,14 +34,13 @@ of ``uint32`` masks in numpy, queues the subsets its bounds leave open and
 runs their BFS in lock-step batches.  The crossover and the block size are
 constants beside it, with the measurements that chose them.  Both skip the
 BFS of a subset A of size s that can at most tie the best ratio so far (a
-tie keeps the earlier witness), by bounds on o; ``_scan`` uses the first
-and, when ``tutte_scan`` passes it an even-degree mask, the fourth;
-``_scan_blocks`` all four:
+tie keeps the earlier witness), by bounds on o.  Before a subset's BFS
+both take the first and, when ``tutte_scan`` passes them an even-degree
+mask, the third; ``_scan_blocks`` lowers the third to the parity of n - s
+and takes the second during the BFS:
 
 * o <= n - s, with the parity of n - s: the components partition V - A, and
   the even ones add up to an even size;
-* on connected G, o <= |N(A) - A|: every component of G - A holds a
-  neighbour of A, or it would be a whole component of G;
 * once some components are done, o <= (odd ones among them) + (vertices of
   G - A not in them), since each other odd component holds one of those;
 * on connected bridgeless G (Petersen's count), o <= floor((cut + min(t,
@@ -177,17 +176,16 @@ def _half_tables(g: Graph, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
     return nbhd, size
 
 
-def _scan_blocks(g: Graph, connected: bool,
-                 even: Optional[Mask]) -> Tuple[int, int, Mask, int]:
+def _scan_blocks(g: Graph, even: Optional[Mask]) -> Tuple[int, int, Mask, int]:
     """``_scan`` over every nonempty subset (n <= 22), vectorized.
 
     Masks A = 0 .. 2^n - 1 are taken in blocks of 2^_BLOCK_BITS ``uint32``
     lanes, the blocks in integer order; within a block the low bits L vary
     over the lane vertices and the high bits H are fixed, so s = |L| + |H|.
     The lane tables are kept in the order of |L|, equal sizes in integer
-    order (``_lane_order``): the masks L, |L|, N(L) and, given ``even``,
-    cut(L), L's count of even-degree vertices and one row of |N(v) & L| per
-    vertex v above the lanes (at most 9 * 2^13 ``uint8``, 72 KB).  N(F) and
+    order (``_lane_order``): the masks L, |L| and, given ``even``, cut(L),
+    L's count of even-degree vertices and one row of |N(v) & L| per vertex v
+    above the lanes (at most 9 * 2^13 ``uint8``, 72 KB).  N(F) and
     |F| of a whole mask come from two tables, one per half of the vertices
     (h = ceil(n/2) low bits, the rest high), so each lookup is two gathers.
     The bounds of the module docstring on the count o of odd components of
@@ -198,11 +196,9 @@ def _scan_blocks(g: Graph, connected: bool,
       s grows, so the lanes it leaves open are a prefix of the tables, its
       end read off the count of lanes of each size, and only that prefix is
       bounded further;
-    * on ``connected`` G, o <= |N(A) - A|, with N(A) = N(L) | N(H) and N(H)
-      one integer per block; given ``even`` also the edge-cut bound, with
-      cut(A) = cut(L) + cut(H) - 2 e(L, H): cut(H) is one integer per block
-      and e(L, H) the sum of the rows of the vertices of H.  ub is the
-      smallest, lowered to the parity of n - s;
+    * given ``even``, the edge-cut bound ub, with cut(A) = cut(L) + cut(H)
+      - 2 e(L, H): cut(H) is one integer per block and e(L, H) the sum of
+      the rows of the vertices of H.  ub is lowered to the parity of n - s;
     * after each finished component, o <= (odd so far) + |rest of G - A|.
 
     Block 0 is not bounded, as every bound beats no ratio; when it is the
@@ -282,8 +278,6 @@ def _scan_blocks(g: Graph, connected: bool,
     settle([low[1:]])  # block 0 less the empty set
     if n == lane_bits:  # the only block
         return best_o, best_s, witness, (1 << n) - 1
-    if connected:
-        low_nb = nb_lo.take(low & half) | nb_hi.take(low >> shift)  # N(L)
     if even is not None:
         # For every lane mask L, built in integer order by doubling and then
         # put in size order: cut(L) in int16 and, in uint8, L's count of
@@ -309,22 +303,16 @@ def _scan_blocks(g: Graph, connected: bool,
         if not end:
             continue
         masks = low[:end] | np.uint32(base)
-        if connected:
-            rest = masks ^ full
+        if even is not None:
             sizes = low_size[:end] + high
-            left = n - sizes  # |rest|
+            left = n - sizes  # |V - A|
             above = list(bits(base))
-            reach = 0  # N(H)
-            for v in above:
-                reach |= adj[v]
-            bound = popcount((low_nb[:end] | np.uint32(reach)) & rest)
-            if even is not None:
-                # cut(L + H) = cut(L) + cut(H) - 2 e(L, H)
-                out = g.full_mask ^ base
-                cut = (low_cut[:end] + sum((adj[v] & out).bit_count() for v in above)
-                       - 2 * sum(to_lanes[v - lane_bits][:end] for v in above))
-                t = (even & out).bit_count() - low_even[:end]
-                bound = np.minimum(bound, (cut + np.minimum(t, cut >> 1)) // 3)
+            # cut(L + H) = cut(L) + cut(H) - 2 e(L, H)
+            out = g.full_mask ^ base
+            cut = (low_cut[:end] + sum((adj[v] & out).bit_count() for v in above)
+                   - 2 * sum(to_lanes[v - lane_bits][:end] for v in above))
+            t = (even & out).bit_count() - low_even[:end]
+            bound = (cut + np.minimum(t, cut >> 1)) // 3
             bound = bound - ((bound ^ left) & 1)
             masks = masks[bound * best_s > best_o * sizes]
         if queued + masks.size > width:
@@ -469,7 +457,7 @@ def tutte_scan(g: Graph, mode: str = "exhaustive", seed: int = 0,
     if mode == "randomized":
         o, s, witness, scanned = _scan(g, _random_subsets(g, seed, samples), even)
     elif g.n >= _VECTOR_MIN_N:
-        o, s, witness, scanned = _scan_blocks(g, connected, even)
+        o, s, witness, scanned = _scan_blocks(g, even)
     else:
         o, s, witness, scanned = _scan(g, range(1, 1 << g.n), even)
 

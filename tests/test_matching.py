@@ -377,7 +377,7 @@ def _scalar_scan(g, subsets=None):
 
 def _block_scan(g):
     """``_scan_blocks`` with the arguments that ``tutte_scan`` would give it."""
-    return matching._scan_blocks(g, *matching._scan_facts(g, exhaustive=True))
+    return matching._scan_blocks(g, matching._scan_facts(g, exhaustive=True)[1])
 
 
 def _star_of_odd_blocks(blocks):
@@ -469,11 +469,13 @@ def test_block_kernel_matches_scalar_scan_on_every_small_class(monkeypatch):
     # c_star = 1 is reached by {0} in the first block and tied by later blocks
     pytest.param(lambda: random_regular(16, 3, seed=5), id="ties-cubic-16"),
     pytest.param(lambda: random_regular(18, 3, seed=2), id="ties-cubic-18"),
-    # c_star = 13 at A = {13}, in the second block, although N(A) - A is
-    # {6..10}: the boundary bound holds only on connected graphs
+    # c_star = 13 at A = {13}, in the second block: on a disconnected graph
+    # the size bound alone drops lanes there, and it is tight at the witness,
+    # where G - A has 13 odd components and n - |A| = 13
     pytest.param(lambda: Graph(14, [(13, v) for v in range(6, 11)]), id="hub-with-isolated-14"),
-    # c_star = 7/8: the boundary bound is tight at the witness, where G - A
-    # has 7 odd components and |N(A) - A| = n - |A| = 7
+    # c_star = 7/8 at a witness in the second block: both bounds taken before
+    # a BFS are tight there, as G - A has 7 odd components, n - |A| = 7 and
+    # the edge-cut bound (cut 20, t 1) is 7
     pytest.param(lambda: _subdivide_first_edge(random_regular(14, 3, seed=1)),
                  id="subdivided-cubic-15"),
     # c_star = 6/7: the first block's best is 4/5, and the witness, |A| = 7 in
@@ -512,6 +514,18 @@ def test_block_kernel_keeps_the_earliest_tied_witness():
     assert result == (1, 1, 1, 2 ** 16 - 1)  # o = s = 1 at the witness {0}
     assert _unbounded_scan(g)[0] == result
     assert _scan_fields(tutte_scan(g)) == (1.0, 1, True, False, 2 ** 16 - 1)
+
+
+# paths up to the cap: their bridges leave every block after the first to the
+# size bound alone.  G - A has at most |A| + 1 components, so c_star <= 2,
+# reached first at A = {1} on path(21).  On path(22), |A| + 1 odd components
+# would hold 22 - |A| vertices, of the other parity, so c_star <= 1
+@pytest.mark.parametrize("n, fields", [
+    (21, (2.0, mask_of([1]), False, False, 2 ** 21 - 1)),
+    (22, (1.0, mask_of([0]), True, False, 2 ** 22 - 1)),
+])
+def test_exhaustive_scan_of_a_path_at_the_cap(n, fields):
+    assert _scan_fields(tutte_scan(path(n))) == fields
 
 
 def _bridged_pair(h):
