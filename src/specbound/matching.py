@@ -141,21 +141,20 @@ def _scan(g: Graph, subsets, even: Optional[Mask]) -> Tuple[int, int, Mask, int]
 
 
 # Exhaustive scans of at least _VECTOR_MIN_N vertices take the numpy kernel.
-# Measured per scan, the mean over 30 graphs of the best of 7, 2-core host;
-# the numpy kernel bounds no lane of its first block, so below 2^_BLOCK_BITS
-# subsets it runs the BFS alone, and the scalar one is shown with the
-# edge-cut bound and, in brackets, without it, as _scan_facts gives it below
-# the crossover.  Random graphs of edge density 0.3: n = 9 0.14 (0.12) ms
-# scalar against 0.19-0.20 ms numpy, n = 10 0.29-0.34 (0.29) against
-# 0.23-0.28 ms, n = 11 0.92 against 0.33-0.35 ms, n = 12 1.9-2.3 against
-# 0.51-0.59 ms; density 0.5: n = 9 0.35-0.38 (0.22) against 0.15-0.17 ms,
-# n = 10 0.50-0.53 (0.39) against 0.18-0.19 ms, n = 11 2.5-3.3 against
-# 0.24-0.32 ms; cubic graphs: n = 10 0.29-0.30 (0.43) against 0.22-0.23 ms,
-# n = 12 1.3-1.5 against 0.52-0.55 ms.  So numpy wins from n = 11 on, and
-# at n = 10 by 0.07-0.2 ms, a size no workload scans exhaustively; at
-# n <= 7 (the sweeps over every small graph) its per-call overhead makes it
-# about twice as slow (0.107 s against 0.046 s over all 996 connected
-# classes).
+# Measured per scan, the mean over 30 graphs of the best of 7, two runs,
+# 2-core host, each kernel given the even-degree mask that _scan_facts gives
+# it (the scalar one from the crossover up, the numpy one from 14 vertices
+# up); the numpy kernel bounds its first block against the prior {0}.
+# Random graphs of edge density 0.3: n = 9 0.12 ms scalar against
+# 0.17-0.18 ms numpy, n = 10 0.38 against 0.18 ms, n = 11 0.85-0.93 against
+# 0.28-0.30 ms, n = 12 1.8-2.0 against 0.24 ms; density 0.5: n = 9
+# 0.24-0.27 against 0.16-0.18 ms, n = 10 0.44-0.47 against 0.12-0.13 ms,
+# n = 11 2.8-3.4 against 0.26-0.35 ms; cubic graphs: n = 10 0.48-0.77
+# against 0.15-0.26 ms, n = 12 1.4-2.2 against 0.22-0.33 ms.  So numpy wins
+# from n = 11 on, and at n = 10 by 0.2-0.5 ms, a size no workload scans
+# exhaustively; at n <= 7 (the sweeps over every small graph) its per-call
+# overhead makes it more than twice as slow (0.12-0.13 s against
+# 0.043-0.052 s over all 996 connected classes).
 # Block size, on the five n = 16-19 scans of the subset-scan benchmark, the
 # median of 8 alternating rounds (seeds 1 and 3, two runs): blocks of 2^12,
 # 2^13, 2^14 and 2^15 masks took 15-16 and 18-19, 13.5-14 and 17-18, 17-18
@@ -201,20 +200,20 @@ def _scan_blocks(g: Graph, even: Optional[Mask]) -> Tuple[int, int, Mask, int]:
       the rows of the vertices of H.  ub is lowered to the parity of n - s;
     * after each finished component, o <= (odd so far) + |rest of G - A|.
 
-    Block 0 is not bounded, as every bound beats no ratio; when it is the
-    only block (n <= _BLOCK_BITS), no table but the lane order is built.
-    The lanes of a later block that the first two bounds leave open are
-    compressed once and queued.  The queue runs one frontier BFS per component in lock step:
-    block 0 alone, so that later blocks are bounded against its best, then
-    whenever the next block would take it past 2^_BLOCK_BITS lanes, and at
-    the end; a lane leaves when G - A is used up or its third bound falls to
-    the best.  The best is kept as its integer pair (o*, s*) and a lane's
-    bound b is compared as b * s* <= o* * s in ``int16``, exactly.  Every
-    lane that finishes thus beats the best known before its batch, and the
-    batch's maximum of o / s (float64, exact for n <= 22) at its least mask
-    replaces it.  Every queued lane comes after the witness in integer
-    order, so the witness is the earliest subset attaining the maximum, as
-    in ``_scan``.
+    The best starts at the prior A = {0}, one scalar BFS (at even n, G - {0}
+    has odd order, so o / s >= 1); every block, block 0 less the empty set
+    too, is bounded against the best known then, and the lanes left open
+    are compressed once and queued.  The queue runs one frontier BFS per
+    component in lock step: block 0 alone, so that later blocks are bounded
+    against its best, then whenever the next block would take it past
+    2^_BLOCK_BITS lanes, and at the end; a lane leaves when G - A is used up
+    or its third bound falls to the best.  The best is kept as its integer
+    pair (o*, s*) and a lane's bound b is compared as b * s* <= o* * s in
+    ``int16``, exactly.  Every lane that finishes thus beats the best known
+    before its batch, and the batch's maximum of o / s (float64, exact for
+    n <= 22) at its least mask replaces it.  Every queued lane comes after
+    the witness in integer order (mask 1, the prior's, is the first nonempty
+    subset), so the witness is the earliest subset attaining the maximum.
     """
     n = g.n
     adj = g.adj_masks
@@ -230,14 +229,15 @@ def _scan_blocks(g: Graph, even: Optional[Mask]) -> Tuple[int, int, Mask, int]:
     def popcount(x):  # uint8
         return size_lo.take(x & half) + size_hi.take(x >> shift)
 
-    best_o, best_s, witness = -1, 1, 0  # no ratio yet: every bound b >= 0 beats it
+    best_o, best_s, witness, _ = _scan(g, (1,), None)  # the prior A = {0}
 
-    def settle(queue):
+    def settle():
         """The lock-step BFS over the lanes of ``queue``, a list of mask
-        arrays; the batch's maximum ratio, at its least mask, becomes the
-        best."""
-        nonlocal best_o, best_s, witness
+        arrays, which it empties; the batch's maximum ratio, at its least
+        mask, becomes the best."""
+        nonlocal best_o, best_s, witness, queue, queued
         masks = np.concatenate(queue) if len(queue) > 1 else queue[0]
+        queue, queued = [], 0
         sizes = popcount(masks).astype(np.int16)
         rest = masks ^ full
         # b * s* > o* * s exactly when b > need, for the bound b = odd so far
@@ -275,9 +275,6 @@ def _scan_blocks(g: Graph, even: Optional[Mask]) -> Tuple[int, int, Mask, int]:
             best_o, best_s, witness = int(odd[j]), int(s[j]), int(at[j])
 
     low, low_size, starts = _lane_order(lane_bits)
-    settle([low[1:]])  # block 0 less the empty set
-    if n == lane_bits:  # the only block
-        return best_o, best_s, witness, (1 << n) - 1
     if even is not None:
         # For every lane mask L, built in integer order by doubling and then
         # put in size order: cut(L) in int16 and, in uint8, L's count of
@@ -295,34 +292,36 @@ def _scan_blocks(g: Graph, even: Optional[Mask]) -> Tuple[int, int, Mask, int]:
         to_lanes = [popcount(low & np.uint32(adj[v])) for v in range(lane_bits, n)]
 
     queue, queued = [], 0
-    for base in range(width, 1 << n, width):
+    for base in range(0, 1 << n, width):
         high = base.bit_count()
         # lanes of size k pass o <= n - s while k * (s* + o*) < num: a prefix
         num = (n - high) * best_s - best_o * high
         end = starts[min(lane_bits + 1, max(0, -(-num // (best_s + best_o))))]
         if not end:
             continue
-        masks = low[:end] | np.uint32(base)
+        lanes = slice(not base, end)  # block 0 less the empty set
+        masks = low[lanes] | np.uint32(base)
         if even is not None:
-            sizes = low_size[:end] + high
+            sizes = low_size[lanes] + high
             left = n - sizes  # |V - A|
             above = list(bits(base))
             # cut(L + H) = cut(L) + cut(H) - 2 e(L, H)
             out = g.full_mask ^ base
-            cut = (low_cut[:end] + sum((adj[v] & out).bit_count() for v in above)
-                   - 2 * sum(to_lanes[v - lane_bits][:end] for v in above))
-            t = (even & out).bit_count() - low_even[:end]
+            cut = (low_cut[lanes] + sum((adj[v] & out).bit_count() for v in above)
+                   - 2 * sum(to_lanes[v - lane_bits][lanes] for v in above))
+            t = (even & out).bit_count() - low_even[lanes]
             bound = (cut + np.minimum(t, cut >> 1)) // 3
             bound = bound - ((bound ^ left) & 1)
             masks = masks[bound * best_s > best_o * sizes]
         if queued + masks.size > width:
-            settle(queue)
-            queue, queued = [], 0
+            settle()
         if masks.size:
             queue.append(masks)
             queued += masks.size
+        if queue and not base:  # block 0 alone, so later blocks are bounded against its best
+            settle()
     if queue:
-        settle(queue)
+        settle()
     return best_o, best_s, witness, (1 << n) - 1
 
 
@@ -411,10 +410,18 @@ def _scan_facts(g: Graph, exhaustive: bool) -> Tuple[bool, Optional[Mask]]:
     _VECTOR_MIN_N vertices it costs more than the BFS it saves: the
     exhaustive scans of all 996 connected classes with n <= 7 took
     0.043-0.050 s without it and 0.070-0.079 s with it (best of 9, 2-core
-    host).  An ``exhaustive`` scan of at most _BLOCK_BITS vertices is one
-    block of ``_scan_blocks``, which bounds no lane of it."""
+    host).  An ``exhaustive`` scan takes it from 14 vertices up: bridges,
+    the mask and ``_scan_blocks``' lane tables cost more than they save
+    below that.  Mean per scan over 20 connected bridgeless graphs of each
+    kind, best of 7, two runs, without -> with the bound, in ms: n = 11
+    G(n, 0.3) 0.32-0.63 -> 0.48-0.99, cubic with one edge subdivided
+    0.36-0.64 -> 0.50-0.97; n = 12 G(n, 0.5) 0.17-0.33 -> 0.38-0.68, cubic
+    0.23-0.44 -> 0.21-0.43, the cycle 0.37-0.77 -> 0.21-0.42; n = 13 every
+    kind slower with it, as at n = 11 (odd n leaves the prior {0} at ratio
+    0); n = 14 G(n, 0.5) 0.36-0.66 -> 0.71-1.19, cubic 0.73-1.15 ->
+    0.31-0.59, the cycle 1.2-2.2 -> 0.32-0.59."""
     connected = is_connected(g)
-    if (g.n < (_BLOCK_BITS + 1 if exhaustive else _VECTOR_MIN_N)
+    if (g.n < (14 if exhaustive else _VECTOR_MIN_N)
             or not connected or bridges(g)):
         return connected, None
     return connected, mask_of(v for v, d in enumerate(g.degrees) if d % 2 == 0)
@@ -432,13 +439,13 @@ def tutte_scan(g: Graph, mode: str = "exhaustive", seed: int = 0,
     and c_star < 1.  A subset is decided without a full BFS when a bound on
     o(G - A) (see the module docstring) rules out a new worst ratio, and
     with it a flip of either flag (``_scan_blocks`` checks its bounds
-    against the best of its earlier blocks); ``scanned`` counts every subset
-    decided, so an exhaustive scan reports 2^n - 1.  Once a singleton has
-    shown c_star >= 1, the edge-cut bound settles every later subset of a
-    bridgeless cubic graph or an even cycle; on an odd cycle, where
-    c_star < 1, a randomized scan still runs a BFS for each subset that it
-    leaves open: n - |A| adjacency lookups, each an operation on masks of n
-    bits (in-process, seed 1: C_1001 0.32-0.37 s, C_4095 9.5 s).
+    against the best of {0} and its earlier blocks); ``scanned`` counts
+    every subset decided, so an exhaustive scan reports 2^n - 1.  Once a
+    singleton has shown c_star >= 1, the edge-cut bound settles every later
+    subset of a bridgeless cubic graph or an even cycle; on an odd cycle,
+    where c_star < 1, a randomized scan still runs a BFS for each subset
+    that it leaves open: n - |A| adjacency lookups, each an operation on
+    masks of n bits (in-process, seed 1: C_1001 0.32-0.37 s, C_4095 9.5 s).
 
     The doubled-gap flag comes first and checks the dense cap before its
     certificate, so a connected graph past the cap fails before any subset

@@ -445,7 +445,8 @@ def _dense(n, p, seed):
 
 def test_block_kernel_matches_scalar_scan_on_every_small_class(monkeypatch):
     # the scalar kernel takes the edge-cut bound on every connected bridgeless
-    # class; the block kernel runs each graph as one block and bounds no lane
+    # class; the block kernel runs each graph as one block, bounded by the
+    # size bound alone against the prior {0}
     monkeypatch.setattr(matching, "_VECTOR_MIN_N", 1)
     for n in range(1, 9):
         for g in enumerate_graphs(n):
@@ -500,6 +501,20 @@ def test_block_kernel_matches_scalar_scan_on_every_small_class(monkeypatch):
     # ratio 2 at {0, 1, 2, 3} and at {4, 5}, both in block 0: its lanes run
     # in the order of their size, but the witness is the earlier mask
     pytest.param(_hubs_and_pair, id="tie-across-sizes-in-one-block"),
+    # the prior A = {0}: vertex 0 isolated beside C13, so o(G - {0}) = 1 and
+    # c_star = 1 first at {0}, the prior's own witness
+    pytest.param(lambda: Graph(14, [(v, v % 13 + 1) for v in range(1, 14)]),
+                 id="prior-isolated-0-14"),
+    # odd order: G - {0} = K14 leaves no odd component, so the prior ratio is
+    # 0, and c_star = 1/2 first at {0, 1}
+    pytest.param(lambda: complete(15), id="prior-zero-complete-15"),
+    # hubs 1 and 2 share six leaves and 3 has three: {1, 2} and the later
+    # singleton {3} tie at 3, above the prior's 1, and the earlier mask {1, 2}
+    # is the witness
+    pytest.param(lambda: Graph(14, [(h, v) for h in (1, 2) for v in range(4, 10)]
+                               + [(3, v) for v in (10, 11, 12)]
+                               + [(0, 1), (0, 3), (0, 13), (2, 13)]),
+                 id="prior-beaten-by-a-tied-singleton-14"),
 ])
 def test_block_kernel_matches_scalar_scan(make):
     g = make()
@@ -585,10 +600,12 @@ def test_randomized_cut_bound_matches_unbounded_reference(make):
 class _CountingNumpy:
     """numpy, but recording the size of each ``flatnonzero``: in
     ``_scan_blocks``, the lanes open for one more BFS round, and the lanes at
-    a batch's maximum."""
+    a batch's maximum; and of each ``arange`` without a dtype: the lanes of
+    a batch, which it numbers."""
 
     def __init__(self):
         self.sizes = []
+        self.batches = []
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -598,23 +615,39 @@ class _CountingNumpy:
         self.sizes.append(out.size)
         return out
 
+    def arange(self, *args, **kwargs):
+        out = np.arange(*args, **kwargs)
+        if not kwargs:
+            self.batches.append(out.size)
+        return out
 
-# once a singleton shows c_star = 1, every later subset has ub <= s: cut <= 3 s
-# on a cubic graph, and on a cycle cut = 2 r and t >= r for its r runs
+
+# the prior {0} shows c_star = 1 (G - {0} has odd order), and then every
+# nonempty subset has ub <= s: cut <= 3 s on a cubic graph, and on a cycle
+# cut = 2 r and t >= r for its r runs
 @pytest.mark.parametrize("make", [
     pytest.param(lambda: random_regular(16, 3, seed=5), id="cubic-16"),
     pytest.param(lambda: cycle(16), id="cycle-16"),
+    pytest.param(lambda: random_regular(18, 3, seed=2), id="cubic-18"),
 ])
-def test_cut_bound_opens_no_lane_after_the_first_block(monkeypatch, make):
+def test_cut_bound_runs_no_lane_bfs(monkeypatch, make):
     g = make()
     counting = _CountingNumpy()
     monkeypatch.setattr(matching, "np", counting)
     assert _block_scan(g)[:3] == (1, 1, 1)  # o = s = 1 at the witness {0}
-    # a batch's BFS ends on one empty call, then picks its least maximum among
-    # the finished lanes; block 0 runs alone, and a later block that queued
-    # a lane would run another batch
-    assert counting.sizes.count(0) == 1
-    assert counting.sizes[-2] == 0 and counting.sizes[-1] > 0
+    assert counting.sizes == []  # no batch ran: every lane was bounded
+
+
+def test_later_blocks_are_bounded_against_the_best_of_block_0(monkeypatch):
+    # odd order: G - {0} is a path on 16 vertices, so the prior's ratio is 0
+    # and block 0 runs nearly whole.  Its best, c_star = 8/9 at the
+    # alternating set, leaves few lanes of the 15 later blocks open, and
+    # they share one batch; bounded against the prior, block 1 alone would
+    # fill one
+    counting = _CountingNumpy()
+    monkeypatch.setattr(matching, "np", counting)
+    assert _block_scan(cycle(17))[:2] == (8, 9)
+    assert len(counting.batches) == 2 and counting.batches[1] < 2 ** 10
 
 
 @pytest.mark.parametrize("make", [
@@ -663,18 +696,24 @@ def test_cut_bound_holds_on_every_small_bridgeless_class():
     assert tight  # the bound is attained, not only valid
 
 
-@pytest.mark.parametrize("n, kernel", [(10, "_scan"), (11, "_scan_blocks")])
-def test_exhaustive_scan_dispatch_by_size(monkeypatch, n, kernel):
+# each call, with the subsets ``_scan`` was given: ``_scan_blocks`` takes its
+# prior, A = {0}, from ``_scan`` and must pass it no other subset
+@pytest.mark.parametrize("n, calls", [
+    pytest.param(10, [("_scan", range(1, 1 << 10))], id="10-_scan"),
+    pytest.param(11, [("_scan_blocks", None), ("_scan", (1,))], id="11-_scan_blocks"),
+])
+def test_exhaustive_scan_dispatch_by_size(monkeypatch, n, calls):
     called = []
     for name in ("_scan", "_scan_blocks"):
         fn = getattr(matching, name)
         monkeypatch.setattr(matching, name,
-                            lambda *a, _fn=fn, _name=name: called.append(_name) or _fn(*a))
+                            lambda g, *a, _fn=fn, _name=name: called.append(
+                                (_name, a[0] if _name == "_scan" else None)) or _fn(g, *a))
     tutte_scan(cycle(n))
-    assert called == [kernel]
+    assert called == calls
     called.clear()
     tutte_scan(cycle(n), mode="randomized", samples=20)
-    assert called == ["_scan"]  # randomized masks are big integers of any n
+    assert [name for name, _ in called] == ["_scan"]  # randomized masks are big integers of any n
 
 
 @pytest.mark.parametrize("make, mode", [
