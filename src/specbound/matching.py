@@ -50,7 +50,19 @@ and takes the second during the BFS:
   is odd with no even-degree vertex, e(C, V - C) = (sum of degrees) - 2 e(C)
   is odd, so >= 3.  So 3 o3 + 2 o2 <= cut, where o3 counts those and o2 the
   other odd components, which hold distinct even-degree vertices: o2 <= t,
-  o2 <= cut / 2, and o = o3 + o2 <= (cut + o2) / 3.
+  o2 <= cut / 2, and o = o3 + o2 <= (cut + o2) / 3;
+* the degree ceiling, the third summed over sizes: on connected bridgeless
+  G, o <= u(s) = min(n - s, floor((D_s + min(E, floor(D_s / 2))) / 3)),
+  lowered to the parity of n - s, where D_s is the sum of the s largest
+  degrees and E the number of even-degree vertices.  Proof: cut <= D_s and
+  t <= E, and the third bound does not decrease as cut or t grows.
+
+The fourth is no kernel's: ``tutte_scan`` takes it before either kernel,
+wherever it has the even-degree mask.  If u(s) <= o(G - {0}) * s for every
+s, then c_star = o(G - {0}), first at mask 1 (the first nonempty subset of
+an exhaustive scan, and the first draw of a randomized one), and no subset
+is scanned.  On a bridgeless cubic graph of even order, and on an even
+cycle, u(s) <= s and G - {0} has odd order, so it always closes.
 """
 
 from __future__ import annotations
@@ -175,8 +187,9 @@ def _half_tables(g: Graph, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
     return nbhd, size
 
 
-def _scan_blocks(g: Graph, even: Optional[Mask]) -> Tuple[int, int, Mask, int]:
-    """``_scan`` over every nonempty subset (n <= 22), vectorized.
+def _scan_blocks(g: Graph, even: Optional[Mask], prior: int) -> Tuple[int, int, Mask, int]:
+    """``_scan`` over every nonempty subset (n <= 22), vectorized, given
+    ``prior`` = o(G - {0}).
 
     Masks A = 0 .. 2^n - 1 are taken in blocks of 2^_BLOCK_BITS ``uint32``
     lanes, the blocks in integer order; within a block the low bits L vary
@@ -200,20 +213,21 @@ def _scan_blocks(g: Graph, even: Optional[Mask]) -> Tuple[int, int, Mask, int]:
       the rows of the vertices of H.  ub is lowered to the parity of n - s;
     * after each finished component, o <= (odd so far) + |rest of G - A|.
 
-    The best starts at the prior A = {0}, one scalar BFS (at even n, G - {0}
-    has odd order, so o / s >= 1); every block, block 0 less the empty set
-    too, is bounded against the best known then, and the lanes left open
-    are compressed once and queued.  The queue runs one frontier BFS per
-    component in lock step: block 0 alone, so that later blocks are bounded
-    against its best, then whenever the next block would take it past
-    2^_BLOCK_BITS lanes, and at the end; a lane leaves when G - A is used up
-    or its third bound falls to the best.  The best is kept as its integer
-    pair (o*, s*) and a lane's bound b is compared as b * s* <= o* * s in
-    ``int16``, exactly.  Every lane that finishes thus beats the best known
-    before its batch, and the batch's maximum of o / s (float64, exact for
-    n <= 22) at its least mask replaces it.  Every queued lane comes after
-    the witness in integer order (mask 1, the prior's, is the first nonempty
-    subset), so the witness is the earliest subset attaining the maximum.
+    The best starts at the prior A = {0}, one scalar BFS in ``tutte_scan``
+    (at even n, G - {0} has odd order, so o / s >= 1); every block, block 0
+    less the empty set too, is bounded against the best known then, and the
+    lanes left open are compressed once and queued.  The queue runs one
+    frontier BFS per component in lock step: block 0 alone, so that later
+    blocks are bounded against its best, then whenever the next block would
+    take it past 2^_BLOCK_BITS lanes, and at the end; a lane leaves when
+    G - A is used up or its third bound falls to the best.  The best is kept
+    as its integer pair (o*, s*) and a lane's bound b is compared as
+    b * s* <= o* * s in ``int16``, exactly.  Every lane that finishes thus
+    beats the best known before its batch, and the batch's maximum of o / s
+    (float64, exact for n <= 22) at its least mask replaces it.  Every
+    queued lane comes after the witness in integer order (mask 1, the
+    prior's, is the first nonempty subset), so the witness is the earliest
+    subset attaining the maximum.
     """
     n = g.n
     adj = g.adj_masks
@@ -229,7 +243,7 @@ def _scan_blocks(g: Graph, even: Optional[Mask]) -> Tuple[int, int, Mask, int]:
     def popcount(x):  # uint8
         return size_lo.take(x & half) + size_hi.take(x >> shift)
 
-    best_o, best_s, witness, _ = _scan(g, (1,), None)  # the prior A = {0}
+    best_o, best_s, witness = prior, 1, 1  # the prior A = {0}
 
     def settle():
         """The lock-step BFS over the lanes of ``queue``, a list of mask
@@ -427,6 +441,21 @@ def _scan_facts(g: Graph, exhaustive: bool) -> Tuple[bool, Optional[Mask]]:
     return connected, mask_of(v for v, d in enumerate(g.degrees) if d % 2 == 0)
 
 
+def _degree_ceiling_closes(g: Graph, even: Mask, o: int) -> bool:
+    """Whether the degree ceiling of the module docstring is at most o, on a
+    connected bridgeless ``g`` with even-degree mask ``even``: then c_star
+    is o = o(G - {0}), first at mask 1.  One sort of the degrees."""
+    n = g.n
+    e = even.bit_count()
+    d = 0  # D_s
+    for s, degree in enumerate(sorted(g.degrees, reverse=True), 1):
+        d += degree
+        u = min(n - s, (d + min(e, d >> 1)) // 3)
+        if u - ((u ^ (n - s)) & 1) > o * s:
+            return False
+    return True
+
+
 def tutte_scan(g: Graph, mode: str = "exhaustive", seed: int = 0,
                samples: int = 2000, tol: float = TOL) -> TutteReport:
     """Scan subsets A for the worst odd-component ratio.
@@ -440,33 +469,45 @@ def tutte_scan(g: Graph, mode: str = "exhaustive", seed: int = 0,
     o(G - A) (see the module docstring) rules out a new worst ratio, and
     with it a flip of either flag (``_scan_blocks`` checks its bounds
     against the best of {0} and its earlier blocks); ``scanned`` counts
-    every subset decided, so an exhaustive scan reports 2^n - 1.  Once a
-    singleton has shown c_star >= 1, the edge-cut bound settles every later
-    subset of a bridgeless cubic graph or an even cycle; on an odd cycle,
-    where c_star < 1, a randomized scan still runs a BFS for each subset
-    that it leaves open: n - |A| adjacency lookups, each an operation on
-    masks of n bits (in-process, seed 1: C_1001 0.32-0.37 s, C_4095 9.5 s).
+    every subset decided, so an exhaustive scan reports 2^n - 1.  Where
+    ``_scan_facts`` gives the even-degree mask, the degree ceiling of the
+    module docstring comes first, against o(G - {0}) from one BFS: on a
+    bridgeless cubic graph of even order or an even cycle it proves
+    c_star = o(G - {0}) at the witness {0}, and no subset is scanned (a
+    randomized scan still makes its draws, to count the distinct ones);
+    where it stays open, that BFS is ``_scan_blocks``' prior.  On an odd
+    cycle, where c_star < 1, a randomized scan still runs a BFS for each
+    subset that the bounds leave open: n - |A| adjacency lookups, each an
+    operation on masks of n bits (in-process, seed 1: C_1001 0.32-0.37 s,
+    C_4095 9.5 s).
 
     The doubled-gap flag comes first and checks the dense cap before its
     certificate, so a connected graph past the cap fails before any subset
     is scanned; it solves the Laplacian, the scan's only dense solve, only
-    when the certificate does not close.  Exhaustive scans of at least
-    _VECTOR_MIN_N vertices run in ``_scan_blocks``, every other scan in
-    ``_scan``; both give the same result.
+    when the certificate does not close.  Of the scans the ceiling leaves
+    open, exhaustive ones of at least _VECTOR_MIN_N vertices run in
+    ``_scan_blocks``, every other one in ``_scan``; both give the same
+    result.
     """
     if mode == "exhaustive":
         _check_exhaustive(g.n)
     elif mode != "randomized":
         raise ValueError(f"unknown scan mode {mode!r}")
-    connected, even = _scan_facts(g, mode == "exhaustive")
+    exhaustive = mode == "exhaustive"
+    connected, even = _scan_facts(g, exhaustive)
     bh = _doubled_gap_holds(g, tol) if g.n >= 2 and connected else None
 
-    if mode == "randomized":
-        o, s, witness, scanned = _scan(g, _random_subsets(g, seed, samples), even)
-    elif g.n >= _VECTOR_MIN_N:
-        o, s, witness, scanned = _scan_blocks(g, even)
+    subsets = range(1, 1 << g.n) if exhaustive else _random_subsets(g, seed, samples)
+    blocks = exhaustive and g.n >= _VECTOR_MIN_N
+    if blocks or even is not None:
+        prior = _scan(g, (1,), None)[0]  # o(G - {0})
+    if even is not None and _degree_ceiling_closes(g, even, prior):
+        o, s, witness = prior, 1, 1  # mask 1 comes first in both modes
+        scanned = len(subsets) if exhaustive else sum(1 for _ in subsets)
+    elif blocks:
+        o, s, witness, scanned = _scan_blocks(g, even, prior)
     else:
-        o, s, witness, scanned = _scan(g, range(1, 1 << g.n), even)
+        o, s, witness, scanned = _scan(g, subsets, even)
 
     matching = None
     if g.n <= 24:

@@ -1,6 +1,8 @@
 """Odd-component scans, matching witnesses, eigenvalue matching conditions."""
 
+import importlib.util
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,15 @@ from specbound.generators import (
     petersen,
     random_regular,
 )
-from specbound.graphs import CapExceeded, Graph, bits, bridges, is_connected, mask_of
+from specbound.graphs import (
+    CapExceeded,
+    Graph,
+    bits,
+    bridges,
+    is_connected,
+    load_edge_list,
+    mask_of,
+)
 from specbound import matching
 from specbound.matching import (
     perfect_matching_oracle,
@@ -78,6 +88,17 @@ def test_tutte_complete_graph():
     assert rep.scanned == 15
     assert rep.matching is not None
     _matching_covers(complete(4), rep.matching)
+
+
+def test_tutte_scan_of_k2_has_the_doubled_gap_flag():
+    # the flag needs n >= 2: K2, mL = ML = 2, is its smallest case
+    assert tutte_scan(complete(2)).bh_condition is True
+
+
+def test_tutte_scan_searches_a_matching_up_to_24_vertices():
+    # the oracle's cap, n = 24, is inclusive: the randomized scan of C24 keeps
+    # its scan short
+    assert tutte_scan(cycle(24), mode="randomized").matching is not None
 
 
 def test_tutte_star_fails_classical():
@@ -376,8 +397,10 @@ def _scalar_scan(g, subsets=None):
 
 
 def _block_scan(g):
-    """``_scan_blocks`` with the arguments that ``tutte_scan`` would give it."""
-    return matching._scan_blocks(g, matching._scan_facts(g, exhaustive=True)[1])
+    """``_scan_blocks`` with the arguments that ``tutte_scan`` would give it
+    where the degree ceiling stays open."""
+    even = matching._scan_facts(g, exhaustive=True)[1]
+    return matching._scan_blocks(g, even, matching._scan(g, (1,), None)[0])
 
 
 def _star_of_odd_blocks(blocks):
@@ -696,24 +719,102 @@ def test_cut_bound_holds_on_every_small_bridgeless_class():
     assert tight  # the bound is attained, not only valid
 
 
-# each call, with the subsets ``_scan`` was given: ``_scan_blocks`` takes its
-# prior, A = {0}, from ``_scan`` and must pass it no other subset
-@pytest.mark.parametrize("n, calls", [
-    pytest.param(10, [("_scan", range(1, 1 << 10))], id="10-_scan"),
-    pytest.param(11, [("_scan_blocks", None), ("_scan", (1,))], id="11-_scan_blocks"),
+def _degree_ceiling_args(g):
+    """The even-degree mask and o(G - {0}) that ``tutte_scan`` gives the
+    degree ceiling, at any n."""
+    even = mask_of(v for v in range(g.n) if g.degrees[v] % 2 == 0)
+    return even, matching._scan(g, (1,), None)[0]
+
+
+def test_degree_ceiling_on_every_small_bridgeless_class():
+    # where the ceiling closes, the scan of every subset ends at (o, 1) with
+    # witness {0}.  The count of closures pins the ceiling from both sides:
+    # D_s summed from the smallest degrees closes 6,227 classes (114 wrongly),
+    # and u(s) left at the parity of neither closes only 41
+    classes = closed = 0
+    for n in range(2, 9):
+        for g in enumerate_graphs(n, connected=True):
+            if bridges(g):
+                continue
+            classes += 1
+            even, o = _degree_ceiling_args(g)
+            if matching._degree_ceiling_closes(g, even, o):
+                closed += 1
+                assert (o, 1, 1) == matching._scan(g, range(1, 1 << n), None)[:3], g
+    assert (classes, closed) == (7980, 335)
+
+
+def _subset_scan_inputs(seed):
+    """The graphs of the benchmark's subset-scan workload for ``seed``, by
+    name, from the benchmark's own generators (standard library only)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    inputs = workloads.subset_scan(seed)["inputs"]
+    return {name: load_edge_list(text) for name, text in inputs.items()
+            if name.startswith(("matching-", "obstruction-", "odd-"))}
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_degree_ceiling_keeps_the_report_on_the_benchmark_scans(seed):
+    # the ceiling closes the two bridgeless cubic graphs of even order, and
+    # tutte_scan reports there what the block kernel finds
+    closed = []
+    for name, g in _subset_scan_inputs(seed).items():
+        o, s, witness, scanned = _block_scan(g)
+        assert _scan_fields(tutte_scan(g)) == (o / s, witness, o <= s, o < s, scanned), name
+        bridgeless = matching._scan_facts(g, exhaustive=True)[1] is not None
+        if bridgeless and matching._degree_ceiling_closes(g, *_degree_ceiling_args(g)):
+            closed.append(name)
+    assert closed == ["matching-16", "matching-18"]
+
+
+def test_degree_ceiling_keeps_the_randomized_report():
+    # the ceiling closes C2000: the draws are counted, none is scanned
+    g = cycle(2000)
+    even = matching._scan_facts(g, exhaustive=False)[1]
+    o, s, witness, scanned = matching._scan(g, matching._random_subsets(g, 0, 2000), even)
+    assert (o, s, witness) == (1, 1, 1)
+    rep = tutte_scan(g, mode="randomized")
+    assert _scan_fields(rep) == (1.0, 1, True, False, scanned)
+
+
+# each call, with the subsets ``_scan`` was given (``draws`` for the sampler's
+# generator): the prior A = {0} is one BFS in ``tutte_scan``, for the degree
+# ceiling and for ``_scan_blocks``, which must get no other subset through
+# ``_scan``.  The ceiling needs the even-degree mask, given from 11 vertices
+# in a randomized scan and from 14 in an exhaustive one
+_PRIOR = ("_scan", (1,))
+_DRAWS = ("_scan", "draws")
+
+
+@pytest.mark.parametrize("make, exhaustive, randomized", [
+    pytest.param(lambda: cycle(10), [("_scan", range(1, 1 << 10))], [_DRAWS], id="10-_scan"),
+    # odd order: o(G - {0}) = 0 keeps the ceiling open
+    pytest.param(lambda: cycle(11), [_PRIOR, ("_scan_blocks", None)], [_PRIOR, _DRAWS],
+                 id="11-_scan_blocks"),
+    # bridgeless, cubic and of even order: the ceiling closes both modes
+    pytest.param(lambda: random_regular(16, 3, seed=1), [_PRIOR], [_PRIOR], id="16-closed"),
 ])
-def test_exhaustive_scan_dispatch_by_size(monkeypatch, n, calls):
+def test_exhaustive_scan_dispatch_by_size(monkeypatch, make, exhaustive, randomized):
     called = []
+
+    def record(name, subsets):
+        if name == "_scan":
+            called.append((name, subsets if isinstance(subsets, (tuple, range)) else "draws"))
+        else:
+            called.append((name, None))
+
     for name in ("_scan", "_scan_blocks"):
         fn = getattr(matching, name)
         monkeypatch.setattr(matching, name,
-                            lambda g, *a, _fn=fn, _name=name: called.append(
-                                (_name, a[0] if _name == "_scan" else None)) or _fn(g, *a))
-    tutte_scan(cycle(n))
-    assert called == calls
+                            lambda g, *a, _fn=fn, _name=name: record(_name, a[0]) or _fn(g, *a))
+    tutte_scan(make())
+    assert called == exhaustive
     called.clear()
-    tutte_scan(cycle(n), mode="randomized", samples=20)
-    assert [name for name, _ in called] == ["_scan"]  # randomized masks are big integers of any n
+    tutte_scan(make(), mode="randomized", samples=20)
+    assert called == randomized  # randomized masks are big integers of any n
 
 
 @pytest.mark.parametrize("make, mode", [
