@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import stats
 from .graphs import CapExceeded, Graph, Mask, bits, is_connected
 
 MAX_ENUM_N = 8
@@ -179,6 +180,7 @@ def _search(adj: Sequence[Mask], n: int, ranks: Sequence[int]
     finally:
         del rec  # rec refers to itself through its closure cell
     assert best is not None
+    stats.add("canonical_search", len(optimal))
     return tuple(best), optimal
 
 

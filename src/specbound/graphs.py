@@ -28,6 +28,8 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
+from . import stats
+
 Mask = int  # vertex subsets as bitmasks over 0..n-1
 
 
@@ -78,6 +80,7 @@ class Graph:
                  "_adj_spectrum", "_lap_spectrum")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]):
+        stats.add("graph", n)
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         self.n = n
@@ -169,6 +172,7 @@ def bfs_levels(g: Graph) -> List[int]:
 
 
 def is_connected(g: Graph) -> bool:
+    stats.add("is_connected")
     return bfs_levels(g).count(0) == 1
 
 
@@ -180,6 +184,7 @@ def bridges(g: Graph) -> List[Tuple[int, int]]:
     subtree reaches p or above, that is iff low[v] > disc[p].  The graph is
     simple, so skipping the parent vertex skips exactly the tree edge.
     """
+    stats.add("bridges")
     disc = [-1] * g.n
     low = [0] * g.n
     out = []
@@ -214,6 +219,7 @@ def _two_coloring(g: Graph, levels: Optional[List[int]] = None) -> Optional[List
     ``bfs_levels`` (computed unless given), each component's least vertex on
     side 0; None iff some component has an odd cycle, that is iff an edge
     joins two vertices of one level."""
+    stats.add("two_coloring")
     side = [x & 1 for x in (bfs_levels(g) if levels is None else levels)]
     if any(side[u] == side[v] for u, v in g.edges()):
         return None
@@ -236,6 +242,7 @@ class DirectedGraph:
 
     def __init__(self, n: int, out_edges: Iterable[Tuple[int, int]],
                  n_functions: Optional[int] = None):
+        stats.add("graph", n)
         if n < 1:
             raise ValueError("digraph needs at least one vertex")
         self.n = n

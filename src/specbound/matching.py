@@ -32,9 +32,14 @@ randomized scan and the exhaustive scans below _VECTOR_MIN_N = 11 vertices.
 ``_scan_blocks`` takes the exhaustive scans from there up: it bounds blocks
 of ``uint32`` masks in numpy, queues the subsets its bounds leave open and
 runs their BFS in lock-step batches.  The crossover and the block size are
-constants beside it, with the measurements that chose them.  Both skip the
-BFS of a subset A of size s that can at most tie the best ratio so far (a
-tie keeps the earlier witness), by bounds on o.  Before a subset's BFS
+constants beside it, with the measurements that chose them.  Each adds
+its work to the record of ``stats`` once per call or batch, and the tests
+check the bounds by it: ``_scan`` the subsets it decided by the size bound,
+the edge-cut bound and a BFS (``scan_size``, ``scan_cut``, ``scan_bfs``),
+``_scan_blocks`` the lanes and BFS rounds of each batch (``lanes``,
+``lane_rounds``).  Both skip the BFS of a subset A of size s that can at
+most tie the best ratio so far (a tie keeps the earlier witness), by
+bounds on o.  Before a subset's BFS
 both take the first and, when ``tutte_scan`` passes them an even-degree
 mask, the third; ``_scan_blocks`` lowers the third to the parity of n - s
 and takes the second during the BFS:
@@ -77,6 +82,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from . import stats
 from .graphs import CapExceeded, Graph, Mask, bfs_levels, bits, bridges, is_connected, mask_of
 from .spectral import TOL, _check_dense, laplacian_spectrum, margin
 
@@ -116,7 +122,7 @@ def _scan(g: Graph, subsets, even: Optional[Mask]) -> Tuple[int, int, Mask, int]
     adj = g.adj_masks
     best_o, best_s = -1, 1  # no ratio yet: every o >= 0 beats it
     witness = 0
-    scanned = 0
+    scanned = by_cut = by_bfs = 0
     for a in subsets:
         scanned += 1
         s = a.bit_count()
@@ -131,7 +137,9 @@ def _scan(g: Graph, subsets, even: Optional[Mask]) -> Tuple[int, int, Mask, int]
                 inside ^= v
                 cut += (adj[v.bit_length() - 1] & rest).bit_count()
             if (cut + min((even & rest).bit_count(), cut >> 1)) // 3 * best_s <= best_o * s:
+                by_cut += 1
                 continue
+        by_bfs += 1
         o = 0
         while rest:
             before = rest
@@ -149,6 +157,9 @@ def _scan(g: Graph, subsets, even: Optional[Mask]) -> Tuple[int, int, Mask, int]
         if o * best_s > best_o * s:
             best_o, best_s = o, s
             witness = a
+    stats.add("scan_size", scanned - by_cut - by_bfs)
+    stats.add("scan_cut", by_cut)
+    stats.add("scan_bfs", by_bfs)
     return best_o, best_s, witness, scanned
 
 
@@ -252,6 +263,7 @@ def _scan_blocks(g: Graph, even: Optional[Mask], prior: int) -> Tuple[int, int, 
         nonlocal best_o, best_s, witness, queue, queued
         masks = np.concatenate(queue) if len(queue) > 1 else queue[0]
         queue, queued = [], 0
+        stats.add("lanes", masks.size)
         sizes = popcount(masks).astype(np.int16)
         rest = masks ^ full
         # b * s* > o* * s exactly when b > need, for the bound b = odd so far
@@ -260,8 +272,9 @@ def _scan_blocks(g: Graph, even: Optional[Mask], prior: int) -> Tuple[int, int, 
         need = best_o * sizes // best_s
         margin = n - sizes - need
         lanes = np.arange(masks.size)
-        finished, margins = [], []
+        finished, margins, rounds = [], [], 0
         while lanes.size:
+            rounds += 1
             before = rest
             frontier = rest & -rest
             rest = rest ^ frontier
@@ -278,6 +291,7 @@ def _scan_blocks(g: Graph, even: Optional[Mask], prior: int) -> Tuple[int, int, 
             margins.append(margin[ended])
             open_ = np.flatnonzero(keep ^ ended)
             rest, margin, lanes = rest[open_], margin[open_], lanes[open_]
+        stats.add("lane_rounds", rounds)
         finished = np.concatenate(finished)
         if finished.size:
             at = masks[finished]

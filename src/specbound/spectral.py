@@ -26,7 +26,8 @@ the 1e-9 tolerance used throughout.  Each ``Graph`` is solved at most
 once per operator: ``laplacian_spectrum`` and ``adjacency_spectrum`` keep
 their results on the graph, and every caller (``bounds``, the dense
 fallbacks of ``norm_floor``, ``bipartite`` and the Tutte scan's flag) reads
-them there.
+them there; each solve adds its kind to the ``solve`` list of the work
+record (``stats``), which the tests read to check this.
 On a d-regular graph, where ``T = dI - L``, the adjacency spectrum is taken
 from the Laplacian's solve, so one solve gives both.
 
@@ -117,6 +118,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import stats
 from .graphs import (CapExceeded, Graph, InternalError, Mask, _two_coloring, bfs_levels, bits,
                      is_connected)
 
@@ -161,6 +163,7 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     """Dense adjacency matrix; every dense solve builds through it, so the
     size cap is checked here, before anything is allocated."""
     _check_dense(g.n)
+    stats.add("matrix", g.n)
     a = np.zeros((g.n, g.n))
     for u, v in g.edges():
         a[u, v] = a[v, u] = 1.0
@@ -181,8 +184,17 @@ def _bipartite_spectrum(g: Graph, side: Sequence[int]) -> List[float]:
         if side[u]:
             u, v = v, u
         b[index[u], index[v]] = 1.0
+    stats.add("solve", "svd")
+    stats.add("svd", b.shape)
     sigma = np.linalg.svd(b, compute_uv=False)  # descending
     return np.concatenate((-sigma, np.zeros(abs(count[0] - count[1])), sigma[::-1])).tolist()
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """numpy's ``eigvalsh``, added to the work record as a solve."""
+    stats.add("solve", "eigvalsh")
+    stats.add("eigvalsh", a.shape)
+    return np.linalg.eigvalsh(a)
 
 
 def laplacian_matrix(g: Graph) -> np.ndarray:
@@ -206,7 +218,7 @@ def laplacian_spectrum(g: Graph) -> Tuple[float, ...]:
     """Eigenvalues of L = D - T, sorted; nonnegative up to the noise level,
     kernel dim = #components.  Solved once per graph and kept on it."""
     if g._lap_spectrum is None:
-        vals = np.linalg.eigvalsh(laplacian_matrix(g))
+        vals = _eigvalsh(laplacian_matrix(g))
         noise = _noise(g)
         if len(vals) and vals[0] < -noise:
             raise InternalError("negative Laplacian eigenvalue; eigensolve is "
@@ -233,7 +245,7 @@ def adjacency_spectrum(g: Graph) -> Tuple[float, ...]:
             _check_dense(g.n)
             side = _two_coloring(g) if g.n >= _SVD_MIN_N else None
             if side is None:
-                vals = np.linalg.eigvalsh(adjacency_matrix(g)).tolist()
+                vals = _eigvalsh(adjacency_matrix(g)).tolist()
             else:
                 vals = _bipartite_spectrum(g, side)
         noise = _noise(g)
@@ -336,7 +348,7 @@ def block_extremes(g: Graph, parts: Sequence[Mask]) -> List[BlockExtremes]:
             out.append(BlockExtremes(0.0, 0.0))
             continue
         vs = list(bits(p))
-        vals = np.linalg.eigvalsh(a[np.ix_(vs, vs)])
+        vals = _eigvalsh(a[np.ix_(vs, vs)])
         out.append(BlockExtremes(float(vals[0]), float(vals[-1])))
     return out
 

@@ -1,7 +1,7 @@
-import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from specbound import stats
 from specbound.enumeration import canonical_key
 from specbound.graphs import Graph
 
@@ -30,20 +30,17 @@ def isomorphic(g, h):
 
 
 @pytest.fixture
-def eigensolves(monkeypatch):
-    """The names of the dense solves (``numpy.linalg.eigvalsh``/``svd``)
-    called while the test runs, in order."""
-    calls = []
+def record():
+    """The work record (``specbound.stats``), open while the test runs."""
+    with stats.recording() as rec:
+        yield rec
 
-    def counting(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
-        return wrapper
 
-    for name in ("eigvalsh", "svd"):
-        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
-    return calls
+@pytest.fixture
+def eigensolves(record):
+    """The names of the dense solves (``eigvalsh``/``svd``) run while the
+    test runs, in order, from the work record."""
+    return record["solve"]
 
 
 # acceptance tests append (label, "PASS"/"FAIL") here; printed at session end

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import friendship, graphs
-from specbound import bipartite, cli, spectral
+from specbound import cli
 from specbound.bipartite import _odd_cycle_gap, bfs_bipartition_oracle, spectral_bipartite_test
 from specbound.coloring import wilf_color
 from specbound.enumeration import enumerate_graphs
@@ -213,17 +213,7 @@ def test_certified_verdicts_match_the_dense_path_on_random_graphs(g, tol, rng):
     _check(g, (tol,))
 
 
-def _matrix_builds(monkeypatch):
-    """One entry per dense matrix built from here on: every build goes
-    through ``spectral.adjacency_matrix``."""
-    builds = []
-    real = spectral.adjacency_matrix
-    monkeypatch.setattr(spectral, "adjacency_matrix",
-                        lambda g: builds.append(g.n) or real(g))
-    return builds
-
-
-def test_each_graph_tries_only_the_certificate_that_can_close(monkeypatch, eigensolves):
+def test_each_graph_tries_only_the_certificate_that_can_close(record, eigensolves):
     # a bipartite graph is proved so by its BFS 2-coloring and a regular
     # graph with an odd cycle by the proved gap d + l_min >= 2 / (n (4e + 1));
     # an irregular one with an odd cycle, or one that gap is too weak for
@@ -231,7 +221,7 @@ def test_each_graph_tries_only_the_certificate_that_can_close(monkeypatch, eigen
     # t = d - 1 has its Wilf floor from d - M >= 1 / (n (2e + 1)), a star
     # from the 2-walk bound M <= sqrt(W), and 4 triangles at a hub, whose
     # W = 16 gives only M <= 4, is solved
-    builds = _matrix_builds(monkeypatch)
+    builds = record["matrix"]
     for test, g, solved in (
             (spectral_bipartite_test, cycle(200), False),
             (spectral_bipartite_test, subdivide(petersen()), False),
@@ -274,11 +264,12 @@ def test_the_proved_gaps_are_within_a_factor_pi_squared_on_odd_cycles_and_paths(
     assert max(ratios) < math.pi ** 2 < 10
 
 
-def test_the_wilf_floor_after_bounds_reads_the_kept_spectrum(monkeypatch, eigensolves):
+def test_the_wilf_floor_after_bounds_reads_the_kept_spectrum(record, eigensolves):
     # as the sweeps and verify run it: no matrix is built and nothing solved
     # again (the friendship graph would be solved once on a fresh graph)
     solved = [(g, bounds(g).wilf) for g in (petersen(), path(12), friendship(4))]
-    builds = _matrix_builds(monkeypatch)
+    builds = record["matrix"]
+    builds.clear()
     eigensolves.clear()
     for g, wilf in solved:
         assert wilf_color(g).palette_size <= wilf
@@ -291,26 +282,23 @@ def _relabelled(g, seed):
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
-def test_large_bipartite_and_wilf_commands_factor_nothing(monkeypatch, eigensolves):
+def test_large_bipartite_and_wilf_commands_factor_nothing(record, eigensolves):
     # the shapes of the benchmark's n = 250..1000 ops: connected cubic
     # graphs with odd cycles, and a path in a random vertex order; no matrix
     # is built and nothing is solved
     cubic = [g for g in (random_regular(n, 3, seed) for n in (250, 500, 1000) for seed in range(3))
              if is_connected(g)]
     assert len(cubic) >= 3
-    builds = _matrix_builds(monkeypatch)
+    builds = record["matrix"]
     for argv, g in [(["bipartite"], c) for c in cubic] + [
             (["color", "--algorithm", "wilf"], _relabelled(path(1000), 1))]:
         assert cli.run(argv, stdin_text=dump_edge_list(g), out=io.StringIO()) == 0
         assert builds == eigensolves == [], (argv, g)
 
 
-def test_a_bipartite_op_runs_one_two_coloring(monkeypatch):
+def test_a_bipartite_op_runs_one_two_coloring(record):
     # the bfs_bipartite field is the verdict's, from its one BFS 2-coloring
-    colorings = []
-    real = bipartite._two_coloring
-    monkeypatch.setattr(bipartite, "_two_coloring",
-                        lambda *a, **k: colorings.append(1) or real(*a, **k))
+    colorings = record["two_coloring"]
     for g, bfs in ((cycle(1000), True), (cycle(999), False)):
         colorings.clear()
         out = io.StringIO()
@@ -319,11 +307,12 @@ def test_a_bipartite_op_runs_one_two_coloring(monkeypatch):
         assert len(colorings) == 1
 
 
-def test_a_regular_graph_carrying_its_spectrum_prints_the_bfs_sides(monkeypatch, eigensolves):
+def test_a_regular_graph_carrying_its_spectrum_prints_the_bfs_sides(record, eigensolves):
     # the dense path, as verify takes it after bounds: the spectrum decides
     # the indicators, the BFS 2-coloring gives the sides, and nothing solves
     g = _solved(cycle(200))
-    builds = _matrix_builds(monkeypatch)
+    builds = record["matrix"]
+    builds.clear()
     eigensolves.clear()
     verdict = spectral_bipartite_test(g)
     assert builds == eigensolves == []

@@ -230,18 +230,10 @@ def test_dense_cap_is_exit_3_before_any_allocation(monkeypatch, argv):
 
 
 @pytest.fixture
-def graphs_built(monkeypatch):
+def graphs_built(record):
     """The orders of the ``Graph``s and ``DirectedGraph``s constructed while
-    the test runs."""
-    built = []
-
-    for cls in (graphs.Graph, graphs.DirectedGraph):
-        def spy(self, n, *args, real=cls.__init__, **kwargs):
-            built.append(n)
-            real(self, n, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "__init__", spy)
-    return built
+    the test runs, from the work record."""
+    return record["graph"]
 
 
 @pytest.mark.parametrize("argv", [

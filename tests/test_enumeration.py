@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs, isomorphic
-from specbound import enumeration, invariants
+from specbound import enumeration, invariants, stats
 from specbound.enumeration import (
     MAX_ENUM_N,
     canonical_key,
@@ -119,26 +119,18 @@ def test_graph_masks_match_networkx_atlas():
         assert all(sum(col) == 1 for col in zip(*iso)), key
 
 
-def test_cold_enumeration_is_memoized_only_in_cache(monkeypatch):
+def test_cold_enumeration_is_memoized_only_in_cache():
     # a cold enumeration clears _CACHE alone, so any other memo (of
     # automorphisms or searches) would make the second run cheaper
-    searches = []
-    real = enumeration._search
-
-    def counting(adj, n, ranks):
-        searches.append(n)
-        return real(adj, n, ranks)
-
-    monkeypatch.setattr(enumeration, "_search", counting)
     saved = dict(enumeration._CACHE)
     counts = []
     try:
         for _ in range(2):
             enumeration._CACHE.clear()
             enumeration._CACHE[1] = [(0,)]
-            before = len(searches)
-            classes = sum(len(graph_masks(n)) for n in range(1, 8))
-            counts.append(len(searches) - before)
+            with stats.recording() as rec:
+                classes = sum(len(graph_masks(n)) for n in range(1, 8))
+            counts.append(len(rec["canonical_search"]))
     finally:
         enumeration._CACHE.clear()
         enumeration._CACHE.update(saved)
@@ -147,18 +139,10 @@ def test_cold_enumeration_is_memoized_only_in_cache(monkeypatch):
     assert counts[0] < 2 * classes
 
 
-def test_cold_enumeration_returns_few_labelings(monkeypatch):
+def test_cold_enumeration_returns_few_labelings(record):
     # the search returns only twin-sorted optimal labelings: 14,244 over a
     # cold n <= 7 enumeration when it returned every one
-    searches = []
-    real = enumeration._search
-
-    def counting(adj, n, ranks):
-        key, labelings = real(adj, n, ranks)
-        searches.append(len(labelings or ()))
-        return key, labelings
-
-    monkeypatch.setattr(enumeration, "_search", counting)
+    searches = record["canonical_search"]  # the labelings of each search
     saved = dict(enumeration._CACHE)
     try:
         enumeration._CACHE.clear()

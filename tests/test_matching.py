@@ -4,7 +4,6 @@ import importlib.util
 import random
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +26,7 @@ from specbound.graphs import (
     load_edge_list,
     mask_of,
 )
-from specbound import matching
+from specbound import matching, stats
 from specbound.matching import (
     perfect_matching_oracle,
     tutte_scan,
@@ -620,31 +619,6 @@ def test_randomized_cut_bound_matches_unbounded_reference(make):
     assert _scalar_scan(g, iter(subsets)) == _unbounded_scan(g, subsets)[0]
 
 
-class _CountingNumpy:
-    """numpy, but recording the size of each ``flatnonzero``: in
-    ``_scan_blocks``, the lanes open for one more BFS round, and the lanes at
-    a batch's maximum; and of each ``arange`` without a dtype: the lanes of
-    a batch, which it numbers."""
-
-    def __init__(self):
-        self.sizes = []
-        self.batches = []
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def flatnonzero(self, a):
-        out = np.flatnonzero(a)
-        self.sizes.append(out.size)
-        return out
-
-    def arange(self, *args, **kwargs):
-        out = np.arange(*args, **kwargs)
-        if not kwargs:
-            self.batches.append(out.size)
-        return out
-
-
 # the prior {0} shows c_star = 1 (G - {0} has odd order), and then every
 # nonempty subset has ub <= s: cut <= 3 s on a cubic graph, and on a cycle
 # cut = 2 r and t >= r for its r runs
@@ -653,53 +627,42 @@ class _CountingNumpy:
     pytest.param(lambda: cycle(16), id="cycle-16"),
     pytest.param(lambda: random_regular(18, 3, seed=2), id="cubic-18"),
 ])
-def test_cut_bound_runs_no_lane_bfs(monkeypatch, make):
+def test_cut_bound_runs_no_lane_bfs(record, make):
     g = make()
-    counting = _CountingNumpy()
-    monkeypatch.setattr(matching, "np", counting)
     assert _block_scan(g)[:3] == (1, 1, 1)  # o = s = 1 at the witness {0}
-    assert counting.sizes == []  # no batch ran: every lane was bounded
+    assert record["lanes"] == []  # no batch ran: every lane was bounded
 
 
-def test_later_blocks_are_bounded_against_the_best_of_block_0(monkeypatch):
+def test_later_blocks_are_bounded_against_the_best_of_block_0(record):
     # odd order: G - {0} is a path on 16 vertices, so the prior's ratio is 0
     # and block 0 runs nearly whole.  Its best, c_star = 8/9 at the
     # alternating set, leaves few lanes of the 15 later blocks open, and
     # they share one batch; bounded against the prior, block 1 alone would
     # fill one
-    counting = _CountingNumpy()
-    monkeypatch.setattr(matching, "np", counting)
     assert _block_scan(cycle(17))[:2] == (8, 9)
-    assert len(counting.batches) == 2 and counting.batches[1] < 2 ** 10
+    assert len(record["lanes"]) == 2 and record["lanes"][1] < 2 ** 10
 
 
 @pytest.mark.parametrize("make", [
     pytest.param(lambda: random_regular(200, 3, seed=1), id="cubic-200"),
     pytest.param(lambda: cycle(200), id="cycle-200"),
 ])
-def test_cut_bound_runs_no_bfs_after_the_singletons(make):
+def test_cut_bound_runs_no_bfs_after_the_singletons(record, make):
     g = make()
     subsets = list(matching._random_subsets(g, 1, 300))
     assert subsets[:g.n] == [1 << v for v in range(g.n)]
-    _, even = matching._scan_facts(g, exhaustive=False)  # before the count: its checks read the masks too
+    _, even = matching._scan_facts(g, exhaustive=False)
     assert even is not None
-    lookups = []
-
-    class Counting(tuple):
-        def __getitem__(self, i):
-            lookups.append(i)
-            return tuple.__getitem__(self, i)
-
-    g.adj_masks = Counting(g.adj_masks)  # every BFS step and cut term reads it
-    assert matching._scan(g, subsets[:g.n], even)[:3] == (1, 1, 1)
-    singletons = len(lookups)
-    lookups.clear()
     assert matching._scan(g, subsets, even)[:3] == (1, 1, 1)
-    # a later subset of size s >= n / 2 is settled by (n - s) / s <= 1, and
-    # every other one by the cut bound alone, at one lookup per vertex of A
-    cut_terms = sum(a.bit_count() for a in subsets[g.n:] if 2 * a.bit_count() < g.n)
-    assert cut_terms
-    assert len(lookups) == singletons + cut_terms
+    # {0} runs the one BFS, and every other singleton has ub = 1 from its
+    # cut.  A later subset of size s >= n / 2 is settled by (n - s) / s <= 1,
+    # and every other one by the cut bound alone
+    later = [a.bit_count() for a in subsets[g.n:]]
+    small = sum(2 * s < g.n for s in later)
+    assert small
+    assert record["scan_bfs"] == [1]
+    assert record["scan_cut"] == [g.n - 1 + small]
+    assert record["scan_size"] == [len(later) - small]
 
 
 def test_cut_bound_holds_on_every_small_bridgeless_class():
@@ -780,53 +743,68 @@ def test_degree_ceiling_keeps_the_randomized_report():
     assert _scan_fields(rep) == (1.0, 1, True, False, scanned)
 
 
-# each call, with the subsets ``_scan`` was given (``draws`` for the sampler's
-# generator): the prior A = {0} is one BFS in ``tutte_scan``, for the degree
-# ceiling and for ``_scan_blocks``, which must get no other subset through
-# ``_scan``.  The ceiling needs the even-degree mask, given from 11 vertices
-# in a randomized scan and from 14 in an exhaustive one
-_PRIOR = ("_scan", (1,))
-_DRAWS = ("_scan", "draws")
+def _scans(g, **kwargs):
+    """``tutte_scan(g)``'s report, the count of subsets each ``_scan`` call
+    decided, in order, and the lanes of each batch of ``_scan_blocks``."""
+    with stats.recording() as rec:
+        rep = tutte_scan(g, **kwargs)
+    decided = [sum(c) for c in zip(rec["scan_size"], rec["scan_cut"], rec["scan_bfs"])]
+    return rep, decided, rec["lanes"]
 
 
-@pytest.mark.parametrize("make, exhaustive, randomized", [
-    pytest.param(lambda: cycle(10), [("_scan", range(1, 1 << 10))], [_DRAWS], id="10-_scan"),
+# the subsets each ``_scan`` call decided (``_DRAWS``: the sampler's distinct
+# draws, the report's ``scanned``), and whether ``_scan_blocks`` ran a batch:
+# the prior A = {0} is one BFS in ``tutte_scan``, for the degree ceiling and
+# for ``_scan_blocks``, which must get no other subset through ``_scan``.
+# The ceiling needs the even-degree mask, given from 11 vertices in a
+# randomized scan and from 14 in an exhaustive one
+_PRIOR = 1
+_DRAWS = "draws"
+
+
+@pytest.mark.parametrize("make, exhaustive, blocks, randomized", [
+    pytest.param(lambda: cycle(10), [2 ** 10 - 1], False, [_DRAWS], id="10-_scan"),
     # odd order: o(G - {0}) = 0 keeps the ceiling open
-    pytest.param(lambda: cycle(11), [_PRIOR, ("_scan_blocks", None)], [_PRIOR, _DRAWS],
-                 id="11-_scan_blocks"),
+    pytest.param(lambda: cycle(11), [_PRIOR], True, [_PRIOR, _DRAWS], id="11-_scan_blocks"),
     # bridgeless, cubic and of even order: the ceiling closes both modes
-    pytest.param(lambda: random_regular(16, 3, seed=1), [_PRIOR], [_PRIOR], id="16-closed"),
+    pytest.param(lambda: random_regular(16, 3, seed=1), [_PRIOR], False, [_PRIOR],
+                 id="16-closed"),
 ])
-def test_exhaustive_scan_dispatch_by_size(monkeypatch, make, exhaustive, randomized):
-    called = []
-
-    def record(name, subsets):
-        if name == "_scan":
-            called.append((name, subsets if isinstance(subsets, (tuple, range)) else "draws"))
-        else:
-            called.append((name, None))
-
-    for name in ("_scan", "_scan_blocks"):
-        fn = getattr(matching, name)
-        monkeypatch.setattr(matching, name,
-                            lambda g, *a, _fn=fn, _name=name: record(_name, a[0]) or _fn(g, *a))
-    tutte_scan(make())
-    assert called == exhaustive
-    called.clear()
-    tutte_scan(make(), mode="randomized", samples=20)
-    assert called == randomized  # randomized masks are big integers of any n
+def test_exhaustive_scan_dispatch_by_size(make, exhaustive, blocks, randomized):
+    _, decided, lanes = _scans(make())
+    assert (decided, bool(lanes)) == (exhaustive, blocks)
+    rep, decided, lanes = _scans(make(), mode="randomized", samples=20)
+    # randomized masks are big integers of any n
+    assert (decided, lanes) == ([rep.scanned if d == _DRAWS else d for d in randomized], [])
 
 
 @pytest.mark.parametrize("make, mode", [
     pytest.param(lambda: cycle(201), "randomized", id="randomized-cycle-201"),
     pytest.param(lambda: random_regular(16, 3, seed=5), "exhaustive", id="exhaustive-cubic-16"),
 ])
-def test_scan_checks_connectivity_and_bridges_once(monkeypatch, make, mode):
-    g = make()
-    calls = []
-    for name in ("is_connected", "bridges"):
-        fn = getattr(matching, name)
-        monkeypatch.setattr(matching, name,
-                            lambda h, _fn=fn, _name=name: calls.append(_name) or _fn(h))
-    tutte_scan(g, mode=mode, samples=300)
-    assert sorted(calls) == ["bridges", "is_connected"]
+def test_scan_checks_connectivity_and_bridges_once(record, make, mode):
+    tutte_scan(make(), mode=mode, samples=300)
+    assert (record["is_connected"], record["bridges"]) == ([1], [1])
+
+
+# work that only the record shows: a change to any of it leaves every report
+# as it is
+@pytest.mark.parametrize("make, counts", [
+    # ties at the size bound, (n - s) s* = o* s, are decided without a BFS:
+    # 638 of the 1023 subsets
+    pytest.param(lambda: cycle(10), {"scan_size": [638], "scan_bfs": [385]},
+                 id="size-bound-ties-10"),
+    # a batch takes up to 2^13 lanes: blocks 1 and 2 each leave open the
+    # 4096 lanes with at most 6 of their 13 bits set, and share one batch
+    pytest.param(lambda: path(16), {"lanes": [5811, 8192, 6476, 5853]}, id="full-batch-path-16"),
+    # an exhaustive scan takes the even-degree mask from 14 vertices up: the
+    # degree ceiling closes a bridgeless cubic graph with no lane queued ...
+    pytest.param(lambda: random_regular(14, 3, seed=0), {"scan_bfs": [1], "lanes": []},
+                 id="ceiling-at-14"),
+    # ... and below 14 no bridges are sought and no lane is cut: block 0
+    # queues every nonempty subset but V
+    pytest.param(lambda: cycle(13), {"bridges": [], "lanes": [2 ** 13 - 2]}, id="no-cut-at-13"),
+])
+def test_scan_work_counts(record, make, counts):
+    tutte_scan(make())
+    assert {name: record[name] for name in counts} == counts

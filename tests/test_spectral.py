@@ -200,15 +200,11 @@ def test_block_extremes_empty_part():
     assert blocks[1].m == 0.0 and blocks[1].M == 0.0
 
 
-def test_block_extremes_builds_the_adjacency_matrix_once(monkeypatch):
-    built = []
-    original = spectral.adjacency_matrix
-    monkeypatch.setattr(spectral, "adjacency_matrix",
-                        lambda g: built.append(g) or original(g))
+def test_block_extremes_builds_the_adjacency_matrix_once(record):
     g = petersen()
     parts = [mask_of([0, 1, 2]), mask_of([3, 4, 5, 6]), mask_of([7, 8, 9])]
     assert len(block_extremes(g, parts)) == 3
-    assert len(built) == 1
+    assert len(record["matrix"]) == 1
 
 
 def test_block_extremes_validates_partition():
@@ -294,20 +290,16 @@ def test_dense_cap():
         adjacency_spectrum(Graph(4097, []))
 
 
-def test_dense_cap_is_checked_before_any_allocation(monkeypatch):
+def test_dense_cap_is_checked_before_any_allocation(monkeypatch, record):
     allocated = []
-
-    def spy(real):
-        return lambda *args, **kwargs: allocated.append(real.__name__) or real(*args, **kwargs)
-
-    monkeypatch.setattr(np, "zeros", spy(np.zeros))
-    monkeypatch.setattr(spectral, "_two_coloring", spy(spectral._two_coloring))
+    real = np.zeros
+    monkeypatch.setattr(np, "zeros", lambda *a, **k: allocated.append(a) or real(*a, **k))
     for solve in (adjacency_spectrum, laplacian_spectrum, bounds, norm_floor,
                   lambda g: block_extremes(g, [g.full_mask])):
         for big in (cycle(4097), path(4097)):  # regular, and bipartite above the SVD gate
             with pytest.raises(CapExceeded):
                 solve(big)
-    assert allocated == []
+    assert allocated == [] and record["two_coloring"] == []
     assert len(adjacency_spectrum(cycle(5))) == 5  # the spy still counts
     assert allocated
 
