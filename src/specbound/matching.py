@@ -36,9 +36,9 @@ constants beside it, with the measurements that chose them.  Each adds
 its work to the record of ``stats`` once per call or batch, and the tests
 check the bounds by it: ``_scan`` the subsets it decided by the size bound,
 the edge-cut bound and a BFS (``scan_size``, ``scan_cut``, ``scan_bfs``),
-``_scan_blocks`` the lanes and BFS rounds of each batch (``lanes``,
-``lane_rounds``).  Both skip the BFS of a subset A of size s that can at
-most tie the best ratio so far (a tie keeps the earlier witness), by
+``_scan_blocks`` its blocks once per call (``blocks``) and the lanes of
+each batch (``lanes``).  Both skip the BFS of a subset A of size s that can
+at most tie the best ratio so far (a tie keeps the earlier witness), by
 bounds on o.  Before a subset's BFS
 both take the first and, when ``tutte_scan`` passes them an even-degree
 mask, the third; ``_scan_blocks`` lowers the third to the parity of n - s
@@ -250,6 +250,7 @@ def _scan_blocks(g: Graph, even: Optional[Mask], prior: int) -> Tuple[int, int, 
     lane_bits = min(n, _BLOCK_BITS)
     width = 1 << lane_bits
     full = np.uint32(g.full_mask)
+    stats.add("blocks", 1 << n - lane_bits)
 
     def popcount(x):  # uint8
         return size_lo.take(x & half) + size_hi.take(x >> shift)
@@ -272,9 +273,8 @@ def _scan_blocks(g: Graph, even: Optional[Mask], prior: int) -> Tuple[int, int, 
         need = best_o * sizes // best_s
         margin = n - sizes - need
         lanes = np.arange(masks.size)
-        finished, margins, rounds = [], [], 0
+        finished, margins = [], []
         while lanes.size:
-            rounds += 1
             before = rest
             frontier = rest & -rest
             rest = rest ^ frontier
@@ -291,7 +291,6 @@ def _scan_blocks(g: Graph, even: Optional[Mask], prior: int) -> Tuple[int, int, 
             margins.append(margin[ended])
             open_ = np.flatnonzero(keep ^ ended)
             rest, margin, lanes = rest[open_], margin[open_], lanes[open_]
-        stats.add("lane_rounds", rounds)
         finished = np.concatenate(finished)
         if finished.size:
             at = masks[finished]

@@ -185,16 +185,8 @@ def _bipartite_spectrum(g: Graph, side: Sequence[int]) -> List[float]:
             u, v = v, u
         b[index[u], index[v]] = 1.0
     stats.add("solve", "svd")
-    stats.add("svd", b.shape)
     sigma = np.linalg.svd(b, compute_uv=False)  # descending
     return np.concatenate((-sigma, np.zeros(abs(count[0] - count[1])), sigma[::-1])).tolist()
-
-
-def _eigvalsh(a: np.ndarray) -> np.ndarray:
-    """numpy's ``eigvalsh``, added to the work record as a solve."""
-    stats.add("solve", "eigvalsh")
-    stats.add("eigvalsh", a.shape)
-    return np.linalg.eigvalsh(a)
 
 
 def laplacian_matrix(g: Graph) -> np.ndarray:
@@ -218,7 +210,8 @@ def laplacian_spectrum(g: Graph) -> Tuple[float, ...]:
     """Eigenvalues of L = D - T, sorted; nonnegative up to the noise level,
     kernel dim = #components.  Solved once per graph and kept on it."""
     if g._lap_spectrum is None:
-        vals = _eigvalsh(laplacian_matrix(g))
+        stats.add("solve", "eigvalsh")
+        vals = np.linalg.eigvalsh(laplacian_matrix(g))
         noise = _noise(g)
         if len(vals) and vals[0] < -noise:
             raise InternalError("negative Laplacian eigenvalue; eigensolve is "
@@ -245,7 +238,8 @@ def adjacency_spectrum(g: Graph) -> Tuple[float, ...]:
             _check_dense(g.n)
             side = _two_coloring(g) if g.n >= _SVD_MIN_N else None
             if side is None:
-                vals = _eigvalsh(adjacency_matrix(g)).tolist()
+                stats.add("solve", "eigvalsh")
+                vals = np.linalg.eigvalsh(adjacency_matrix(g)).tolist()
             else:
                 vals = _bipartite_spectrum(g, side)
         noise = _noise(g)
@@ -348,7 +342,8 @@ def block_extremes(g: Graph, parts: Sequence[Mask]) -> List[BlockExtremes]:
             out.append(BlockExtremes(0.0, 0.0))
             continue
         vs = list(bits(p))
-        vals = _eigvalsh(a[np.ix_(vs, vs)])
+        stats.add("solve", "eigvalsh")
+        vals = np.linalg.eigvalsh(a[np.ix_(vs, vs)])
         out.append(BlockExtremes(float(vals[0]), float(vals[-1])))
     return out
 

@@ -745,17 +745,18 @@ def test_degree_ceiling_keeps_the_randomized_report():
 
 def _scans(g, **kwargs):
     """``tutte_scan(g)``'s report, the count of subsets each ``_scan`` call
-    decided, in order, and the lanes of each batch of ``_scan_blocks``."""
+    decided, in order, and the blocks of each ``_scan_blocks`` call."""
     with stats.recording() as rec:
         rep = tutte_scan(g, **kwargs)
     decided = [sum(c) for c in zip(rec["scan_size"], rec["scan_cut"], rec["scan_bfs"])]
-    return rep, decided, rec["lanes"]
+    return rep, decided, rec["blocks"]
 
 
 # the subsets each ``_scan`` call decided (``_DRAWS``: the sampler's distinct
-# draws, the report's ``scanned``), and whether ``_scan_blocks`` ran a batch:
-# the prior A = {0} is one BFS in ``tutte_scan``, for the degree ceiling and
-# for ``_scan_blocks``, which must get no other subset through ``_scan``.
+# draws, the report's ``scanned``), and the blocks of each ``_scan_blocks``
+# call: the prior A = {0} is one BFS in ``tutte_scan``, for the degree
+# ceiling and for ``_scan_blocks``, which must get no other subset through
+# ``_scan``.
 # The ceiling needs the even-degree mask, given from 11 vertices in a
 # randomized scan and from 14 in an exhaustive one
 _PRIOR = 1
@@ -763,19 +764,20 @@ _DRAWS = "draws"
 
 
 @pytest.mark.parametrize("make, exhaustive, blocks, randomized", [
-    pytest.param(lambda: cycle(10), [2 ** 10 - 1], False, [_DRAWS], id="10-_scan"),
+    pytest.param(lambda: cycle(10), [2 ** 10 - 1], [], [_DRAWS], id="10-_scan"),
     # odd order: o(G - {0}) = 0 keeps the ceiling open
-    pytest.param(lambda: cycle(11), [_PRIOR], True, [_PRIOR, _DRAWS], id="11-_scan_blocks"),
+    pytest.param(lambda: cycle(11), [_PRIOR], [1], [_PRIOR, _DRAWS], id="11-_scan_blocks"),
     # bridgeless, cubic and of even order: the ceiling closes both modes
-    pytest.param(lambda: random_regular(16, 3, seed=1), [_PRIOR], False, [_PRIOR],
+    pytest.param(lambda: random_regular(16, 3, seed=1), [_PRIOR], [], [_PRIOR],
                  id="16-closed"),
 ])
 def test_exhaustive_scan_dispatch_by_size(make, exhaustive, blocks, randomized):
-    _, decided, lanes = _scans(make())
-    assert (decided, bool(lanes)) == (exhaustive, blocks)
-    rep, decided, lanes = _scans(make(), mode="randomized", samples=20)
+    _, decided, scanned_blocks = _scans(make())
+    assert (decided, scanned_blocks) == (exhaustive, blocks)
+    rep, decided, scanned_blocks = _scans(make(), mode="randomized", samples=20)
     # randomized masks are big integers of any n
-    assert (decided, lanes) == ([rep.scanned if d == _DRAWS else d for d in randomized], [])
+    assert (decided, scanned_blocks) == ([rep.scanned if d == _DRAWS else d for d in randomized],
+                                         [])
 
 
 @pytest.mark.parametrize("make, mode", [
@@ -798,8 +800,8 @@ def test_scan_checks_connectivity_and_bridges_once(record, make, mode):
     # 4096 lanes with at most 6 of their 13 bits set, and share one batch
     pytest.param(lambda: path(16), {"lanes": [5811, 8192, 6476, 5853]}, id="full-batch-path-16"),
     # an exhaustive scan takes the even-degree mask from 14 vertices up: the
-    # degree ceiling closes a bridgeless cubic graph with no lane queued ...
-    pytest.param(lambda: random_regular(14, 3, seed=0), {"scan_bfs": [1], "lanes": []},
+    # degree ceiling closes a bridgeless cubic graph with no block scanned ...
+    pytest.param(lambda: random_regular(14, 3, seed=0), {"scan_bfs": [1], "blocks": []},
                  id="ceiling-at-14"),
     # ... and below 14 no bridges are sought and no lane is cut: block 0
     # queues every nonempty subset but V

@@ -1,14 +1,16 @@
 """The work record: it sees every dense solve, and it changes no output."""
 
+import ast
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from specbound import enumeration, stats
 from specbound.cli import run
-from specbound.generators import function_graph, path, petersen, random_regular, subdivide
-from specbound.graphs import Graph, dump_directed_edge_list, dump_edge_list
+from specbound.generators import path, petersen, random_regular, subdivide
+from specbound.graphs import Graph, dump_edge_list
 
 
 def _stdout(argv, stdin_text=None):
@@ -31,33 +33,25 @@ def test_a_record_is_open_only_inside_its_block():
     assert stats._open is None
 
 
-_PETERSEN = dump_edge_list(petersen())
-_SUBDIVIDED = dump_edge_list(subdivide(petersen()))
-_MAPS = dump_directed_edge_list(function_graph([[(i + 1) % 7 for i in range(7)],
-                                                [(2 * i) % 7 for i in range(7)]]))
+def test_the_program_only_adds_to_the_record():
+    # no module but stats reads the record, so an open one changes no output
+    used = set()
+    for module in Path(stats.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                assert node.module != "stats", module
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "stats":
+                used.add(node.attr)
+    assert used == {"add"}
 
 
 @pytest.mark.parametrize("argv, stdin_text", [
-    (["gen", "--petersen"], None),
-    (["spectrum"], _SUBDIVIDED),
-    (["bounds"], _SUBDIVIDED),
-    (["color", "--algorithm", "wilf"], _SUBDIVIDED),
-    (["color", "--algorithm", "mindeg", "--threshold", "2"], _SUBDIVIDED),
-    (["color", "--algorithm", "function"], _MAPS),
-    (["color", "--algorithm", "brute"], _PETERSEN),
-    (["bipartite"], _SUBDIVIDED),
-    (["tutte", "--mode", "exhaustive"], _PETERSEN),
-    (["tutte", "--mode", "randomized", "--samples", "50"], _SUBDIVIDED),
-    (["limit", "--max-n", "64"], None),
-    (["verify"], None),
-], ids=["gen", "spectrum", "bounds", "wilf", "mindeg", "function", "brute", "bipartite",
-        "tutte-exhaustive", "tutte-randomized", "limit", "verify"])
+    (["tutte", "--mode", "exhaustive"], dump_edge_list(petersen())),
+    (["bounds"], dump_edge_list(subdivide(petersen()))),
+], ids=["tutte", "bounds"])
 def test_an_open_record_changes_no_output(argv, stdin_text):
-    with stats.recording() as closed:
-        pass
     plain = _stdout(argv, stdin_text)
-    # with no record open, nothing is kept, in a record closed before or anywhere else
-    assert stats._open is None and closed == {}
+    assert stats._open is None  # with no record open, nothing is kept
     with stats.recording():
         recorded = _stdout(argv, stdin_text)
     assert recorded == plain and plain[0] == 0
@@ -82,12 +76,11 @@ def _bipartite_double_cover(g):
 def test_the_record_lists_every_dense_solve(monkeypatch, make):
     # the one count of the solves that does not come from the record: a
     # solve added without its count fails here
-    seen = {"solve": [], "eigvalsh": [], "svd": []}
+    seen = []
     for name in ("eigvalsh", "svd"):
         real = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda a, *args, _real=real, _name=name, **kwargs:
-                            seen["solve"].append(_name) or seen[_name].append(a.shape)
-                            or _real(a, *args, **kwargs))
+        monkeypatch.setattr(np.linalg, name, lambda *args, _real=real, _name=name, **kwargs:
+                            seen.append(_name) or _real(*args, **kwargs))
     if make is None:
         monkeypatch.setattr(enumeration, "_GRAPHS", {})  # as a one-shot verify starts
         runs = [(["verify"], None)]
@@ -98,4 +91,4 @@ def test_the_record_lists_every_dense_solve(monkeypatch, make):
     with stats.recording() as rec:
         for argv, stdin_text in runs:
             assert _stdout(argv, stdin_text)[0] == 0
-    assert seen["solve"] and {name: rec[name] for name in seen} == seen
+    assert seen and rec["solve"] == seen
