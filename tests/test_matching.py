@@ -612,6 +612,13 @@ def test_cut_bound_kernels_match_unbounded_reference(make, bridged):
     # bridged: every subset the size bound leaves open runs a BFS over masks
     # several machine words wide
     pytest.param(lambda: path(301), id="path-301"),
+    # on each, the edge-cut bound lowered to the parity of n - s decides
+    # 45-102 draws that the unlowered bound leaves to a BFS, and on the last
+    # two the running bound ends one BFS before G - A is used up
+    pytest.param(lambda: cycle(31), id="cycle-31"),
+    pytest.param(lambda: _subdivide_first_edge(random_regular(30, 3, seed=0)),
+                 id="subdivided-cubic-31"),
+    pytest.param(lambda: random_regular(32, 4, seed=0), id="quartic-32"),
 ])
 def test_randomized_cut_bound_matches_unbounded_reference(make):
     g = make()
@@ -791,22 +798,31 @@ def test_scan_checks_connectivity_and_bridges_once(record, make, mode):
 
 # work that only the record shows: a change to any of it leaves every report
 # as it is
-@pytest.mark.parametrize("make, counts", [
+@pytest.mark.parametrize("make, mode, counts", [
     # ties at the size bound, (n - s) s* = o* s, are decided without a BFS:
-    # 638 of the 1023 subsets
-    pytest.param(lambda: cycle(10), {"scan_size": [638], "scan_bfs": [385]},
+    # 638 of the 1023 subsets.  The running bound ends 273 of the 385 BFS
+    # before G - A is used up
+    pytest.param(lambda: cycle(10), "exhaustive",
+                 {"scan_size": [638], "scan_bfs": [385], "scan_stop": [273]},
                  id="size-bound-ties-10"),
     # a batch takes up to 2^13 lanes: blocks 1 and 2 each leave open the
     # 4096 lanes with at most 6 of their 13 bits set, and share one batch
-    pytest.param(lambda: path(16), {"lanes": [5811, 8192, 6476, 5853]}, id="full-batch-path-16"),
+    pytest.param(lambda: path(16), "exhaustive", {"lanes": [5811, 8192, 6476, 5853]},
+                 id="full-batch-path-16"),
     # an exhaustive scan takes the even-degree mask from 14 vertices up: the
     # degree ceiling closes a bridgeless cubic graph with no block scanned ...
-    pytest.param(lambda: random_regular(14, 3, seed=0), {"scan_bfs": [1], "blocks": []},
-                 id="ceiling-at-14"),
+    pytest.param(lambda: random_regular(14, 3, seed=0), "exhaustive",
+                 {"scan_bfs": [1], "blocks": []}, id="ceiling-at-14"),
     # ... and below 14 no bridges are sought and no lane is cut: block 0
     # queues every nonempty subset but V
-    pytest.param(lambda: cycle(13), {"bridges": [], "lanes": [2 ** 13 - 2]}, id="no-cut-at-13"),
+    pytest.param(lambda: cycle(13), "exhaustive", {"bridges": [], "lanes": [2 ** 13 - 2]},
+                 id="no-cut-at-13"),
+    # randomized, after the prior: G - {0} is a path on 60 vertices, ratio 0,
+    # and every other singleton has cut 2, so ub = 1, which the parity of
+    # n - s = 60 lowers to 0.  Of the 191 draws 180 are decided by the cut
+    pytest.param(lambda: cycle(61), "randomized", {"scan_cut": [0, 180], "scan_bfs": [1, 11]},
+                 id="parity-cut-61"),
 ])
-def test_scan_work_counts(record, make, counts):
-    tutte_scan(make())
+def test_scan_work_counts(record, make, mode, counts):
+    tutte_scan(make(), mode=mode, seed=1, samples=300)
     assert {name: record[name] for name in counts} == counts
